@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetError, TrendError
-from .parallel import ordered_map, resolve_workers
+from .parallel import ordered_map
 from .primes import primes_in
 
 MODULUS_BUDGET = 100_000
@@ -127,7 +127,6 @@ def bv_deviation(
     theta: Fraction | str | int,
     grid: GridSpec = GridSpec(),
     workers: int | None = None,
-    modulus_budget: int = MODULUS_BUDGET,
 ) -> BvDeviationTable:
     """Worst progression deviations for all moduli q <= floor(x^theta)."""
     if x < 10**3:
@@ -139,9 +138,8 @@ def bv_deviation(
     if len(ys) < 4:
         raise ValueError(f"grid has {len(ys)} points, need >= 4; lower y_min")
     q_max = rational_power_floor(x, th)
-    if q_max > modulus_budget:
-        raise BudgetError(f"x^theta = {q_max} exceeds modulus budget {modulus_budget}")
-    resolve_workers(workers)
+    if q_max > MODULUS_BUDGET:
+        raise BudgetError(f"x^theta = {q_max} exceeds modulus budget {MODULUS_BUDGET}")
 
     per_y = ordered_map(_grid_point_devs, [(y, q_max) for y in ys], workers)
 

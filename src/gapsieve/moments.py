@@ -9,7 +9,9 @@ Three empirical sums are paired with exact-rational prefactor algebra:
 
 with W(n) the block weight at exponent a = k + l.  Empirical values are
 chunk-partitioned with exactly-rounded per-chunk sums and a fixed pairwise
-reduction, so results are bit-identical for any worker count.
+reduction, so results are bit-identical for any worker count.  Each run
+builds a tuple's divisor table once and hands it to every chunk; the exact
+double sums (small R) read each divisor's primes from that same table.
 
 Predicted main terms:
 
@@ -26,6 +28,7 @@ prefactor; positivity of the per-n parenthesis forces two primes inside
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -33,15 +36,23 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BudgetError, RegimeError
-from .parallel import block_spans, ordered_map, resolve_workers, tree_fold
-from .primes import SEGMENT_FLAGS, prime_flags
+from .parallel import block_spans, ordered_map, tree_fold
+from .primes import SEGMENT_FLAGS, base_primes, prime_flags
 from .singular import DEFAULT_TOL, singular_series
-from .tuples import UNCHANGED, OffsetTuple, extend
-from .weights import DivisorEntry, WeightParams, divisor_table, lambda_block
+from .tuples import UNCHANGED, OffsetTuple, extend, omega_residues, omega_size
+from .weights import WeightParams, _crt_merge, _weight_value, divisor_table, lambda_block
 
 CHUNK = SEGMENT_FLAGS
 DOUBLE_SUM_R_BUDGET = 2000
 EXACT_COUNT_R_BUDGET = 500
+
+# Regime constants: the asymptotic constraints carry unspecified constants, so
+# the power-law parts are enforced exactly and the log-power correction is off
+# (LOG_POWER_C = 0); the others bound span <= SPAN_FACTOR * log N and
+# log N <= SCALE_RATIO * log R.
+LOG_POWER_C = 0.0
+SPAN_FACTOR = 10.0
+SCALE_RATIO = 8.0
 
 
 # ---------------------------------------------------------------------------
@@ -53,10 +64,8 @@ class SieveParams:
     """One run configuration: scale N, truncation R, tuple size k, weight
     shift l, window length span_bound, and distribution level theta.
 
-    Regime constants: the asymptotic constraints carry unspecified constants,
-    so the power-law parts are enforced exactly and the log-power corrections
-    default to off (log_power_C = 0); span_factor and scale_ratio bound
-    span <= span_factor * log N and log N <= scale_ratio * log R.
+    The regime checks use the module's LOG_POWER_C, SPAN_FACTOR and
+    SCALE_RATIO.
     """
 
     N: int
@@ -65,9 +74,6 @@ class SieveParams:
     l: int
     span_bound: int
     theta: Fraction = Fraction(1, 2)
-    log_power_C: float = 0.0
-    span_factor: float = 10.0
-    scale_ratio: float = 8.0
 
     def __post_init__(self) -> None:
         if self.N < 16:
@@ -98,32 +104,34 @@ class SieveParams:
 
     def _common_violations(self) -> list[str]:
         out = []
-        if self.span_bound > self.span_factor * self.log_n:
+        if self.span_bound > SPAN_FACTOR * self.log_n:
             out.append(
-                f"span_bound {self.span_bound} > {self.span_factor} * log N = "
-                f"{self.span_factor * self.log_n:.2f}"
+                f"span_bound {self.span_bound} > {SPAN_FACTOR} * log N = "
+                f"{SPAN_FACTOR * self.log_n:.2f}"
             )
         if self.R > self.N:
             out.append(f"R {self.R} exceeds N {self.N}")
-        if self.log_n > self.scale_ratio * max(self.log_r, 1e-300):
-            out.append(f"log N / log R = {self.log_n / self.log_r:.2f} > {self.scale_ratio}")
+        if self.log_n > SCALE_RATIO * max(self.log_r, 1e-300):
+            # R = 1 has log R = 0: the ratio is infinite, not a crash
+            ratio = self.log_n / self.log_r if self.log_r > 0 else math.inf
+            out.append(f"log N / log R = {ratio:.2f} > {SCALE_RATIO}")
         return out
 
     def pure_regime_violations(self) -> list[str]:
         out = self._common_violations()
-        cap = math.sqrt(self.N) / self.log_n ** self.log_power_C
+        cap = math.sqrt(self.N) / self.log_n ** LOG_POWER_C
         # 1e-12 slack: boundary configurations like R = N^(1/2) exactly must
         # not trip on the rounding of two routes to the same power
         if self.R > cap * (1 + 1e-12):
-            out.append(f"R {self.R} > N^(1/2)/(log N)^{self.log_power_C} = {cap:.4g}")
+            out.append(f"R {self.R} > N^(1/2)/(log N)^{LOG_POWER_C} = {cap:.4g}")
         return out
 
     def twisted_regime_violations(self) -> list[str]:
         out = self._common_violations()
-        cap = self.N ** (float(self.theta) / 2.0) / self.log_n ** self.log_power_C
+        cap = self.N ** (float(self.theta) / 2.0) / self.log_n ** LOG_POWER_C
         if self.R > cap * (1 + 1e-12):
             out.append(
-                f"R {self.R} > N^(theta/2)/(log N)^{self.log_power_C} = {cap:.4g} "
+                f"R {self.R} > N^(theta/2)/(log N)^{LOG_POWER_C} = {cap:.4g} "
                 f"at theta = {self.theta}"
             )
         return out
@@ -292,8 +300,8 @@ class DetectorReport:
 # ---------------------------------------------------------------------------
 
 def _pure_chunk(args) -> float:
-    t, wp, lo, hi, force = args
-    blk = lambda_block(t, wp, lo, hi, force=force)
+    t, wp, lo, hi, force, table = args
+    blk = lambda_block(t, wp, lo, hi, force=force, table=table)
     return math.fsum(blk.values * blk.values)
 
 
@@ -304,15 +312,14 @@ def pure_moment(
     force: bool = False,
 ) -> MomentReport:
     """Empirical sum of W(n)^2 over (N, 2N] against its predicted main term."""
-    import time
-
     start = time.perf_counter()
     if t.k != params.k:
         raise ValueError(f"tuple size {t.k} does not match params.k = {params.k}")
     violations = _enforce_regime(params.pure_regime_violations(), force)
     wp = WeightParams(params.R, params.a)
+    table = divisor_table(t, wp.R)
     spans = block_spans(params.N + 1, 2 * params.N + 1, CHUNK)
-    partials = ordered_map(_pure_chunk, [(t, wp, lo, hi, force) for lo, hi in spans], workers)
+    partials = ordered_map(_pure_chunk, [(t, wp, lo, hi, force, table) for lo, hi in spans], workers)
     empirical = tree_fold(partials, lambda x, y: x + y)
 
     dens = singular_series(t, DEFAULT_TOL)
@@ -339,67 +346,36 @@ def pure_moment(
 # exact double sums (small R)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _DivisorInfo:
-    d: int
-    primes: tuple[int, ...]
-    weight: float
-
-
-def _divisor_infos(t: OffsetTuple, params: "SieveParams | WeightParams") -> list[_DivisorInfo]:
-    from .weights import _weight_value  # shared weight evaluation
-
+def _divisor_pairs(t: OffsetTuple, params: "SieveParams | WeightParams"):
+    """Yield (w(d1) w(d2), primes of [d1, d2]) over all ordered pairs of
+    squarefree d1, d2 <= R, both from the one divisor table."""
     wp = WeightParams(params.R, params.a)
-    return [
-        _DivisorInfo(e.d, _entry_primes(e), _weight_value(e.mu, e.d, wp.R, wp.a))
-        for e in divisor_table(t, wp.R)
+    table = [
+        (_weight_value(e.mu, e.d, wp.R, wp.a), frozenset(e.primes)) for e in divisor_table(t, wp.R)
     ]
+    for w1, primes1 in table:
+        for w2, primes2 in table:
+            yield w1 * w2, primes1 | primes2
 
 
-def _entry_primes(entry: DivisorEntry) -> tuple[int, ...]:
-    d = entry.d
-    out = []
-    m = d
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            out.append(f)
-            while m % f == 0:
-                m //= f
-        f += 1
-    if m > 1:
-        out.append(m)
-    return tuple(out)
-
-
-def double_sum_T(
-    t: OffsetTuple,
-    params: "SieveParams | WeightParams",
-    r_budget: int = DOUBLE_SUM_R_BUDGET,
-) -> float:
+def double_sum_T(t: OffsetTuple, params: "SieveParams | WeightParams") -> float:
     """The exact bilinear form sum_{d1,d2} w(d1) w(d2) |Omega([d1,d2])| / [d1,d2].
 
     Direct double summation; feasible for R up to a few thousand.  Only R and
     the weight exponent are read, so bare WeightParams work too.
     """
-    if params.R > r_budget:
-        raise BudgetError(f"R = {params.R} exceeds double-sum budget {r_budget}")
-    infos = _divisor_infos(t, params)
-    omega_of = {p: 0 for info in infos for p in info.primes}
-    from .tuples import omega_size
-
-    for p in omega_of:
-        omega_of[p] = omega_size(t, p)
+    if params.R > DOUBLE_SUM_R_BUDGET:
+        raise BudgetError(f"R = {params.R} exceeds double-sum budget {DOUBLE_SUM_R_BUDGET}")
+    # every prime <= R is itself a table entry, so this covers every lcm
+    omega_of = {int(p): omega_size(t, int(p)) for p in base_primes(int(params.R))}
     terms = []
-    for i1 in infos:
-        for i2 in infos:
-            union = set(i1.primes) | set(i2.primes)
-            lcm = 1
-            omega = 1
-            for p in union:
-                lcm *= p
-                omega *= omega_of[p]
-            terms.append(i1.weight * i2.weight * omega / lcm)
+    for weight, union in _divisor_pairs(t, params):
+        lcm = 1
+        omega = 1
+        for p in union:
+            lcm *= p
+            omega *= omega_of[p]
+        terms.append(weight * omega / lcm)
     return math.fsum(terms)
 
 
@@ -408,21 +384,16 @@ def double_sum_exact_counts(
     params: "SieveParams | WeightParams",
     lo: int,
     hi: int,
-    r_budget: int = EXACT_COUNT_R_BUDGET,
 ) -> float:
     """sum_{d1,d2} w(d1) w(d2) * #{n in [lo, hi): [d1,d2] divides P(n)}.
 
     Membership counts are exact integers (per residue class of the lcm), so
-    this equals the blockwise sum of W(n)^2 up to float summation only.
+    this equals the blockwise sum of W(n)^2 up to float summation only.  The
+    lcm's classes come from its own CRT over omega_residues, not from the
+    table's residues, so the comparison with lambda_block stays independent.
     """
-    if params.R > r_budget:
-        raise BudgetError(f"R = {params.R} exceeds exact-count budget {r_budget}")
-    wp = WeightParams(params.R, params.a)
-    entries = divisor_table(t, wp.R)
-    from .weights import _weight_value
-
-    weights_by_d = {e.d: _weight_value(e.mu, e.d, wp.R, wp.a) for e in entries}
-    prime_sets = {e.d: frozenset(_entry_primes(e)) for e in entries}
+    if params.R > EXACT_COUNT_R_BUDGET:
+        raise BudgetError(f"R = {params.R} exceeds exact-count budget {EXACT_COUNT_R_BUDGET}")
 
     # residue sets for every lcm that appears, built once
     lcm_cache: dict[frozenset, tuple[int, tuple[int, ...]]] = {}
@@ -431,9 +402,6 @@ def double_sum_exact_counts(
         if union not in lcm_cache:
             m = 1
             res: tuple[int, ...] = (0,)
-            from .tuples import omega_residues
-            from .weights import _crt_merge
-
             for p in sorted(union):
                 res = _crt_merge(m, res, p, omega_residues(t, p))
                 m *= p
@@ -441,17 +409,14 @@ def double_sum_exact_counts(
         return lcm_cache[union]
 
     terms = []
-    ds = [e.d for e in entries]
-    for d1 in ds:
-        for d2 in ds:
-            union = prime_sets[d1] | prime_sets[d2]
-            m, res = lcm_residues(union)
-            count = 0
-            for r in res:
-                first = lo + ((r - lo) % m)
-                if first < hi:
-                    count += (hi - 1 - first) // m + 1
-            terms.append(weights_by_d[d1] * weights_by_d[d2] * count)
+    for weight, union in _divisor_pairs(t, params):
+        m, res = lcm_residues(union)
+        count = 0
+        for r in res:
+            first = lo + ((r - lo) % m)
+            if first < hi:
+                count += (hi - 1 - first) // m + 1
+        terms.append(weight * count)
     return math.fsum(terms)
 
 
@@ -460,8 +425,8 @@ def double_sum_exact_counts(
 # ---------------------------------------------------------------------------
 
 def _twisted_chunk(args) -> float:
-    t, wp, lo, hi, h, force = args
-    blk = lambda_block(t, wp, lo, hi, force=force)
+    t, wp, lo, hi, h, force, table = args
+    blk = lambda_block(t, wp, lo, hi, force=force, table=table)
     flags = prime_flags(lo + h, hi + h)
     shifted = np.arange(lo + h, hi + h, dtype=np.int64)[flags]
     logs = np.log(shifted.astype(np.float64))
@@ -478,8 +443,6 @@ def twisted_moment(
 ) -> MomentReport:
     """Empirical sum of varpi(n+h) W(n)^2 over (N, 2N] with the main term
     picked by membership of h in the tuple."""
-    import time
-
     start = time.perf_counter()
     if t.k != params.k:
         raise ValueError(f"tuple size {t.k} does not match params.k = {params.k}")
@@ -491,8 +454,10 @@ def twisted_moment(
         )
     violations = _enforce_regime(params.twisted_regime_violations(), force)
     wp = WeightParams(params.R, params.a)
+    table = divisor_table(t, wp.R)
     spans = block_spans(params.N + 1, 2 * params.N + 1, CHUNK)
-    partials = ordered_map(_twisted_chunk, [(t, wp, lo, hi, h, force) for lo, hi in spans], workers)
+    tasks = [(t, wp, lo, hi, h, force, table) for lo, hi in spans]
+    partials = ordered_map(_twisted_chunk, tasks, workers)
     empirical = tree_fold(partials, lambda x, y: x + y)
 
     # extension lives in [1, params.span_bound]
@@ -531,14 +496,14 @@ def twisted_moment(
 
 def _detector_chunk(args) -> tuple[float, np.ndarray, list[tuple[int, int, int]]]:
     """One (tuple, chunk) unit: (partial sum, flagged n, capped witnesses)."""
-    t, wp, lo, hi, span, log3n, mode, cap, force = args
-    blk = lambda_block(t, wp, lo, hi, force=force)
+    t, wp, lo, hi, span, log3n, mode, cap, force, table = args
+    blk = lambda_block(t, wp, lo, hi, force=force, table=table)
     n = np.arange(lo, hi, dtype=np.int64)
 
     flags = prime_flags(lo + 1, hi + span)
-    pos = lo + 1 + np.flatnonzero(flags)
 
     if mode == "window":
+        pos = lo + 1 + np.flatnonzero(flags)
         # extended-precision prefix sums: the difference of two prefixes must
         # resolve individual windows without drift over the chunk
         logs = np.log(pos.astype(np.float64)).astype(np.longdouble)
@@ -552,7 +517,6 @@ def _detector_chunk(args) -> tuple[float, np.ndarray, list[tuple[int, int, int]]
         for h in t.offsets:
             hit = flags[n + h - base]
             w[hit] += np.log((n[hit] + h).astype(np.float64))
-        j1 = np.searchsorted(pos, n, side="right")
 
     vals = blk.values
     partial = math.fsum(w * vals * vals)
@@ -589,8 +553,6 @@ def two_primes_detector(
     parenthesis is positive is counted, and for the first witness_cap such n
     the two witnessing primes in (n, n + span_bound] are reported.
     """
-    import time
-
     start = time.perf_counter()
     if h_mode not in ("window", "tuple"):
         raise ValueError(f"unknown h_mode {h_mode!r}")
@@ -607,7 +569,6 @@ def two_primes_detector(
         if not (v in seen or seen.add(v))
     ]
     violations = _enforce_regime(violations, force)
-    resolve_workers(workers)
 
     wp = WeightParams(params.R, params.a)
     span = params.span_bound
@@ -619,7 +580,8 @@ def two_primes_detector(
     positives: list[np.ndarray] = []
     positive_count = 0
     for ti, t in enumerate(tuple_list):
-        tasks = [(t, wp, lo, hi, span, log3n, h_mode, witness_cap, force) for lo, hi in spans]
+        table = divisor_table(t, wp.R)
+        tasks = [(t, wp, lo, hi, span, log3n, h_mode, witness_cap, force, table) for lo, hi in spans]
         results = ordered_map(_detector_chunk, tasks, workers)
         per_tuple_sums.append(tree_fold([r[0] for r in results], lambda x, y: x + y))
         flagged_parts = [r[1] for r in results]

@@ -1,5 +1,6 @@
-"""Segmented prime generation, the log-weighted prime indicator, and
-progression-restricted prime sums.
+"""Segmented prime generation, the log-weighted prime indicator,
+progression-restricted prime sums, and the package's one base-prime cache and
+squarefree trial factorer.
 
 Primality over a window is produced by a segmented sieve of Eratosthenes with
 numpy strided marking.  All log-weight accumulations go through math.fsum
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoprimalityError, SieveRangeError
+from .errors import BudgetError, CoprimalityError, NotSquarefreeError, SieveRangeError
 
 # Flags per internal segment; power of two, fixed once here so partitions and
 # reductions are identical no matter how many workers run.
@@ -27,28 +28,55 @@ SUPPORTED_SIEVE_BOUND = 1 << 34
 # segments for anything bigger.
 MAX_MATERIALIZED_FLAGS = 1 << 28
 
-_BASE_FLAGS_CACHE: np.ndarray = np.zeros(2, dtype=bool)
+# trial-division factoring cap: inputs up to 2^44 need base primes up to 2^22
+FACTORING_BUDGET = 1 << 44
 
-
-def _base_flags(limit: int) -> np.ndarray:
-    """Primality flags for [0, limit], grown geometrically and cached."""
-    global _BASE_FLAGS_CACHE
-    if limit < len(_BASE_FLAGS_CACHE):
-        return _BASE_FLAGS_CACHE
-    size = max(limit + 1, 2 * len(_BASE_FLAGS_CACHE), 1 << 10)
-    flags = np.ones(size, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(size - 1) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    _BASE_FLAGS_CACHE = flags
-    return flags
+# the one base-prime cache: every prime <= _BASE_LIMIT, sorted, read-only
+_BASE_PRIMES: np.ndarray = np.zeros(0, dtype=np.int64)
+_BASE_LIMIT = 1
 
 
 def base_primes(limit: int) -> np.ndarray:
-    """Sorted primes <= limit as int64."""
-    flags = _base_flags(limit)
-    return np.flatnonzero(flags[: limit + 1]).astype(np.int64)
+    """Sorted primes <= limit as a read-only int64 view of the shared cache.
+
+    The cache grows geometrically, so rising limits cost a constant number of
+    sieves per doubling.
+    """
+    global _BASE_PRIMES, _BASE_LIMIT
+    if limit > _BASE_LIMIT:
+        size = max(limit + 1, 2 * (_BASE_LIMIT + 1), 1 << 10)
+        flags = np.ones(size, dtype=bool)
+        flags[:2] = False
+        for p in range(2, math.isqrt(size - 1) + 1):
+            if flags[p]:
+                flags[p * p :: p] = False
+        primes = np.flatnonzero(flags).astype(np.int64)
+        primes.setflags(write=False)
+        _BASE_PRIMES, _BASE_LIMIT = primes, size - 1
+    return _BASE_PRIMES[: int(np.searchsorted(_BASE_PRIMES, limit, side="right"))]
+
+
+def squarefree_factors(d: int) -> list[int]:
+    """Ascending prime factors of d by trial division, raising unless d is
+    squarefree; refuses d above FACTORING_BUDGET before touching the cache."""
+    if d < 1:
+        raise NotSquarefreeError(f"need d >= 1, got {d}")
+    if d > FACTORING_BUDGET:
+        raise BudgetError(f"{d} exceeds factoring budget {FACTORING_BUDGET}")
+    factors = []
+    m = d
+    for p in base_primes(math.isqrt(d)):
+        p = int(p)
+        if p * p > m:
+            break
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                raise NotSquarefreeError(f"{d} is divisible by {p}^2")
+            factors.append(p)
+    if m > 1:
+        factors.append(m)
+    return factors
 
 
 @dataclass(frozen=True)
@@ -110,12 +138,12 @@ def sieve_segment(lo: int, hi: int) -> PrimeSegment:
     return PrimeSegment(lo, hi, flags)
 
 
-def iter_prime_segments(lo: int, hi: int, flags_per_segment: int = SEGMENT_FLAGS):
-    """Yield consecutive PrimeSegments covering [lo, hi)."""
+def iter_prime_segments(lo: int, hi: int):
+    """Yield consecutive PrimeSegments of SEGMENT_FLAGS covering [lo, hi)."""
     _check_range(lo, hi)
     s = lo
     while s < hi:
-        e = min(s + flags_per_segment, hi)
+        e = min(s + SEGMENT_FLAGS, hi)
         yield sieve_segment(s, e)
         s = e
 

@@ -19,7 +19,7 @@ The tail comes from expanding the log of each generic factor:
 
 so the tail over p > P0 is  - sum_{j>=2} (k^j - k)/j * P_j(P0)  with
 P_j(P0) = sum_{p > P0} p^(-j), evaluated as primezeta(j) minus the partial
-sum over cached primes.  The series is cut at J once the integral bound
+sum over the base primes <= P0.  The series is cut at J once the integral bound
 
     sum_{j>J} (k^j - k)/j * P_j(P0)  <=  P0 * (k/P0)^(J+1) / (1 - k/P0)
 
@@ -47,6 +47,8 @@ DEFAULT_TOL = 1e-12
 TRUNCATION_FLOOR = 1000
 MAX_TRUNCATION_PRIME = 10**8
 _SERIES_CAP = 80
+# largest number of tuples gallagher_average evaluates (after stride sampling)
+ENUMERATION_BUDGET = 2_000_000
 
 _EPS = float(np.finfo(np.float64).eps)
 _EPS_LD = float(np.finfo(np.longdouble).eps)
@@ -69,45 +71,31 @@ def _prime_zeta_ld(j: int) -> np.longdouble:
 
 
 class _GenericTables:
-    """Cached per-k cumulative sums of the generic log-factors over primes."""
+    """Per-k prefix sums of the generic log-factors over the shared base primes."""
 
     def __init__(self) -> None:
-        self._primes: np.ndarray = np.array([], dtype=np.int64)
-        self._limit = 0
         self._per_k: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _ensure_primes(self, limit: int) -> None:
-        if limit <= self._limit:
-            return
-        self._primes = base_primes(limit)
-        self._limit = limit
-        self._per_k.clear()
-
     def tables(self, k: int, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(primes, cum, cumabs): prefix sums of log factors for w(p) = k.
+        """(primes <= limit, cum, cumabs): prefix sums of log factors for w(p) = k.
 
         cum[i] = sum over the first i primes > k of the generic log factor;
         primes <= k contribute 0 (the generic form is invalid there and such
-        primes are always handled by the exact part).
+        primes are always handled by the exact part).  The sums run in prime
+        order, so a prefix is the same whatever limit built the table.
         """
-        self._ensure_primes(limit)
-        if k not in self._per_k:
-            p = self._primes.astype(np.longdouble)
+        primes = base_primes(limit)
+        if k not in self._per_k or len(self._per_k[k][0]) <= len(primes):
+            p = primes.astype(np.longdouble)
             g = np.zeros_like(p)
-            mask = self._primes > k
+            mask = primes > k
             pm = p[mask]
             g[mask] = np.log1p(-k / pm) - k * np.log1p(-1.0 / pm)
             cum = np.concatenate([[np.longdouble(0)], np.cumsum(g)])
             cumabs = np.concatenate([[np.longdouble(0)], np.cumsum(np.abs(g))])
             self._per_k[k] = (cum, cumabs)
         cum, cumabs = self._per_k[k]
-        return self._primes, cum, cumabs
-
-    def partial_power_sum(self, j: int, p0: int) -> np.longdouble:
-        """sum of p^(-j) over cached primes p <= p0, extended precision."""
-        self._ensure_primes(p0)
-        ps = self._primes[: int(np.searchsorted(self._primes, p0, side="right"))]
-        return (ps.astype(np.longdouble) ** np.longdouble(-j)).sum()
+        return primes, cum, cumabs
 
 
 _TABLES = _GenericTables()
@@ -123,6 +111,7 @@ def _tail_correction(k: int, p0: int, target: float) -> tuple[float, float]:
     if p0 < 2 * k:
         raise ToleranceError(f"truncation prime {p0} must exceed 2k = {2 * k}")
     ratio = k / p0
+    ps = base_primes(p0).astype(np.longdouble)
     corr = np.longdouble(0)
     noise = 0.0
     j = 1
@@ -135,7 +124,7 @@ def _tail_correction(k: int, p0: int, target: float) -> tuple[float, float]:
         if remaining < target:
             break
         pz = _prime_zeta_ld(j)
-        tail_j = pz - _TABLES.partial_power_sum(j, p0)
+        tail_j = pz - (ps ** np.longdouble(-j)).sum()
         if tail_j < 0:  # pure cancellation noise; the true tail is >= 0
             tail_j = np.longdouble(0)
         coeff = np.longdouble(k**j - k) / j
@@ -250,7 +239,6 @@ def gallagher_average(
     span_bound: int,
     k: int,
     tol: float = DEFAULT_TOL,
-    enumeration_budget: int = 2_000_000,
     stride: int = 1,
     phase: int = 0,
     workers: int | None = None,
@@ -261,10 +249,10 @@ def gallagher_average(
     without sampling is an error rather than a silent long run.
     """
     total = tuple_count(span_bound, k)
-    if total // stride > enumeration_budget:
+    if total // stride > ENUMERATION_BUDGET:
         raise BudgetError(
             f"C({span_bound},{k})/{stride} = {total // stride} exceeds budget "
-            f"{enumeration_budget}; enable stride sampling"
+            f"{ENUMERATION_BUDGET}; enable stride sampling"
         )
     resolve_workers(workers)  # validated; the sum itself is one fixed-order pass
     values = []

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator
 
-from .errors import NotSquarefreeError
-from .primes import base_primes
+from .primes import base_primes, squarefree_factors
 
 # The 7-offset pattern used for the two-primes-in-a-window computations,
 # stored shifted into [1, 22].
@@ -139,28 +138,9 @@ def first_obstruction(t: OffsetTuple) -> int | None:
     return None
 
 
-def _squarefree_prime_factors(d: int) -> list[int]:
-    if d < 1:
-        raise NotSquarefreeError(f"need d >= 1, got {d}")
-    factors = []
-    m = d
-    for p in base_primes(math.isqrt(d)):
-        p = int(p)
-        if p * p > m:
-            break
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                raise NotSquarefreeError(f"{d} is divisible by {p}^2")
-            factors.append(p)
-    if m > 1:
-        factors.append(m)
-    return factors
-
-
 def member_of_omega(n: int, d: int, t: OffsetTuple) -> bool:
     """True iff squarefree d divides (n+h_1)...(n+h_k), decided per prime."""
-    for p in _squarefree_prime_factors(d):
+    for p in squarefree_factors(d):
         if all((n + h) % p != 0 for h in t.offsets):
             return False
     return True

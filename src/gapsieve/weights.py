@@ -17,6 +17,10 @@ The per-divisor weight is mu(d) * (log(R/d))^a / a! for squarefree d <= R and
 
 Both routes share the single weight-evaluation helper, so any disagreement
 isolates the divisor-finding logic rather than float noise.
+
+divisor_table is the package's one source of the squarefree d <= R: each
+entry carries its primes and covered classes, and the moment sums reuse it
+rather than factoring again.
 """
 
 from __future__ import annotations
@@ -26,16 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, NotSquarefreeError, RegimeError
-from .primes import base_primes
+from .errors import BudgetError, RegimeError
+from .primes import FACTORING_BUDGET, base_primes, squarefree_factors
 from .tuples import OffsetTuple, omega_residues
 
 # largest truncation level a divisor table will be built for
 R_BUDGET = 200_000
 # largest block materialized at once
 BLOCK_BUDGET = 1 << 24
-# trial-division factoring cap for the oracle
-FACTORING_BUDGET = 1 << 44
 
 
 @dataclass(frozen=True)
@@ -59,30 +61,12 @@ def _weight_value(mu: int, d: int, R: float, a: int) -> float:
 
 def lambda_weight(d: int, params: WeightParams) -> float:
     """mu(d) (log R/d)^a / a! for squarefree d <= R, else 0."""
-    factors = _trial_factor_squarefree(d)
+    # d > R is answered before any factoring, so a huge d costs nothing;
+    # d < 1 and non-squarefree d <= R are refused by the factorer
     if d > params.R:
         return 0.0
+    factors = squarefree_factors(d)
     return _weight_value(-1 if len(factors) % 2 else 1, d, params.R, params.a)
-
-
-def _trial_factor_squarefree(d: int) -> list[int]:
-    """Prime factors of d, raising unless d is squarefree."""
-    if d < 1:
-        raise NotSquarefreeError(f"need d >= 1, got {d}")
-    factors = []
-    m = d
-    for p in base_primes(math.isqrt(d)):
-        p = int(p)
-        if p * p > m:
-            break
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                raise NotSquarefreeError(f"{d} is divisible by {p}^2")
-            factors.append(p)
-    if m > 1:
-        factors.append(m)
-    return factors
 
 
 def _crt_merge(d: int, residues: tuple[int, ...], p: int, p_residues: tuple[int, ...]) -> tuple[int, ...]:
@@ -102,27 +86,30 @@ class DivisorEntry:
     d: int
     mu: int
     residues: tuple[int, ...]
+    primes: tuple[int, ...]  # ascending; their product is d
 
 
 def divisor_table(t: OffsetTuple, R: float) -> list[DivisorEntry]:
-    """Every squarefree d <= R with its covered residue classes, ascending d."""
+    """Every squarefree d <= R with its primes and covered residue classes,
+    ascending d."""
     if R > R_BUDGET:
         raise BudgetError(f"R = {R} exceeds divisor-table budget {R_BUDGET}")
     primes = [int(p) for p in base_primes(int(R))]
     omegas = {p: omega_residues(t, p) for p in primes}
-    entries = [DivisorEntry(1, 1, (0,))]
+    entries = [DivisorEntry(1, 1, (0,), ())]
 
-    def grow(start: int, d: int, residues: tuple[int, ...], mu: int) -> None:
+    def grow(start: int, d: int, residues: tuple[int, ...], mu: int, factors: tuple[int, ...]) -> None:
         for i in range(start, len(primes)):
             p = primes[i]
             nd = d * p
             if nd > R:
                 break
             nres = _crt_merge(d, residues, p, omegas[p])
-            entries.append(DivisorEntry(nd, -mu, nres))
-            grow(i + 1, nd, nres, -mu)
+            nfactors = factors + (p,)
+            entries.append(DivisorEntry(nd, -mu, nres, nfactors))
+            grow(i + 1, nd, nres, -mu, nfactors)
 
-    grow(0, 1, (0,), 1)
+    grow(0, 1, (0,), 1, ())
     entries.sort(key=lambda e: e.d)
     assert all(e.d <= R for e in entries)
     return entries

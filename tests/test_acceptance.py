@@ -391,6 +391,34 @@ def test_criterion_11_absolute_bound():
     _report("11b", ok, f"total {top['total']:.4e} vs x/log x {bound:.4e} at x=1e7")
 
 
+# sha256 of each builder's canonical JSON at workers 1, on an 80-bit
+# longdouble; a refactor that means to keep results must keep these bytes
+_GOLDEN_SHA256 = {
+    "01": "528cc921325e582a8dcfe94b9461a979a980626d2686cb1bfc49f9f9dfe5d705",
+    "02": "7f613e96e52819a1e7375540a6b6951b84bf6a7e4204ae5df14854e822392237",
+    "03": "d9de1a3af6c3b3c0c26d1a21626013f4ff5fb2eaca2501cab50bfe769d40177a",
+    "04": "d2cb7c1303bbb2d2c101be21f9ef5ae275b1dc6d7a7bcc6c113a9dd8c33bcbd1",
+    "05": "69d30f331d308489ae4d3c82caaff84d82417535a4f3b1883cb158f4833a3eb8",
+    "06": "ccab7989ae90a245895d74f4e495c084503139b416a3629a99933649c9cc602a",
+    "07": "fb60eda4de427166dd1a6e56af2540696f795247b9ec91aa54f21f92286535a1",
+    "08": "5444f292653ffe3c6f648c5da8a28bb81677c3377edb50cebd3519e333288ce6",
+    "09": "7e0ca3de3d3df4eab069c938bd6abde7d011e367276bd6f9d02fbe94204b0673",
+    "10": "d7f235e00fcb8add6fcaea69a062789a09665127491a3ee7d34443715bb90b10",
+    "11": "6dfab8c3d51858913f37dc2644d60d10010a731e41e7a6cd272f38ac1bc1f638",
+}
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant != 63,
+    reason="golden bytes were recorded with an 80-bit longdouble; the singular "
+    "tables and detector prefix sums round differently at other widths",
+)
+@pytest.mark.parametrize("cid", sorted(_BUILDERS))
+def test_golden_fingerprint(cid):
+    digest = hashlib.sha256(_doc(cid, 1).encode()).hexdigest()
+    assert digest == _GOLDEN_SHA256[cid], f"criterion {cid} canonical JSON changed"
+
+
 @pytest.mark.parametrize("cid", sorted(_BUILDERS))
 def test_criterion_12_determinism(cid):
     base = _doc(cid, 1)

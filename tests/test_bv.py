@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gapsieve import bv
 from gapsieve.bv import (
     GridSpec,
     bv_deviation,
@@ -70,7 +71,7 @@ def test_grid_refinement_never_decreases_rows():
         assert rf.deviation >= rc.deviation
 
 
-def test_bv_validation():
+def test_bv_validation(monkeypatch):
     with pytest.raises(ValueError):
         bv_deviation(100, Fraction(1, 2))
     with pytest.raises(ValueError):
@@ -78,8 +79,9 @@ def test_bv_validation():
     with pytest.raises(ValueError):
         # grid too short
         bv_deviation(10**4, Fraction(1, 3), grid=GridSpec(y_min=5000))
-    with pytest.raises(BudgetError):
-        bv_deviation(10**6, Fraction(9, 10), modulus_budget=1000)
+    monkeypatch.setattr(bv, "MODULUS_BUDGET", 1000)
+    with pytest.raises(BudgetError, match="modulus budget 1000"):
+        bv_deviation(10**6, Fraction(9, 10))
 
 
 def _table(x, theta, total):

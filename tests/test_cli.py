@@ -71,6 +71,13 @@ def test_regime_violation_exit_code(capsys):
     assert json.loads(out)["diagnostics"]["regime_violations"]
 
 
+def test_r_equal_one_is_a_regime_exit(capsys):
+    code, _, err = run_cli(capsys, "moment", "--mode", "pure", "--tuple", "1,3",
+                           "--N", "100", "--R", "1", "--l", "1")
+    assert code == EXIT_REGIME
+    assert "log N / log R = inf" in err
+
+
 def test_moment_json_and_trend(capsys, tmp_path):
     p5 = tmp_path / "n5.json"
     p6 = tmp_path / "n6.json"

@@ -128,22 +128,21 @@ def test_bilinear_identity_exact_counts():
 def test_double_sum_density_times_n_matches_exact_counts():
     # N * T differs from the exact-count form only by per-pair boundary
     # effects, each at most the class count of the lcm
-    from gapsieve.moments import _divisor_infos
     from gapsieve.tuples import omega_size
+    from gapsieve.weights import divisor_table, lambda_weight
 
     wp = WeightParams(30.0, 3)
     lo, hi = 10**4, 2 * 10**4
     N = hi - lo
     density = N * double_sum_T(TWIN, wp)
     exact = double_sum_exact_counts(TWIN, wp, lo, hi)
-    infos = _divisor_infos(TWIN, wp)
-    omega_of = {p: omega_size(TWIN, p) for i in infos for p in i.primes}
+    entries = [(set(e.primes), lambda_weight(e.d, wp)) for e in divisor_table(TWIN, wp.R)]
+    omega_of = {p: omega_size(TWIN, p) for primes, _ in entries for p in primes}
     bound = 0.0
-    for i1 in infos:
-        for i2 in infos:
-            union = set(i1.primes) | set(i2.primes)
-            w = math.prod(omega_of[p] for p in union)
-            bound += abs(i1.weight * i2.weight) * w
+    for primes1, w1 in entries:
+        for primes2, w2 in entries:
+            w = math.prod(omega_of[p] for p in primes1 | primes2)
+            bound += abs(w1 * w2) * w
     assert abs(density - exact) <= bound
     assert density == pytest.approx(exact, rel=0.05)
 
@@ -156,6 +155,25 @@ def test_pure_moment_small_scale():
     rep = pure_moment(TWIN, _params(10**5))
     assert 0.4 <= rep.ratio <= 2.5
     assert rep.diagnostics["regime_violations"] == []
+
+
+def test_r_equal_one_reports_scale_violation():
+    # log R = 0: the scale-ratio check must report, not divide by zero
+    params = SieveParams(N=100, R=1.0, k=2, l=1, span_bound=3)
+    violations = params.pure_regime_violations()
+    assert "log N / log R = inf > 8.0" in violations
+    with pytest.raises(RegimeError):
+        pure_moment(TWIN, params)
+
+
+def test_regime_messages_keep_their_text():
+    params = SieveParams(N=10**4, R=5000.0, k=2, l=1, span_bound=100)
+    assert params.pure_regime_violations() == [
+        "span_bound 100 > 10.0 * log N = 92.10",
+        "R 5000.0 > N^(1/2)/(log N)^0.0 = 100",
+    ]
+    low = SieveParams(N=10**8, R=2.0, k=2, l=1, span_bound=3)
+    assert low.twisted_regime_violations() == ["log N / log R = 26.58 > 8.0"]
 
 
 def test_pure_moment_regime_guard():

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapsieve import primes
 from gapsieve.errors import CoprimalityError, SieveRangeError
 from gapsieve.primes import (
     SUPPORTED_SIEVE_BOUND,
     PrimeSegment,
     ThetaStarQuery,
+    base_primes,
     chebyshev_theta,
     min_gap_in,
     primes_in,
@@ -126,3 +128,16 @@ def test_prime_segment_validation():
         PrimeSegment(5, 4, np.array([], dtype=bool))
     with pytest.raises(SieveRangeError):
         PrimeSegment(2, 4, np.ones(5, dtype=bool))
+
+
+def test_base_primes_one_growing_cache(monkeypatch):
+    from sympy import primerange
+
+    # start from an empty cache so the growth path runs
+    monkeypatch.setattr(primes, "_BASE_PRIMES", np.zeros(0, dtype=np.int64))
+    monkeypatch.setattr(primes, "_BASE_LIMIT", 1)
+    for limit in (10, 10**5, 10):
+        got = base_primes(limit)
+        assert got.dtype == np.int64
+        assert got.tolist() == list(primerange(2, limit + 1))
+        assert not got.flags.writeable

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapsieve import singular
 from gapsieve.errors import BudgetError, ToleranceError
 from gapsieve.singular import (
     SingularSeriesValue,
@@ -123,10 +124,12 @@ def test_gallagher_k2_trend_small():
     assert abs(b.normalized - 1) < abs(a.normalized - 1)
 
 
-def test_gallagher_budget():
-    with pytest.raises(BudgetError):
-        gallagher_average(200, 5, enumeration_budget=1000)
+def test_gallagher_budget(monkeypatch):
+    monkeypatch.setattr(singular, "ENUMERATION_BUDGET", 1000)
+    with pytest.raises(BudgetError, match="budget 1000;"):
+        gallagher_average(200, 5)
     # stride sampling brings it under budget; cost scales with the sample
-    rep = gallagher_average(200, 5, enumeration_budget=10**5, stride=10**5)
+    monkeypatch.setattr(singular, "ENUMERATION_BUDGET", 10**5)
+    rep = gallagher_average(200, 5, stride=10**5)
     assert 0 < rep.tuple_count <= math.comb(200, 5) // 10**5 + 1
     assert 0.3 <= rep.normalized <= 2.0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapsieve.errors import NotSquarefreeError
+from gapsieve.errors import BudgetError, NotSquarefreeError
 from gapsieve.tuples import (
     SEPTUPLE_OFFSETS,
     TWIN_OFFSETS,
@@ -87,6 +87,11 @@ def test_member_of_omega_examples():
     assert not member_of_omega(4, 3, TWIN)  # 3 does not divide 5*7
     with pytest.raises(NotSquarefreeError):
         member_of_omega(1, 4, TWIN)
+
+
+def test_member_of_omega_factoring_budget():
+    with pytest.raises(BudgetError):
+        member_of_omega(1, (1 << 44) + 1, TWIN)
 
 
 @given(t=offset_tuples, p=st.sampled_from([2, 3, 5, 7, 11, 13]))

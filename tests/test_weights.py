@@ -37,6 +37,11 @@ def test_lambda_weight_examples():
         lambda_weight(0, WeightParams(10, 1))
 
 
+def test_lambda_weight_answers_d_above_r_without_factoring():
+    # far beyond the factoring budget: d > R must return before any factoring
+    assert lambda_weight(10**18 + 1, WeightParams(10.0, 1)) == 0.0
+
+
 @given(d=st.integers(min_value=1, max_value=400))
 @settings(max_examples=80, deadline=None)
 def test_lambda_weight_sign_is_mobius(d):
@@ -140,6 +145,29 @@ def test_divisor_table_contents():
     assert by_d[2].residues == ((-1) % 2,) == (1,)
     assert by_d[6].mu == 1 and by_d[3].mu == -1
     assert len(by_d[3].residues) == 2
+
+
+def _naive_prime_factors(d):
+    out, m, f = [], d, 2
+    while f * f <= m:
+        if m % f == 0:
+            out.append(f)
+            m //= f
+        f += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
+@pytest.mark.parametrize("t", [TWIN, SEPTUPLE], ids=["twin", "septuple"])
+def test_divisor_table_primes(t):
+    table = divisor_table(t, 1000.0)
+    assert len(table) > 600
+    for e in table:
+        assert list(e.primes) == sorted(e.primes)
+        assert math.prod(e.primes) == e.d
+        assert e.mu == (-1) ** len(e.primes)
+        assert list(e.primes) == _naive_prime_factors(e.d)
 
 
 def test_bruteforce_budget():
