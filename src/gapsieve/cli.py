@@ -40,12 +40,26 @@ EXIT_ERROR = 4
 EXIT_REPLAY_MISMATCH = 1
 
 
+# no integer flag needs more; the cap keeps "1e999999999" from building a
+# billion-digit number
+MAX_EXPONENT = 30
+
+
 def _int_arg(text: str) -> int:
-    """Integer flags accepting scientific notation like 1e7."""
-    v = float(text)
-    if v != int(v):
+    """Integer flags, parsed exactly; a mantissa with an exponent such as 1e7
+    or 2.5e6 is accepted when its value is an integer."""
+    mantissa, has_exponent, exponent = text.lower().partition("e")
+    try:
+        value = Fraction(mantissa)
+        power = int(exponent) if has_exponent else 0
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"{text} is not an integer") from exc
+    if abs(power) > MAX_EXPONENT:
+        raise argparse.ArgumentTypeError(f"{text}: exponent beyond {MAX_EXPONENT}")
+    value *= Fraction(10) ** power
+    if value.denominator != 1:
         raise argparse.ArgumentTypeError(f"{text} is not an integer")
-    return int(v)
+    return int(value)
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -164,7 +178,10 @@ def _read_config(path: str) -> list[str]:
 
 def _parse_tuple(text: str, span: int = 0) -> tuple[OffsetTuple, list[str]]:
     """Parse offsets, shifting patterns that start at 0 (or below) into [1, ...]."""
-    values = [int(part) for part in text.split(",")]
+    try:
+        values = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise ValueError(f"offsets must be comma-separated integers, got {text!r}") from None
     notes = []
     if min(values) < 1:
         shifted, shift = normalize_offsets(values)
@@ -451,7 +468,8 @@ def main(argv: list[str] | None = None) -> int:
     except RegimeError as exc:
         print(f"regime violation: {exc}", file=sys.stderr)
         return EXIT_REGIME
-    except GapsieveError as exc:
+    except (GapsieveError, ValueError) as exc:
+        # ValueError: malformed arguments rejected by the constructors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

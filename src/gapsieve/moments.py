@@ -11,7 +11,10 @@ with W(n) the block weight at exponent a = k + l.  Empirical values are
 chunk-partitioned with exactly-rounded per-chunk sums and a fixed pairwise
 reduction, so results are bit-identical for any worker count.  Each run
 builds a tuple's divisor table once and hands it to every chunk; the exact
-double sums (small R) read each divisor's primes from that same table.
+double sums (small R) read each divisor's primes from that same table.  When
+R < 59, W(n) depends only on n's small-prime signature (see weights), and the
+pure moment sums W^2 once per signature, weighted by its count, with the same
+bits as the sum over n.
 
 Predicted main terms:
 
@@ -299,10 +302,31 @@ class DetectorReport:
 # pure moment
 # ---------------------------------------------------------------------------
 
+def _grouped_square_sum(values: np.ndarray, counts: np.ndarray) -> float:
+    """math.fsum of values[s]**2 repeated counts[s] times, bit for bit.
+
+    Each square is split (Veltkamp) into two halves of at most 26 bits, so
+    count * half is exact for any count <= 2**24 (a chunk holds CHUNK = 2**20
+    terms).  The terms then add up to exactly the real sum of the repeated
+    squares, and fsum rounds that sum correctly either way.
+    """
+    seen = np.flatnonzero(counts)
+    squares = values[seen] * values[seen]
+    scaled = squares * 134217729.0  # 2**27 + 1
+    high = scaled - (scaled - squares)
+    low = squares - high
+    c = counts[seen].astype(np.float64)
+    return math.fsum(np.concatenate((c * high, c * low)).tolist())
+
+
 def _pure_chunk(args) -> float:
     t, wp, lo, hi, force, table = args
-    blk = lambda_block(t, wp, lo, hi, force=force, table=table)
-    return math.fsum(blk.values * blk.values)
+    if table.tail:
+        blk = lambda_block(t, wp, lo, hi, force=force, table=table)
+        return math.fsum(blk.values * blk.values)
+    # no tail: W(n) is the signature state's value, so sum over signatures
+    counts = np.bincount(table.signatures(lo, hi))
+    return _grouped_square_sum(table.prefix_state(wp)[0], counts)
 
 
 def pure_moment(

@@ -27,7 +27,10 @@ def resolve_workers(workers: int | None = None) -> int:
         return workers
     env = os.environ.get(WORKERS_ENV)
     if env:
-        n = int(env)
+        try:
+            n = int(env)
+        except ValueError:
+            raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
         if n < 1:
             raise ValueError(f"{WORKERS_ENV} must be >= 1, got {env}")
         return n

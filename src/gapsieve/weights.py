@@ -4,12 +4,18 @@ The per-divisor weight is mu(d) * (log(R/d))^a / a! for squarefree d <= R and
 0 beyond R.  The per-n sum runs over squarefree d <= R dividing
 (n+h_1)...(n+h_k), and is computed two independent ways:
 
-  * lambda_block: enumerate every squarefree modulus d <= R once with its
-    covered residue classes (CRT-combined per prime), walk moduli in
-    ascending-d order, and Kahan-accumulate the weight into all hit positions
-    of the block with vectorized strided updates.  Each n therefore receives
-    exactly its divisors, in ascending-d order, compensated -- so block
-    values are bit-identical however the surrounding range is partitioned.
+  * lambda_block: walk the divisor table in ascending-d order and
+    Kahan-accumulate each weight into every n it divides.  Every divisor
+    below 59 is a product of the first 16 primes (2..53), so whether it
+    divides (n+h_1)...(n+h_k) depends only on n's signature: the bitmask of
+    those primes p with n mod p a covered class.  The Kahan state (value,
+    compensation) after all divisors below 59 is therefore computed once per
+    signature -- at most 2^16 of them -- by the same elementwise steps on a
+    (2,)*m view, and each n looks its state up.  Divisors from 59 on (the
+    tail; empty when R < 59) continue with vectorized strided updates over
+    their covered residue classes.  Each n thus receives exactly its
+    divisors, in ascending-d order, compensated -- so block values are
+    bit-identical however the surrounding range is partitioned.
 
   * lambda_bruteforce: factor each n+h_i by trial division, take the union
     prime set (<= R), enumerate all squarefree products <= R directly, and
@@ -20,11 +26,13 @@ isolates the divisor-finding logic rather than float noise.
 
 divisor_table is the package's one source of the squarefree d <= R: each
 entry carries its primes and covered classes, and the moment sums reuse it
-rather than factoring again.
+rather than factoring again.  The table also holds each weight exponent's
+signature state, built on first use.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -38,6 +46,9 @@ from .tuples import OffsetTuple, omega_residues
 R_BUDGET = 200_000
 # largest block materialized at once
 BLOCK_BUDGET = 1 << 24
+# the 17th prime: every squarefree d below it is a product of the first 16
+# primes, the signature primes, so signatures fit in uint16
+SIGNATURE_LIMIT = 59
 
 
 @dataclass(frozen=True)
@@ -89,7 +100,63 @@ class DivisorEntry:
     primes: tuple[int, ...]  # ascending; their product is d
 
 
-def divisor_table(t: OffsetTuple, R: float) -> list[DivisorEntry]:
+class DivisorTable(tuple):
+    """divisor_table's entries in ascending d, split at SIGNATURE_LIMIT.
+
+    The entries below the limit are summed once per signature (bit i set
+    when n mod p_i is a covered class of the i-th prime); `tail` holds the
+    entries from the limit on, which are summed per n.
+    """
+
+    def __new__(cls, entries):
+        self = super().__new__(cls, entries)
+        cut = bisect.bisect_left(self, SIGNATURE_LIMIT, key=lambda e: e.d)
+        self._prefix = self[:cut]
+        self.tail = self[cut:]
+        # a prime's own entry covers exactly its classes Omega(p)
+        self._signature_primes = tuple((e.d, e.residues) for e in self._prefix if len(e.primes) == 1)
+        self._states: dict[WeightParams, tuple[np.ndarray, np.ndarray]] = {}
+        return self
+
+    def signatures(self, lo: int, hi: int) -> np.ndarray:
+        """Signature of every n in [lo, hi), as uint16."""
+        sig = np.zeros(hi - lo, dtype=np.uint16)
+        for i, (p, residues) in enumerate(self._signature_primes):
+            bit = np.uint16(1 << i)
+            for r in residues:
+                sig[(r - lo) % p :: p] |= bit
+        return sig
+
+    def prefix_state(self, params: WeightParams) -> tuple[np.ndarray, np.ndarray]:
+        """Kahan (value, compensation) per signature after every entry below
+        SIGNATURE_LIMIT, built on first use for each params (read-only)."""
+        if params not in self._states:
+            m = len(self._signature_primes)
+            values = np.zeros(1 << m)
+            comp = np.zeros(1 << m)
+            # C order: the prime of bit i is axis m - 1 - i
+            axis = {p: m - 1 - i for i, (p, _) in enumerate(self._signature_primes)}
+            cube_v = values.reshape((2,) * m)
+            cube_c = comp.reshape((2,) * m)
+            for entry in self._prefix:
+                w = _weight_value(entry.mu, entry.d, params.R, params.a)
+                idx = [slice(None)] * m
+                for p in entry.primes:
+                    idx[axis[p]] = 1
+                hit = tuple(idx)
+                # the same Kahan step lambda_block's tail applies per n
+                v = cube_v[hit]
+                y = w - cube_c[hit]
+                s = v + y
+                cube_c[hit] = (s - v) - y
+                cube_v[hit] = s
+            values.setflags(write=False)
+            comp.setflags(write=False)
+            self._states[params] = (values, comp)
+        return self._states[params]
+
+
+def divisor_table(t: OffsetTuple, R: float) -> DivisorTable:
     """Every squarefree d <= R with its primes and covered residue classes,
     ascending d."""
     if R > R_BUDGET:
@@ -112,7 +179,7 @@ def divisor_table(t: OffsetTuple, R: float) -> list[DivisorEntry]:
     grow(0, 1, (0,), 1, ())
     entries.sort(key=lambda e: e.d)
     assert all(e.d <= R for e in entries)
-    return entries
+    return DivisorTable(entries)
 
 
 @dataclass(frozen=True)
@@ -143,9 +210,10 @@ def lambda_block(
     lo: int,
     hi: int,
     force: bool = False,
-    table: list[DivisorEntry] | None = None,
+    table: DivisorTable | None = None,
 ) -> WeightBlock:
-    """Divisor sums for all n in [lo, hi) by residue-class accumulation.
+    """Divisor sums for all n in [lo, hi): each n's signature state, then the
+    table's tail by residue-class accumulation.
 
     Requires R < lo (the regime every downstream identity assumes) unless
     force is set for exploratory evaluation at small n.
@@ -158,20 +226,22 @@ def lambda_block(
         raise RegimeError(f"R = {params.R} >= block start {lo}; pass force=True to evaluate anyway")
     if table is None:
         table = divisor_table(t, params.R)
-    n = hi - lo
-    values = np.zeros(n)
-    comp = np.zeros(n)
-    for entry in table:
-        w = _weight_value(entry.mu, entry.d, params.R, params.a)
-        d = entry.d
-        for r in entry.residues:
-            sl = slice((r - lo) % d, None, d)
-            # Kahan step, elementwise on the strided view
-            v = values[sl]
-            y = w - comp[sl]
-            s = v + y
-            comp[sl] = (s - v) - y
-            values[sl] = s
+    prefix_values, prefix_comp = table.prefix_state(params)
+    sig = table.signatures(lo, hi)
+    values = prefix_values[sig]
+    if table.tail:
+        comp = prefix_comp[sig]
+        for entry in table.tail:
+            w = _weight_value(entry.mu, entry.d, params.R, params.a)
+            d = entry.d
+            for r in entry.residues:
+                sl = slice((r - lo) % d, None, d)
+                # Kahan step, elementwise on the strided view
+                v = values[sl]
+                y = w - comp[sl]
+                s = v + y
+                comp[sl] = (s - v) - y
+                values[sl] = s
     return WeightBlock(lo, hi, values, params, t)
 
 

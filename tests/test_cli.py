@@ -1,9 +1,15 @@
+import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from gapsieve.cli import EXIT_OK, EXIT_REGIME, main, run_argv
+import gapsieve
+from gapsieve.cli import EXIT_ERROR, EXIT_OK, EXIT_REGIME, _int_arg, main, run_argv
 from gapsieve.manifest import emit_trend, load_manifest, manifest_spec
 from gapsieve.serialize import canonical_json, fmt_float
 
@@ -204,3 +210,61 @@ def test_twisted_cli_and_schema_stability(capsys):
     # shared report fields keep one schema across modes
     assert set(dp) == set(dt)
     assert set(dp["params"]) == set(dt["params"])
+
+
+def _assert_one_line_error(code, err):
+    assert code == EXIT_ERROR
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_tuple_check_duplicate_offsets_is_an_error_exit(capsys):
+    code, _, err = run_cli(capsys, "tuple", "check", "1,1")
+    _assert_one_line_error(code, err)
+    assert "duplicate" in err
+
+
+def test_tuple_check_non_integer_offset_is_an_error_exit(capsys):
+    code, _, err = run_cli(capsys, "tuple", "check", "1,x")
+    _assert_one_line_error(code, err)
+    assert "'1,x'" in err
+
+
+def test_zero_workers_is_an_error_exit(capsys):
+    code, _, err = run_cli(capsys, "moment", "--mode", "pure", "--tuple", "1,3", "--N", "1e4",
+                           "--R-exponent", "0.25", "--l", "1", "--workers", "0")
+    _assert_one_line_error(code, err)
+    assert "worker count" in err
+
+
+def test_bad_worker_env_var_is_an_error_exit(capsys, monkeypatch):
+    monkeypatch.setenv("GAPSIEVE_WORKERS", "abc")
+    code, _, err = run_cli(capsys, "moment", "--mode", "pure", "--tuple", "1,3", "--N", "1e4",
+                           "--R-exponent", "0.25", "--l", "1")
+    _assert_one_line_error(code, err)
+    assert "GAPSIEVE_WORKERS must be an integer, got 'abc'" in err
+
+
+def test_int_arg_is_exact(capsys):
+    # through float, 9007199254740995 would round to ...996
+    code, _, err = run_cli(capsys, "primes", "--from", "9007199254740993", "--to", "9007199254740995")
+    _assert_one_line_error(code, err)
+    assert "hi=9007199254740995 " in err
+    assert _int_arg("9007199254740993") == 2**53 + 1
+    assert _int_arg("1e7") == 10**7
+    assert _int_arg("2.5e6") == 2_500_000
+    assert _int_arg("-3") == -3
+
+
+@pytest.mark.parametrize("text", ["1.5", "1e-1", "x", "nan", "inf", "1e", "1e400"])
+def test_int_arg_rejects_non_integers(text):
+    with pytest.raises(argparse.ArgumentTypeError):
+        _int_arg(text)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(gapsieve.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "gapsieve", "primes", "--from", "90", "--to", "100"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout.splitlines() == ["97"]

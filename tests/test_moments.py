@@ -6,7 +6,9 @@ import pytest
 
 from gapsieve.errors import BudgetError, RegimeError
 from gapsieve.moments import (
+    CHUNK,
     SieveParams,
+    _pure_chunk,
     binomial_step_ratio,
     detector_coefficient,
     double_sum_T,
@@ -19,9 +21,10 @@ from gapsieve.moments import (
     threshold,
     twisted_moment,
 )
+from gapsieve.parallel import block_spans, tree_fold
 from gapsieve.primes import prime_flags
 from gapsieve.tuples import SEPTUPLE_OFFSETS, TWIN_OFFSETS, OffsetTuple
-from gapsieve.weights import WeightParams, lambda_block
+from gapsieve.weights import WeightParams, divisor_table, lambda_block
 
 TWIN = OffsetTuple(TWIN_OFFSETS)
 
@@ -264,6 +267,32 @@ def test_twisted_ratio_at_ten_million():
     # same coarse bracket as the pure moment
     rep = twisted_moment(TWIN, 7, _params(10**7, span=10))
     assert 0.4 <= rep.ratio <= 2.5
+
+
+@pytest.mark.parametrize("t", [TWIN, OffsetTuple(SEPTUPLE_OFFSETS)], ids=["twin", "septuple"])
+@pytest.mark.parametrize("R", [56.2, 59.0, 100.0])
+def test_pure_chunk_is_bitwise_fsum_of_squares(t, R):
+    # R < 59 takes the grouped sum over signatures, R >= 59 the block values
+    wp = WeightParams(R, t.k + 1)
+    table = divisor_table(t, R)
+    lo, hi = 10**6 + 17, 10**6 + 17 + 300_000
+    vals = lambda_block(t, wp, lo, hi, table=table).values
+    got = _pure_chunk((t, wp, lo, hi, False, table))
+    assert got.hex() == math.fsum(vals * vals).hex()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("R", [56.2, 100.0])
+def test_pure_moment_is_bitwise_fsum_of_block_squares(workers, R):
+    params = SieveParams(N=1_500_000, R=R, k=2, l=1, span_bound=3)
+    wp = WeightParams(R, params.a)
+    partials = []
+    for lo, hi in block_spans(params.N + 1, 2 * params.N + 1, CHUNK):
+        vals = lambda_block(TWIN, wp, lo, hi).values
+        partials.append(math.fsum(vals * vals))
+    assert len(partials) == 2
+    expected = tree_fold(partials, lambda x, y: x + y)
+    assert pure_moment(TWIN, params, workers=workers).empirical.hex() == expected.hex()
 
 
 def test_pure_moment_worker_invariance():

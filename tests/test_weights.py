@@ -109,6 +109,21 @@ def test_block_matches_bruteforce_spotchecks(t, a):
         assert blk.value_at(n) == pytest.approx(b, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("t", [TWIN, SEPTUPLE], ids=["twin", "septuple"])
+@pytest.mark.parametrize("R", [31.6, 56.2, 58.9, 59.0, 100.0, 1000.0])
+@given(lo=st.integers(min_value=1001, max_value=10**9), a=st.integers(min_value=1, max_value=9))
+@settings(max_examples=8, deadline=None)
+def test_block_is_bitwise_bruteforce(t, R, lo, a):
+    # R < 59: every divisor comes from the signature state; R >= 59 adds a tail
+    wp = WeightParams(R, a)
+    table = divisor_table(t, R)
+    assert bool(table.tail) == (R >= 59)
+    assert len(table.prefix_state(wp)[0]) <= 1 << 16
+    blk = lambda_block(t, wp, lo, lo + 48, table=table)
+    oracle = np.array([lambda_bruteforce(t, wp, n) for n in range(lo, lo + 48)])
+    assert np.array_equal(blk.values.view(np.int64), oracle.view(np.int64))
+
+
 def test_membership_reduction_identity():
     # with n + 3 prime and beyond R, dropping offset 3 cannot change the sum
     wp = WeightParams(80.0, 3)
