@@ -101,9 +101,9 @@ class BvDeviationTable:
 
 
 def _grid_point_devs(args) -> tuple[np.ndarray, np.ndarray]:
-    """Per-q (deviation, worst a) for one grid point y, all q at once."""
-    y, q_max = args
-    phi = totients_upto(q_max)
+    """Per-q (deviation, worst a) for one grid point y, all q < len(phi) at once."""
+    y, phi = args
+    q_max = len(phi) - 1
     ps = primes_in(y + 1, 2 * y + 1)
     logs = np.log(ps.astype(np.float64))
     total = math.fsum(logs)
@@ -141,21 +141,17 @@ def bv_deviation(
     if q_max > MODULUS_BUDGET:
         raise BudgetError(f"x^theta = {q_max} exceeds modulus budget {MODULUS_BUDGET}")
 
-    per_y = ordered_map(_grid_point_devs, [(y, q_max) for y in ys], workers)
-
-    rows = []
-    for q in range(1, q_max + 1):
-        worst = -1.0
-        wa = 0
-        wy = 0
-        for y, (devs, best_a) in zip(ys, per_y):  # grid order: largest y first
-            if devs[q] > worst:
-                worst = float(devs[q])
-                wa = int(best_a[q])
-                wy = y
-        rows.append(DeviationRow(q, wa if q > 1 else 0, wy, worst))
+    phi = totients_upto(q_max)
+    per_y = ordered_map(_grid_point_devs, [(y, phi) for y in ys], workers)
+    devs = np.stack([d for d, _ in per_y])
+    best_a = np.stack([a for _, a in per_y])
+    # the first grid point (largest y first) that reaches each q's maximum
+    at = np.argmax(devs, axis=0)
+    rows = tuple(
+        DeviationRow(q, int(best_a[at[q], q]), ys[at[q]], float(devs[at[q], q])) for q in range(1, q_max + 1)
+    )
     total = math.fsum(r.deviation for r in rows)
-    return BvDeviationTable(x, th, tuple(ys), tuple(rows), total)
+    return BvDeviationTable(x, th, tuple(ys), rows, total)
 
 
 @dataclass(frozen=True)

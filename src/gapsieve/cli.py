@@ -135,8 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("threshold", help="exact-rational threshold algebra")
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--l", type=int, required=True)
-    s.add_argument("--theta", type=str, required=True)
-    s.add_argument("--eps", type=str, default="0")
+    s.add_argument("--theta", type=_fraction_arg, required=True)
+    s.add_argument("--eps", type=_fraction_arg, default=Fraction(0))
     _common(s)
 
     s = subs.add_parser("bv", help="level-of-distribution deviation table")
@@ -432,19 +432,17 @@ def run_argv(argv: list[str]) -> tuple[dict, object]:
         extra = _read_config(args.config)
         argv2 = [argv[0]] + extra + argv[1:]
         args = parser.parse_args(argv2)
+    if args.command not in _RUNNERS:
+        # only a hand-written manifest can store a replay
+        raise ValueError(f"a manifest cannot replay {args.command!r}")
     doc, lines, csv_text, notes, sampling = _RUNNERS[args.command](args)
     return doc, (args, lines, csv_text, notes, sampling)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-
-    try:
+        args = build_parser().parse_args(argv)
         if args.command == "replay":
             stored = manifest_mod.load_manifest(args.manifest_in)
             t0 = time.perf_counter()
@@ -465,11 +463,15 @@ def main(argv: list[str] | None = None) -> int:
         _emit(args, doc, lines, csv_text)
         _finish(args, argv, doc, wall, notes, sampling)
         return EXIT_OK
+    except SystemExit as exc:
+        # argparse's usage exit, also for argv read from --config or a manifest
+        return int(exc.code or 0)
     except RegimeError as exc:
         print(f"regime violation: {exc}", file=sys.stderr)
         return EXIT_REGIME
-    except (GapsieveError, ValueError) as exc:
-        # ValueError: malformed arguments rejected by the constructors
+    except (GapsieveError, ValueError, OSError) as exc:
+        # ValueError: malformed arguments rejected by the constructors;
+        # OSError: an input file that cannot be read or an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -47,7 +47,12 @@ def write_manifest(path: str | Path, manifest: dict) -> None:
 
 
 def load_manifest(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a manifest: an object whose argv is a non-empty list of strings."""
+    manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+    argv = manifest.get("argv") if isinstance(manifest, dict) else None
+    if not (isinstance(argv, list) and argv and all(isinstance(tok, str) for tok in argv)):
+        raise ValueError(f"{path}: not a manifest (argv must be a non-empty list of strings)")
+    return manifest
 
 
 # ---------------------------------------------------------------------------

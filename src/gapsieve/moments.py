@@ -9,12 +9,13 @@ Three empirical sums are paired with exact-rational prefactor algebra:
 
 with W(n) the block weight at exponent a = k + l.  Empirical values are
 chunk-partitioned with exactly-rounded per-chunk sums and a fixed pairwise
-reduction, so results are bit-identical for any worker count.  Each run
-builds a tuple's divisor table once and hands it to every chunk; the exact
-double sums (small R) read each divisor's primes from that same table.  When
-R < 59, W(n) depends only on n's small-prime signature (see weights), and the
-pure moment sums W^2 once per signature, weighted by its count, with the same
-bits as the sum over n.
+reduction, so results are bit-identical for any worker count.  The three
+sums share one chunk pipeline that builds a tuple's divisor table and its
+signature state once, in the calling process, before any pool starts; the
+exact double sums (small R) read each divisor's primes from that same table.
+When R < 59, W(n) depends only on n's small-prime signature (see weights),
+and the pure moment sums W^2 once per signature, weighted by its count, with
+the same bits as the sum over n.
 
 Predicted main terms:
 
@@ -302,6 +303,18 @@ class DetectorReport:
 # pure moment
 # ---------------------------------------------------------------------------
 
+def _map_chunks(chunk, t: OffsetTuple, params: SieveParams, workers: int | None, *extra) -> list:
+    """chunk((t, wp, lo, hi, table, *extra)) over the CHUNK spans of (N, 2N],
+    in span order.  The signature state is built here, so it travels inside
+    the pickled table.  Chunks may force lambda_block: the callers' regime
+    check means R <= N < lo unless the run itself was forced."""
+    wp = WeightParams(params.R, params.a)
+    table = divisor_table(t, wp.R)
+    table.prefix_state(wp)
+    spans = block_spans(params.N + 1, 2 * params.N + 1, CHUNK)
+    return ordered_map(chunk, [(t, wp, lo, hi, table, *extra) for lo, hi in spans], workers)
+
+
 def _grouped_square_sum(values: np.ndarray, counts: np.ndarray) -> float:
     """math.fsum of values[s]**2 repeated counts[s] times, bit for bit.
 
@@ -320,9 +333,9 @@ def _grouped_square_sum(values: np.ndarray, counts: np.ndarray) -> float:
 
 
 def _pure_chunk(args) -> float:
-    t, wp, lo, hi, force, table = args
+    t, wp, lo, hi, table = args
     if table.tail:
-        blk = lambda_block(t, wp, lo, hi, force=force, table=table)
+        blk = lambda_block(t, wp, lo, hi, force=True, table=table)
         return math.fsum(blk.values * blk.values)
     # no tail: W(n) is the signature state's value, so sum over signatures
     counts = np.bincount(table.signatures(lo, hi))
@@ -340,11 +353,8 @@ def pure_moment(
     if t.k != params.k:
         raise ValueError(f"tuple size {t.k} does not match params.k = {params.k}")
     violations = _enforce_regime(params.pure_regime_violations(), force)
-    wp = WeightParams(params.R, params.a)
-    table = divisor_table(t, wp.R)
-    spans = block_spans(params.N + 1, 2 * params.N + 1, CHUNK)
-    partials = ordered_map(_pure_chunk, [(t, wp, lo, hi, force, table) for lo, hi in spans], workers)
-    empirical = tree_fold(partials, lambda x, y: x + y)
+    partials = _map_chunks(_pure_chunk, t, params, workers)
+    empirical = tree_fold(partials)
 
     dens = singular_series(t, DEFAULT_TOL)
     main = float(pure_main_prefactor(params.k, params.l)) * dens.value
@@ -357,7 +367,7 @@ def pure_moment(
         params=params,
         offsets=t.offsets,
         diagnostics={
-            "chunks": len(spans),
+            "chunks": len(partials),
             "regime_violations": violations,
             "singular_series": dens.value,
         },
@@ -449,11 +459,10 @@ def double_sum_exact_counts(
 # ---------------------------------------------------------------------------
 
 def _twisted_chunk(args) -> float:
-    t, wp, lo, hi, h, force, table = args
-    blk = lambda_block(t, wp, lo, hi, force=force, table=table)
+    t, wp, lo, hi, table, h = args
+    blk = lambda_block(t, wp, lo, hi, force=True, table=table)
     flags = prime_flags(lo + h, hi + h)
-    shifted = np.arange(lo + h, hi + h, dtype=np.int64)[flags]
-    logs = np.log(shifted.astype(np.float64))
+    logs = np.log((lo + h + np.flatnonzero(flags)).astype(np.float64))
     vals = blk.values[flags]
     return math.fsum(vals * vals * logs)
 
@@ -477,22 +486,15 @@ def twisted_moment(
             f"params.span_bound {params.span_bound} below tuple span {t.span_bound}"
         )
     violations = _enforce_regime(params.twisted_regime_violations(), force)
-    wp = WeightParams(params.R, params.a)
-    table = divisor_table(t, wp.R)
-    spans = block_spans(params.N + 1, 2 * params.N + 1, CHUNK)
-    tasks = [(t, wp, lo, hi, h, force, table) for lo, hi in spans]
-    partials = ordered_map(_twisted_chunk, tasks, workers)
-    empirical = tree_fold(partials, lambda x, y: x + y)
+    partials = _map_chunks(_twisted_chunk, t, params, workers, h)
+    empirical = tree_fold(partials)
 
     # extension lives in [1, params.span_bound]
     spanned = OffsetTuple(t.offsets, params.span_bound)
     extended = extend(spanned, h)
     member = extended is UNCHANGED
     prefactor, power = twisted_main_prefactor(params.k, params.l, member)
-    if member:
-        dens = singular_series(spanned, DEFAULT_TOL)
-    else:
-        dens = singular_series(extended, DEFAULT_TOL)
+    dens = singular_series(spanned if member else extended, DEFAULT_TOL)
     main = float(prefactor) * dens.value * params.N * params.log_r ** power
     report = MomentReport(
         kind="twisted",
@@ -504,7 +506,7 @@ def twisted_moment(
         diagnostics={
             "h": h,
             "h_member": member,
-            "chunks": len(spans),
+            "chunks": len(partials),
             "regime_violations": violations,
             "singular_series": dens.value,
             "log_r_power": power,
@@ -520,8 +522,8 @@ def twisted_moment(
 
 def _detector_chunk(args) -> tuple[float, np.ndarray, list[tuple[int, int, int]]]:
     """One (tuple, chunk) unit: (partial sum, flagged n, capped witnesses)."""
-    t, wp, lo, hi, span, log3n, mode, cap, force, table = args
-    blk = lambda_block(t, wp, lo, hi, force=force, table=table)
+    t, wp, lo, hi, table, span, log3n, mode, cap = args
+    blk = lambda_block(t, wp, lo, hi, force=True, table=table)
     n = np.arange(lo, hi, dtype=np.int64)
 
     flags = prime_flags(lo + 1, hi + span)
@@ -536,10 +538,9 @@ def _detector_chunk(args) -> tuple[float, np.ndarray, list[tuple[int, int, int]]
         j2 = np.searchsorted(pos, n + span, side="right")
         w = (cum[j2] - cum[j1]).astype(np.float64) - log3n
     else:  # per-offset sum
-        base = lo + 1
         w = np.full(hi - lo, -log3n)
         for h in t.offsets:
-            hit = flags[n + h - base]
+            hit = flags[h - 1 : h - 1 + hi - lo]
             w[hit] += np.log((n[hit] + h).astype(np.float64))
 
     vals = blk.values
@@ -586,28 +587,19 @@ def two_primes_detector(
     for t in tuple_list:
         if t.k != params.k:
             raise ValueError(f"tuple size {t.k} does not match params.k = {params.k}")
-    seen: set[str] = set()
-    violations = [
-        v
-        for v in params.pure_regime_violations() + params.twisted_regime_violations()
-        if not (v in seen or seen.add(v))
-    ]
+    violations = list(dict.fromkeys(params.pure_regime_violations() + params.twisted_regime_violations()))
     violations = _enforce_regime(violations, force)
 
-    wp = WeightParams(params.R, params.a)
     span = params.span_bound
     log3n = math.log(3 * params.N)
-    spans = block_spans(params.N + 1, 2 * params.N + 1, CHUNK)
 
     per_tuple_sums: list[float] = []
     witnesses: list[dict] = []
     positives: list[np.ndarray] = []
     positive_count = 0
     for ti, t in enumerate(tuple_list):
-        table = divisor_table(t, wp.R)
-        tasks = [(t, wp, lo, hi, span, log3n, h_mode, witness_cap, force, table) for lo, hi in spans]
-        results = ordered_map(_detector_chunk, tasks, workers)
-        per_tuple_sums.append(tree_fold([r[0] for r in results], lambda x, y: x + y))
+        results = _map_chunks(_detector_chunk, t, params, workers, span, log3n, h_mode, witness_cap)
+        per_tuple_sums.append(tree_fold([r[0] for r in results]))
         flagged_parts = [r[1] for r in results]
         positive_count += int(sum(len(f) for f in flagged_parts))
         if collect_positives:
@@ -617,7 +609,7 @@ def two_primes_detector(
                 if len(witnesses) < witness_cap:
                     witnesses.append({"tuple_index": ti, "n": n, "p1": p1, "p2": p2})
 
-    empirical = tree_fold(per_tuple_sums, lambda x, y: x + y)
+    empirical = tree_fold(per_tuple_sums)
 
     coeff = float(detector_coefficient(params.k, params.l))
     pref = float(pure_main_prefactor(params.k, params.l))
@@ -642,7 +634,7 @@ def two_primes_detector(
         tuple_count=len(tuple_list),
         params=params,
         diagnostics={
-            "chunks": len(spans),
+            "chunks": len(results),
             "regime_violations": violations,
             "witness_cap": witness_cap,
             "a": params.a,

@@ -53,24 +53,25 @@ def block_spans(lo: int, hi: int, size: int) -> list[tuple[int, int]]:
 
 
 def ordered_map(fn: Callable[[T], R], tasks: Sequence[T], workers: int | None = None) -> list[R]:
-    """Map fn over tasks, results in task order regardless of scheduling."""
-    nworkers = resolve_workers(workers)
+    """Map fn over tasks, results in task order regardless of scheduling, in
+    at most min(workers, len(tasks), os.cpu_count()) processes (one: inline)."""
     tasks = list(tasks)
-    if nworkers <= 1 or len(tasks) <= 1:
+    nworkers = min(resolve_workers(workers), len(tasks), os.cpu_count() or 1)
+    if nworkers <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=min(nworkers, len(tasks))) as pool:
+    with ProcessPoolExecutor(max_workers=nworkers) as pool:
         return list(pool.map(fn, tasks))
 
 
-def tree_fold(values: Sequence[R], combine: Callable[[R, R], R]) -> R:
-    """Pairwise fold in index order; the tree shape depends only on len(values)."""
+def tree_fold(values: Sequence[float]) -> float:
+    """Pairwise sum in index order; the tree shape depends only on len(values)."""
     items = list(values)
     if not items:
         raise ValueError("cannot fold an empty sequence")
     while len(items) > 1:
         nxt = []
         for i in range(0, len(items) - 1, 2):
-            nxt.append(combine(items[i], items[i + 1]))
+            nxt.append(items[i] + items[i + 1])
         if len(items) % 2:
             nxt.append(items[-1])
         items = nxt

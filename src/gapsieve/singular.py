@@ -248,6 +248,8 @@ def gallagher_average(
     Enumeration cost is C(span_bound, k) / stride; exceeding the budget
     without sampling is an error rather than a silent long run.
     """
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
     total = tuple_count(span_bound, k)
     if total // stride > ENUMERATION_BUDGET:
         raise BudgetError(

@@ -80,6 +80,17 @@ def lambda_weight(d: int, params: WeightParams) -> float:
     return _weight_value(-1 if len(factors) % 2 else 1, d, params.R, params.a)
 
 
+def _kahan_add(values: np.ndarray, comp: np.ndarray, at, w: float) -> None:
+    """One Kahan step adding w to values[at], elementwise, with comp[at] as
+    the running compensation.  The signature state and the tail passes both
+    take this step, so every n gets the same IEEE operations either way."""
+    v = values[at]
+    y = w - comp[at]
+    s = v + y
+    comp[at] = (s - v) - y
+    values[at] = s
+
+
 def _crt_merge(d: int, residues: tuple[int, ...], p: int, p_residues: tuple[int, ...]) -> tuple[int, ...]:
     """Residues mod d*p hitting `residues` mod d and `p_residues` mod p."""
     inv = pow(d, -1, p)
@@ -143,13 +154,7 @@ class DivisorTable(tuple):
                 idx = [slice(None)] * m
                 for p in entry.primes:
                     idx[axis[p]] = 1
-                hit = tuple(idx)
-                # the same Kahan step lambda_block's tail applies per n
-                v = cube_v[hit]
-                y = w - cube_c[hit]
-                s = v + y
-                cube_c[hit] = (s - v) - y
-                cube_v[hit] = s
+                _kahan_add(cube_v, cube_c, tuple(idx), w)
             values.setflags(write=False)
             comp.setflags(write=False)
             self._states[params] = (values, comp)
@@ -189,8 +194,6 @@ class WeightBlock:
     lo: int
     hi: int
     values: np.ndarray
-    params: WeightParams
-    tuple_: OffsetTuple
 
     def __post_init__(self) -> None:
         self.values.setflags(write=False)
@@ -235,14 +238,8 @@ def lambda_block(
             w = _weight_value(entry.mu, entry.d, params.R, params.a)
             d = entry.d
             for r in entry.residues:
-                sl = slice((r - lo) % d, None, d)
-                # Kahan step, elementwise on the strided view
-                v = values[sl]
-                y = w - comp[sl]
-                s = v + y
-                comp[sl] = (s - v) - y
-                values[sl] = s
-    return WeightBlock(lo, hi, values, params, t)
+                _kahan_add(values, comp, slice((r - lo) % d, None, d), w)
+    return WeightBlock(lo, hi, values)
 
 
 def _factor_prime_set(m: int, cap: float) -> list[int]:

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import gapsieve
 from gapsieve.cli import EXIT_ERROR, EXIT_OK, EXIT_REGIME, _int_arg, main, run_argv
@@ -268,3 +270,152 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == EXIT_OK
     assert proc.stdout.splitlines() == ["97"]
+
+
+def test_missing_config_is_an_error_exit(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "primes", "--from", "1", "--to", "10", "--config", str(tmp_path / "none.cfg"))
+    _assert_one_line_error(code, err)
+
+
+def test_missing_manifest_is_an_error_exit(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "replay", "--manifest-in", str(tmp_path / "none.json"))
+    _assert_one_line_error(code, err)
+
+
+def test_unwritable_output_is_an_error_exit(capsys, tmp_path):
+    out = tmp_path / "no-such-dir" / "x.json"
+    code, _, err = run_cli(capsys, "primes", "--from", "2", "--to", "10", "--json", "--out", str(out))
+    _assert_one_line_error(code, err)
+
+
+@pytest.mark.parametrize("text", ["{}", "[1]"], ids=["no-argv", "not-an-object"])
+def test_malformed_manifest_is_an_error_exit(capsys, tmp_path, text):
+    man = tmp_path / "m.json"
+    man.write_text(text, encoding="utf-8")
+    code, _, err = run_cli(capsys, "replay", "--manifest-in", str(man))
+    _assert_one_line_error(code, err)
+    assert "not a manifest" in err
+
+
+# ---------------------------------------------------------------------------
+# argv property test: every argv ends in a documented exit code
+# ---------------------------------------------------------------------------
+
+# (good values, bad values) per subcommand and flag; every run stays small
+# (N <= 1e4, span <= 30, x <= 1e4, truncation prime <= 1e3).  The flags in
+# _REQUIRED are always given, so that most argv get past argparse.
+_REQUIRED = {"--from", "--to", "--span", "--k", "--l", "--mode", "--N", "--a", "--theta", "--x"}
+_TUPLES = (["1,3", "1,3,7", "0,2", "1,3,5"], ["1,1", "1,x", "-1,3"])
+_VOCABULARY = {
+    "primes": {"--from": (["1", "2", "1e3"], ["-5", "1.5", "x"]), "--to": (["10", "1e4"], ["1", "x"])},
+    "tuple": {},
+    "singular-series": {
+        "--tuple": _TUPLES,
+        "--tol": (["1e-12", "1e-3"], ["0", "-1", "x"]),
+        "--truncation-prime": (["100", "1e3"], ["1", "0", "x"]),
+    },
+    "gallagher": {
+        "--span": (["10", "30"], ["0", "x"]),
+        "--k": (["1", "2"], ["0", "x"]),
+        "--stride": (["1", "7"], ["0", "-1"]),
+    },
+    "weights": {
+        "--tuple": _TUPLES,
+        "--R": (["10", "1e3"], ["0", "x"]),
+        "--a": (["2"], ["0", "x"]),
+        "--from": (["100", "0"], ["-5", "x"]),
+        "--to": (["130"], ["100", "50"]),
+    },
+    "moment": {
+        "--mode": (["pure", "twisted", "detector"], ["x"]),
+        "--tuple": _TUPLES,
+        "--tuple-source": (["explicit", "all", "admissible", "sample"], ["x"]),
+        "--stride": (["1", "5"], ["0"]),
+        "--k": (["1", "2"], ["0", "x"]),
+        "--N": (["1e4", "100", "16"], ["10", "-5", "x"]),
+        "--R": (["2", "10"], ["0", "x"]),
+        "--R-exponent": (["0.25", "0.5"], ["2", "-1"]),
+        "--l": (["1"], ["0", "x"]),
+        "--span": (["3", "10"], ["0", "x"]),
+        "--theta": (["1/2"], ["0", "2", "1/0", "x"]),
+        "--h": (["1", "3"], ["99", "-1"]),
+        "--h-mode": (["window", "tuple"], ["x"]),
+        "--witness-cap": (["5", "0"], ["-1"]),
+    },
+    "threshold": {
+        "--k": (["2", "7"], ["0", "x"]),
+        "--l": (["1"], ["0"]),
+        "--theta": (["1/2", "20/21", "1"], ["0", "1/0", "x"]),
+        "--eps": (["0", "1/10"], ["1/0", "x"]),
+    },
+    "bv": {
+        "--x": (["1e3", "1e4"], ["999", "x"]),
+        "--theta": (["1/2", "1/3"], ["0", "1", "1/0", "x"]),
+        "--A": (["1", "0"], ["-1"]),
+        "--y-min": (["100"], ["1", "1e4"]),
+        "--grid-factor": (["2", "10"], ["1"]),
+    },
+    "trend": {},
+    "replay": {},
+}
+_INPUT_FILES = {
+    "good.cfg": "# defaults\njson=true\n",
+    "nokey.cfg": "json\n",
+    "unknown.cfg": "bogus=1\n",
+    "empty.json": "{}",
+    "list.json": "[1]",
+    "nested.json": '{"argv": ["replay", "--manifest-in", "empty.json"]}',
+    "broken.json": "{",
+}
+_INPUTS = [*_INPUT_FILES, "manifest.json", "missing.json", "."]
+
+
+@st.composite
+def _argvs(draw):
+    """An argv from the vocabulary; about half of them use only good values."""
+    bad = draw(st.booleans())
+
+    def value(choices):
+        good, wrong = choices
+        return draw(st.sampled_from(good + wrong if bad else good))
+
+    command = draw(st.sampled_from(sorted(_VOCABULARY)))
+    argv = [command]
+    if command == "tuple":
+        argv += [value((["check"], ["x"])), value(_TUPLES)]
+    elif command == "trend":
+        argv += draw(st.lists(st.sampled_from(_INPUTS), min_size=1, max_size=3))
+    elif command == "replay":
+        argv += ["--manifest-in", draw(st.sampled_from(_INPUTS))]
+    flags = _VOCABULARY[command]
+    optional = sorted(set(flags) - _REQUIRED)
+    chosen = [flag for flag in flags if flag in _REQUIRED]
+    if optional:
+        chosen += draw(st.lists(st.sampled_from(optional), unique=True))
+    for flag in chosen:
+        argv += [flag, value(flags[flag])]
+    if draw(st.booleans()):
+        argv += ["--workers", value((["1"], ["0", "x"]))]
+    argv += draw(st.lists(st.sampled_from(["--json", "--force", "--seed=3"] + ["--bogus"] * bad), unique=True, max_size=2))
+    if draw(st.booleans()):
+        argv += ["--config", draw(st.sampled_from(_INPUTS))]
+    if draw(st.booleans()):
+        argv += [draw(st.sampled_from(["--out", "--manifest"])), value((["written.out"], ["no-dir/x"]))]
+    return argv
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argvs())
+def test_every_argv_ends_in_a_documented_exit(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("GAPSIEVE_WORKERS", raising=False)
+    monkeypatch.chdir(tmp_path)
+    for name, text in _INPUT_FILES.items():
+        Path(name).write_text(text, encoding="utf-8")
+    if not Path("manifest.json").exists():
+        assert main(["threshold", "--k", "2", "--l", "1", "--theta", "1/2", "--manifest", "manifest.json"]) == EXIT_OK
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3, 4)
+    if code in (EXIT_REGIME, EXIT_ERROR):
+        assert err.count("\n") == 1 and err.startswith(("regime violation: ", "error: ")), err

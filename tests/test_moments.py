@@ -1,9 +1,11 @@
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from gapsieve import moments, weights
 from gapsieve.errors import BudgetError, RegimeError
 from gapsieve.moments import (
     CHUNK,
@@ -277,7 +279,7 @@ def test_pure_chunk_is_bitwise_fsum_of_squares(t, R):
     table = divisor_table(t, R)
     lo, hi = 10**6 + 17, 10**6 + 17 + 300_000
     vals = lambda_block(t, wp, lo, hi, table=table).values
-    got = _pure_chunk((t, wp, lo, hi, False, table))
+    got = _pure_chunk((t, wp, lo, hi, table))
     assert got.hex() == math.fsum(vals * vals).hex()
 
 
@@ -291,7 +293,7 @@ def test_pure_moment_is_bitwise_fsum_of_block_squares(workers, R):
         vals = lambda_block(TWIN, wp, lo, hi).values
         partials.append(math.fsum(vals * vals))
     assert len(partials) == 2
-    expected = tree_fold(partials, lambda x, y: x + y)
+    expected = tree_fold(partials)
     assert pure_moment(TWIN, params, workers=workers).empirical.hex() == expected.hex()
 
 
@@ -301,3 +303,56 @@ def test_pure_moment_worker_invariance():
     pooled = pure_moment(TWIN, params, workers=3)
     assert serial.empirical == pooled.empirical
     assert serial.doc() == pooled.doc()
+
+
+# ---------------------------------------------------------------------------
+# the chunk pipeline
+# ---------------------------------------------------------------------------
+
+_PIPELINE_N = 1_200_000  # two chunks
+
+
+@pytest.mark.parametrize("driver", ["pure", "twisted", "detector"])
+def test_chunk_tasks_carry_the_signature_state(driver, monkeypatch):
+    params = _params(_PIPELINE_N, span=10)
+    tasks = []
+    shipped = []
+
+    def recording_map(fn, task_list, workers=None):
+        # pickled as a pool would send them, before any chunk runs
+        tasks.extend(task_list)
+        shipped.extend(pickle.loads(pickle.dumps(task)) for task in task_list)
+        return [fn(task) for task in task_list]
+
+    monkeypatch.setattr(moments, "ordered_map", recording_map)
+    run = {
+        "pure": lambda: pure_moment(TWIN, params),
+        "twisted": lambda: twisted_moment(TWIN, 7, params),
+        "detector": lambda: two_primes_detector(params, [TWIN], h_mode="tuple"),
+    }[driver]
+    run()
+    assert [task[2:4] for task in tasks] == block_spans(_PIPELINE_N + 1, 2 * _PIPELINE_N + 1, CHUNK)
+    assert not any(isinstance(field, bool) for task in tasks for field in task)
+
+    def no_rebuild(*args):
+        raise AssertionError("signature state rebuilt in a worker")
+
+    monkeypatch.setattr(weights, "_weight_value", no_rebuild)
+    for (_, wp, _, _, table, *_), (_, _, _, _, copy, *_) in zip(tasks, shipped):
+        state = table.prefix_state(wp)
+        got = copy.prefix_state(wp)
+        assert all(np.array_equal(a.view(np.int64), b.view(np.int64)) for a, b in zip(got, state))
+
+
+def test_tuple_size_error_comes_before_the_regime_check():
+    # R > N^(1/2) violates both regimes, and the tuple has the wrong size
+    bad = SieveParams(N=10**4, R=5000.0, k=2, l=1, span_bound=10)
+    triple = OffsetTuple((1, 3, 7))
+    for run in (
+        lambda: pure_moment(triple, bad),
+        lambda: twisted_moment(triple, 1, bad),
+        lambda: two_primes_detector(bad, [triple]),
+    ):
+        with pytest.raises(ValueError, match="tuple size 3") as info:
+            run()
+        assert not isinstance(info.value, RegimeError)

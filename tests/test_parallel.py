@@ -1,0 +1,50 @@
+import pytest
+
+from gapsieve import parallel
+from gapsieve.parallel import ordered_map, tree_fold
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "cpus, ntasks, expected",
+    [(4, 10, [4]), (4, 3, [3]), (2, 10, [2]), (1, 10, []), (None, 10, []), (4, 1, [])],
+)
+def test_pool_never_exceeds_the_cores(pool_sizes, monkeypatch, cpus, ntasks, expected):
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
+    assert ordered_map(abs, range(-ntasks, 0), workers=10**6) == list(range(ntasks, 0, -1))
+    assert pool_sizes == expected
+
+
+def test_pool_cap_on_this_machine(pool_sizes):
+    ordered_map(abs, range(64), workers=10**6)
+    assert all(size <= (parallel.os.cpu_count() or 1) for size in pool_sizes)
+
+
+def test_tree_fold_is_a_fixed_pairwise_sum():
+    assert tree_fold([1.0]) == 1.0
+    # ((a + b) + (c + d)) + e, not a left fold
+    values = [1e16, 1.0, -1e16, 1.0, 3.0]
+    assert tree_fold(values) == ((1e16 + 1.0) + (-1e16 + 1.0)) + 3.0
+    with pytest.raises(ValueError):
+        tree_fold([])
