@@ -40,6 +40,9 @@ EXIT_ERROR = 4
 EXIT_REPLAY_MISMATCH = 1
 
 
+# float flags refused when not finite: no computation can use nan or inf
+_FINITE_FLAGS = {"R": "--R", "r_exponent": "--R-exponent", "tol": "--tol", "A": "--A"}
+
 # no integer flag needs more; the cap keeps "1e999999999" from building a
 # billion-digit number
 MAX_EXPONENT = 30
@@ -435,6 +438,10 @@ def run_argv(argv: list[str]) -> tuple[dict, object]:
     if args.command not in _RUNNERS:
         # only a hand-written manifest can store a replay
         raise ValueError(f"a manifest cannot replay {args.command!r}")
+    for dest, flag in _FINITE_FLAGS.items():
+        value = getattr(args, dest, None)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     doc, lines, csv_text, notes, sampling = _RUNNERS[args.command](args)
     return doc, (args, lines, csv_text, notes, sampling)
 

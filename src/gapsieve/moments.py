@@ -17,6 +17,12 @@ When R < 59, W(n) depends only on n's small-prime signature (see weights),
 and the pure moment sums W^2 once per signature, weighted by its count, with
 the same bits as the sum over n.
 
+The detector groups its sum the same way: a chunk adds W^2 (Lambda - log 3N
+* count) once per key, where a key is a signature (R < 59) or else a single
+n, count is the number of n with that key, and Lambda is the sum of log p
+over the primes those n see.  Lambda is exact, from integer log parts (see
+primes.log_parts), so no extended precision is needed.
+
 Predicted main terms:
 
   pure:      S(H)   * C(2l, l)     / (k+2l)!  * N (log R)^(k+2l)
@@ -25,8 +31,9 @@ Predicted main terms:
    h in H:     S(H)   * C(2l+2, l+1) / (k+2l+1)! * N (log R)^(k+2l+1)
 
 The detector prediction multiplies the window/tuple bracket by the matching
-prefactor; positivity of the per-n parenthesis forces two primes inside
-(n, n + span], and those witnesses are reported.
+prefactor.  With span < N one prime weighs less than log 3N and two weigh
+more, so the per-n parenthesis is positive exactly when n sees two primes in
+(n, n + span]: positives and their witnesses come from integer prime counts.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ import numpy as np
 
 from .errors import BudgetError, RegimeError
 from .parallel import block_spans, ordered_map, tree_fold
-from .primes import SEGMENT_FLAGS, base_primes, prime_flags
+from .primes import SEGMENT_FLAGS, base_primes, log_parts, log_sum, prime_flags
 from .singular import DEFAULT_TOL, singular_series
 from .tuples import UNCHANGED, OffsetTuple, extend, omega_residues, omega_size
 from .weights import WeightParams, _crt_merge, _weight_value, divisor_table, lambda_block
@@ -82,8 +89,8 @@ class SieveParams:
     def __post_init__(self) -> None:
         if self.N < 16:
             raise ValueError(f"need N >= 16, got {self.N}")
-        if self.R < 1:
-            raise ValueError(f"need R >= 1, got {self.R}")
+        if not (math.isfinite(self.R) and self.R >= 1):
+            raise ValueError(f"need finite R >= 1, got {self.R}")
         if self.k < 1 or self.l < 1:
             raise ValueError(f"need k, l >= 1, got k={self.k}, l={self.l}")
         if self.span_bound < 1:
@@ -521,45 +528,64 @@ def twisted_moment(
 # ---------------------------------------------------------------------------
 
 def _detector_chunk(args) -> tuple[float, np.ndarray, list[tuple[int, int, int]]]:
-    """One (tuple, chunk) unit: (partial sum, flagged n, capped witnesses)."""
+    """One (tuple, chunk) unit: (partial sum, flagged n, capped witnesses).
+
+    The partial is the sum over keys of W^2 (Lambda - log 3N * count), with
+    Lambda the exact sum of log p over the primes that the key's n see.  The
+    key is n's signature when the table has no tail (W is then the signature
+    state's value), else n itself.  n is flagged when it sees at least two
+    primes: while span < N that is exactly a positive parenthesis.
+    """
     t, wp, lo, hi, table, span, log3n, mode, cap = args
-    blk = lambda_block(t, wp, lo, hi, force=True, table=table)
-    n = np.arange(lo, hi, dtype=np.int64)
+    size = hi - lo
+    flags = prime_flags(lo + 1, hi + span)  # flags[j]: is lo + 1 + j prime
+    pos = np.flatnonzero(flags)
+    part_hi, part_lo = log_parts(lo + 1 + pos)
+    if table.tail:
+        key = np.arange(size)
+        weights = lambda_block(t, wp, lo, hi, force=True, table=table).values
+    else:
+        key = table.signatures(lo, hi)
+        weights = table.prefix_state(wp)[0]
+    keys = len(weights)
 
-    flags = prime_flags(lo + 1, hi + span)
-
+    # seen[i]: how many primes n = lo + i sees; lam_hi, lam_lo: per-key sums
+    # of their integer log parts, exact since log_sum refuses sums from 2^53 on
     if mode == "window":
-        pos = lo + 1 + np.flatnonzero(flags)
-        # extended-precision prefix sums: the difference of two prefixes must
-        # resolve individual windows without drift over the chunk
-        logs = np.log(pos.astype(np.float64)).astype(np.longdouble)
-        cum = np.concatenate([[np.longdouble(0)], np.cumsum(logs)])
-        j1 = np.searchsorted(pos, n, side="right")
-        j2 = np.searchsorted(pos, n + span, side="right")
-        w = (cum[j2] - cum[j1]).astype(np.float64) - log3n
-    else:  # per-offset sum
-        w = np.full(hi - lo, -log3n)
+        # n sees pos[start[i] : end[i]], the primes in (n, n + span]
+        cum = np.zeros(len(flags) + 1, dtype=np.int64)
+        np.cumsum(flags, out=cum[1:])
+        start, end = cum[:size], cum[span : span + size]
+        seen = end - start
+        prefix_hi = np.concatenate(([0], np.cumsum(part_hi)))
+        prefix_lo = np.concatenate(([0], np.cumsum(part_lo)))
+        lam_hi = np.bincount(key, weights=prefix_hi[end] - prefix_hi[start], minlength=keys)
+        lam_lo = np.bincount(key, weights=prefix_lo[end] - prefix_lo[start], minlength=keys)
+    else:  # n sees lo + 1 + j for j = i + h - 1, h in the tuple
+        seen = np.zeros(size, dtype=np.int8)
+        lam_hi = np.zeros(keys, dtype=np.int64)
+        lam_lo = np.zeros(keys, dtype=np.int64)
         for h in t.offsets:
-            hit = flags[h - 1 : h - 1 + hi - lo]
-            w[hit] += np.log((n[hit] + h).astype(np.float64))
+            a, b = np.searchsorted(pos, (h - 1, h - 1 + size))
+            at = key[pos[a:b] - (h - 1)]
+            lam_hi += np.bincount(at, weights=part_hi[a:b], minlength=keys).astype(np.int64)
+            lam_lo += np.bincount(at, weights=part_lo[a:b], minlength=keys).astype(np.int64)
+            seen += flags[h - 1 : h - 1 + size]
 
-    vals = blk.values
-    partial = math.fsum(w * vals * vals)
+    # keys that no n has add exact zeros
+    terms = weights * weights * (log_sum(lam_hi, lam_lo) - log3n * np.bincount(key, minlength=keys))
+    partial = math.fsum(terms.tolist())
 
-    flagged_idx = np.flatnonzero(w > 0.0)
-    flagged = n[flagged_idx]
+    flagged_idx = np.flatnonzero(seen >= 2)
     witnesses: list[tuple[int, int, int]] = []
-    for i in flagged_idx[:cap]:
-        ni = int(n[i])
+    for i in flagged_idx[:cap].tolist():
         if mode == "window":
-            a = int(j1[i])
-            if int(j2[i]) - a >= 2:
-                witnesses.append((ni, int(pos[a]), int(pos[a + 1])))
+            j = int(start[i])
+            witnesses.append((lo + i, lo + 1 + int(pos[j]), lo + 1 + int(pos[j + 1])))
         else:
-            hits = [ni + h for h in t.offsets if flags[ni + h - (lo + 1)]]
-            if len(hits) >= 2:
-                witnesses.append((ni, hits[0], hits[1]))
-    return partial, flagged, witnesses
+            hits = [lo + i + h for h in t.offsets if flags[i + h - 1]]
+            witnesses.append((lo + i, hits[0], hits[1]))
+    return partial, lo + flagged_idx, witnesses
 
 
 def two_primes_detector(
@@ -576,17 +602,27 @@ def two_primes_detector(
     h_mode "window" sums varpi(n+h) over all integers h <= span_bound; mode
     "tuple" sums only over the tuple's own offsets.  Every n whose inner
     parenthesis is positive is counted, and for the first witness_cap such n
-    the two witnessing primes in (n, n + span_bound] are reported.
+    the two witnessing primes in (n, n + span_bound] are reported.  Refuses
+    span_bound >= N (positivity is then no longer "two primes") and a
+    negative witness_cap.
     """
     start = time.perf_counter()
     if h_mode not in ("window", "tuple"):
         raise ValueError(f"unknown h_mode {h_mode!r}")
+    if witness_cap < 0:
+        raise ValueError(f"witness_cap must be >= 0, got {witness_cap}")
+    if params.span_bound >= params.N:
+        # below N, one prime never outweighs log 3N and two always do, so
+        # positivity is the integer test "at least two primes"
+        raise ValueError(f"span_bound {params.span_bound} must be below N = {params.N}")
     tuple_list = list(tuples)
     if not tuple_list:
         raise ValueError("empty tuple source")
     for t in tuple_list:
         if t.k != params.k:
             raise ValueError(f"tuple size {t.k} does not match params.k = {params.k}")
+        if h_mode == "tuple" and t.offsets[-1] > params.span_bound:
+            raise ValueError(f"offset {t.offsets[-1]} exceeds span_bound {params.span_bound}")
     violations = list(dict.fromkeys(params.pure_regime_violations() + params.twisted_regime_violations()))
     violations = _enforce_regime(violations, force)
 

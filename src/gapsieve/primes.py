@@ -5,7 +5,9 @@ squarefree trial factorer.
 Primality over a window is produced by a segmented sieve of Eratosthenes with
 numpy strided marking.  All log-weight accumulations go through math.fsum
 (exactly rounded, hence order-independent and bit-stable) unless a caller
-explicitly asks for the streaming bucket pass in the distribution-level probe.
+explicitly asks for the streaming bucket pass in the distribution-level probe,
+or sums the integer parts of log_parts, which log_sum rounds once: the same
+exactly rounded result, from integer sums that can be grouped at will.
 """
 
 from __future__ import annotations
@@ -159,6 +161,46 @@ def prime_flags(lo: int, hi: int) -> np.ndarray:
 def primes_in(lo: int, hi: int) -> np.ndarray:
     """Sorted primes in [lo, hi) as int64."""
     return lo + np.flatnonzero(prime_flags(lo, hi))
+
+
+# log p for p >= 3 is at least 1, so as a float64 it is a whole multiple of
+# 2^-52: log p * 2^52 splits into two integers of at most 31 and 26 bits
+LOG_PART_BITS = 26
+# integer-valued float64 sums (np.bincount weights) are exact below this
+EXACT_SUM_BOUND = 1 << 53
+
+
+def log_parts(ps) -> tuple[np.ndarray, np.ndarray]:
+    """Integer parts (hi, lo) of log p, int64, for 3 <= p <= SUPPORTED_SIEVE_BOUND.
+
+    log p = hi * 2^-26 + lo * 2^-52 exactly, with hi < 2^31 and lo < 2^26, so
+    sums of the parts are exact integers, and log_sum turns any such sums
+    into the correctly rounded sum of the logs whatever the order or grouping.
+    """
+    ps = np.asarray(ps, dtype=np.int64)
+    if ps.size and (ps.min() < 3 or ps.max() > SUPPORTED_SIEVE_BOUND):
+        raise ValueError(f"log parts need 3 <= p <= {SUPPORTED_SIEVE_BOUND}")
+    scaled = np.ldexp(np.log(ps.astype(np.float64)), LOG_PART_BITS)
+    hi = np.floor(scaled)
+    lo = np.ldexp(scaled - hi, LOG_PART_BITS)
+    return hi.astype(np.int64), lo.astype(np.int64)
+
+
+def log_sum(hi_sum, lo_sum):
+    """The correctly rounded sum of logs whose log_parts sum to (hi_sum, lo_sum).
+
+    Both are exact in float64 below 2^53, so the result takes one rounding.
+    Sums at or above 2^53 are refused: a float64 accumulation of the parts
+    may already have rounded there (parts are nonnegative, so a sum below the
+    bound proves every partial sum was exact too).  Elementwise on arrays.
+    """
+    hi_sum = np.asarray(hi_sum)
+    lo_sum = np.asarray(lo_sum)
+    if (hi_sum >= EXACT_SUM_BOUND).any() or (lo_sum >= EXACT_SUM_BOUND).any():
+        raise ValueError("log part sums reach 2^53; split the sum")
+    return np.ldexp(hi_sum.astype(np.float64), -LOG_PART_BITS) + np.ldexp(
+        lo_sum.astype(np.float64), -2 * LOG_PART_BITS
+    )
 
 
 def is_prime(n: int) -> bool:

@@ -59,8 +59,8 @@ class WeightParams:
     a: int
 
     def __post_init__(self) -> None:
-        if self.R < 1:
-            raise ValueError(f"need R >= 1, got {self.R}")
+        if not (math.isfinite(self.R) and self.R >= 1):
+            raise ValueError(f"need finite R >= 1, got {self.R}")
         if self.a < 1:
             raise ValueError(f"need a >= 1, got {self.a}; a = 0 has no use here")
 

@@ -297,6 +297,40 @@ def test_malformed_manifest_is_an_error_exit(capsys, tmp_path, text):
     assert "not a manifest" in err
 
 
+def test_negative_witness_cap_is_an_error_exit(capsys):
+    code, _, err = run_cli(capsys, "moment", "--mode", "detector", "--tuple", "1,3", "--span", "10",
+                           "--N", "1e4", "--R-exponent", "0.25", "--l", "1", "--witness-cap", "-1")
+    assert code == EXIT_ERROR
+    assert err == "error: witness_cap must be >= 0, got -1\n"
+
+
+def test_span_from_n_on_is_an_error_exit(capsys):
+    # refused as an input error before the regime check, so no --force needed
+    code, _, err = run_cli(capsys, "moment", "--mode", "detector", "--tuple", "1,3", "--span", "16",
+                           "--N", "16", "--R", "2", "--l", "1")
+    assert code == EXIT_ERROR
+    assert err == "error: span_bound 16 must be below N = 16\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["moment", "--mode", "pure", "--tuple", "1,3", "--N", "1e4", "--R", "nan", "--l", "1"],
+    ["moment", "--mode", "detector", "--tuple", "1,3", "--N", "1e4", "--R-exponent", "inf", "--l", "1"],
+    ["singular-series", "--tuple", "1,3", "--tol", "nan"],
+    ["bv", "--x", "1e3", "--theta", "1/2", "--A", "inf"],
+    ["bv", "--x", "1e3", "--theta", "1/2", "--A=-inf"],
+], ids=["R", "R-exponent", "tol", "A", "minus-A"])
+def test_non_finite_floats_are_error_exits_before_any_work(argv, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("pure_moment", "two_primes_detector", "singular_series"):
+        monkeypatch.setattr(gapsieve.cli, name, no_work)
+    monkeypatch.setattr(gapsieve.cli.bv_mod, "bv_deviation", no_work)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_ERROR
+    assert err.startswith("error: --") and "must be finite" in err and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # argv property test: every argv ends in a documented exit code
 # ---------------------------------------------------------------------------
@@ -311,7 +345,7 @@ _VOCABULARY = {
     "tuple": {},
     "singular-series": {
         "--tuple": _TUPLES,
-        "--tol": (["1e-12", "1e-3"], ["0", "-1", "x"]),
+        "--tol": (["1e-12", "1e-3"], ["0", "-1", "x", "nan", "inf"]),
         "--truncation-prime": (["100", "1e3"], ["1", "0", "x"]),
     },
     "gallagher": {
@@ -321,7 +355,7 @@ _VOCABULARY = {
     },
     "weights": {
         "--tuple": _TUPLES,
-        "--R": (["10", "1e3"], ["0", "x"]),
+        "--R": (["10", "1e3"], ["0", "x", "nan", "inf"]),
         "--a": (["2"], ["0", "x"]),
         "--from": (["100", "0"], ["-5", "x"]),
         "--to": (["130"], ["100", "50"]),
@@ -333,8 +367,8 @@ _VOCABULARY = {
         "--stride": (["1", "5"], ["0"]),
         "--k": (["1", "2"], ["0", "x"]),
         "--N": (["1e4", "100", "16"], ["10", "-5", "x"]),
-        "--R": (["2", "10"], ["0", "x"]),
-        "--R-exponent": (["0.25", "0.5"], ["2", "-1"]),
+        "--R": (["2", "10"], ["0", "x", "nan", "inf"]),
+        "--R-exponent": (["0.25", "0.5"], ["2", "-1", "nan", "inf"]),
         "--l": (["1"], ["0", "x"]),
         "--span": (["3", "10"], ["0", "x"]),
         "--theta": (["1/2"], ["0", "2", "1/0", "x"]),
@@ -351,7 +385,7 @@ _VOCABULARY = {
     "bv": {
         "--x": (["1e3", "1e4"], ["999", "x"]),
         "--theta": (["1/2", "1/3"], ["0", "1", "1/0", "x"]),
-        "--A": (["1", "0"], ["-1"]),
+        "--A": (["1", "0"], ["-1", "nan", "inf"]),
         "--y-min": (["100"], ["1", "1e4"]),
         "--grid-factor": (["2", "10"], ["1"]),
     },

@@ -4,12 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapsieve import moments, weights
 from gapsieve.errors import BudgetError, RegimeError
 from gapsieve.moments import (
     CHUNK,
     SieveParams,
+    _detector_chunk,
     _pure_chunk,
     binomial_step_ratio,
     detector_coefficient,
@@ -24,7 +28,7 @@ from gapsieve.moments import (
     twisted_moment,
 )
 from gapsieve.parallel import block_spans, tree_fold
-from gapsieve.primes import prime_flags
+from gapsieve.primes import prime_flags, sieve_segment
 from gapsieve.tuples import SEPTUPLE_OFFSETS, TWIN_OFFSETS, OffsetTuple
 from gapsieve.weights import WeightParams, divisor_table, lambda_block
 
@@ -228,6 +232,92 @@ def test_detector_decomposition():
     pure_part = pure_moment(TWIN, params).empirical
     recon = math.fsum(twisted_parts) - math.log(3 * N) * pure_part
     assert det.empirical == pytest.approx(recon, rel=1e-9)
+
+
+@pytest.mark.parametrize("R", [10**5 ** 0.25, 100.0], ids=["no-tail", "tail"])
+def test_detector_tuple_decomposition(R):
+    # tuple mode: detector total == sum over offsets of twisted - log(3N) * pure
+    N, span = 10**5, 22
+    sep = OffsetTuple(SEPTUPLE_OFFSETS)
+    params = SieveParams(N=N, R=R, k=7, l=1, span_bound=span)
+    assert bool(divisor_table(sep, R).tail) == (R >= 59)
+    det = two_primes_detector(params, [sep], h_mode="tuple", force=True)
+    twisted_parts = [twisted_moment(sep, h, params, force=True).empirical for h in sep.offsets]
+    pure_part = pure_moment(sep, params, force=True).empirical
+    recon = math.fsum(twisted_parts) - math.log(3 * N) * pure_part
+    assert det.empirical == pytest.approx(recon, rel=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["window", "tuple"])
+@pytest.mark.parametrize("t, R", [(TWIN, 31.6), (TWIN, 100.0), (OffsetTuple(SEPTUPLE_OFFSETS), 56.2),
+                                  (OffsetTuple(SEPTUPLE_OFFSETS), 100.0)],
+                         ids=["twin-no-tail", "twin-tail", "septuple-no-tail", "septuple-tail"])
+def test_detector_chunk_is_the_per_n_sum(mode, t, R):
+    # the grouped chunk against fsum over n of w(n) W(n)^2, with w(n) summed
+    # per n from plain sieve flags, and against the float positivity test
+    span, log3n = 22, math.log(3 * 10**6)
+    lo, hi = 10**6 + 17, 10**6 + 17 + 200_000
+    wp = WeightParams(R, t.k + 1)
+    vals = lambda_block(t, wp, lo, hi).values
+    n = np.arange(lo, hi)
+    flags = sieve_segment(lo + 1, hi + span).flags
+    w = np.full(hi - lo, -log3n)
+    for h in range(1, span + 1) if mode == "window" else t.offsets:
+        w += np.where(flags[h - 1 : h - 1 + hi - lo], np.log((n + h).astype(np.float64)), 0.0)
+    partial, flagged, witnesses = _detector_chunk((t, wp, lo, hi, divisor_table(t, R), span, log3n, mode, 5))
+    assert partial == pytest.approx(math.fsum(w * vals * vals), rel=1e-13)
+    assert np.array_equal(flagged, n[w > 0.0])
+    assert [wit[0] for wit in witnesses] == flagged[:5].tolist()
+
+
+def _two_prime_witnesses(N, offsets, span, window):
+    """(n, first two primes n sees) for every n in (N, 2N] seeing two, from sympy's primes."""
+    primes = set(sympy.primerange(N + 2, 2 * N + span + 1))
+    seen_by = range(1, span + 1) if window else offsets
+    out = []
+    for n in range(N + 1, 2 * N + 1):
+        hits = [n + h for h in seen_by if n + h in primes]
+        if len(hits) >= 2:
+            out.append((n, hits[0], hits[1]))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    N=st.integers(16, 10**5),
+    offsets=st.sampled_from([(1, 3), (1, 3, 7), (2, 6, 8)]),
+    extra=st.integers(0, 20),
+    window=st.booleans(),
+    tail=st.booleans(),
+    cap=st.integers(0, 40),
+)
+def test_detector_positives_are_two_prime_counts(N, offsets, extra, window, tail, cap):
+    t = OffsetTuple(offsets)
+    span = min(t.span_bound + extra, N - 1)
+    R = 100.0 if tail else N**0.25
+    params = SieveParams(N=N, R=R, k=t.k, l=1, span_bound=span)
+    det = two_primes_detector(params, [t], h_mode="window" if window else "tuple", force=True,
+                              witness_cap=cap, collect_positives=True)
+    expected = _two_prime_witnesses(N, t.offsets, span, window)
+    assert det.positive_count == len(expected)
+    assert det.positives[0].tolist() == [n for n, _, _ in expected]
+    assert [(w["n"], w["p1"], w["p2"]) for w in det.witnesses] == expected[:cap]
+
+
+def test_detector_input_refusals():
+    params = _params(10**4, span=10)
+    with pytest.raises(ValueError, match="witness_cap"):
+        two_primes_detector(params, [TWIN], witness_cap=-1)
+    with pytest.raises(ValueError, match="below N"):
+        two_primes_detector(SieveParams(N=16, R=2.0, k=2, l=1, span_bound=16), [TWIN], force=True)
+    with pytest.raises(ValueError, match="exceeds span_bound"):
+        two_primes_detector(_params(10**4, span=2), [TWIN], h_mode="tuple")
+
+
+@pytest.mark.parametrize("R", [math.nan, math.inf])
+def test_sieve_params_refuse_non_finite_r(R):
+    with pytest.raises(ValueError, match="finite"):
+        SieveParams(N=10**4, R=R, k=2, l=1, span_bound=3)
 
 
 def test_detector_witnesses_are_real_primes():

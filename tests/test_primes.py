@@ -11,8 +11,11 @@ from gapsieve.primes import (
     SUPPORTED_SIEVE_BOUND,
     PrimeSegment,
     ThetaStarQuery,
+    EXACT_SUM_BOUND,
     base_primes,
     chebyshev_theta,
+    log_parts,
+    log_sum,
     min_gap_in,
     primes_in,
     sieve_segment,
@@ -141,3 +144,52 @@ def test_base_primes_one_growing_cache(monkeypatch):
         assert got.dtype == np.int64
         assert got.tolist() == list(primerange(2, limit + 1))
         assert not got.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# exact log sums
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("lo, hi", [(3, 10**6), (10**7, 2 * 10**7), (SUPPORTED_SIEVE_BOUND - 10**5, SUPPORTED_SIEVE_BOUND)])
+def test_log_sum_is_fsum_bit_for_bit(lo, hi):
+    ps = primes_in(lo, hi)
+    hi_part, lo_part = log_parts(ps)
+    logs = np.log(ps.astype(np.float64))
+    # the parts are log p exactly, within their stated widths
+    assert (hi_part < 2**31).all() and ((0 <= lo_part) & (lo_part < 2**26)).all()
+    assert np.array_equal(np.ldexp(hi_part.astype(np.float64), -26) + np.ldexp(lo_part.astype(np.float64), -52), logs)
+    assert float(log_sum(hi_part.sum(), lo_part.sum())).hex() == math.fsum(logs).hex()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), groups=st.integers(1, 64))
+def test_log_sum_ignores_order_and_grouping(seed, groups):
+    rng = np.random.default_rng(seed)
+    ps = primes_in(10**6, 2 * 10**6)
+    hi_part, lo_part = log_parts(ps)
+    whole = log_sum(hi_part.sum(), lo_part.sum())
+    order = rng.permutation(len(ps))
+    cuts = np.sort(rng.integers(0, len(ps), groups - 1))
+    # per-group sums, as float64 bincounts and as int64, then summed again
+    label = np.zeros(len(ps), dtype=np.int64)
+    label[order] = np.searchsorted(cuts, np.arange(len(ps)), side="right")
+    group_hi = np.bincount(label, weights=hi_part, minlength=groups)
+    group_lo = np.bincount(label, weights=lo_part, minlength=groups)
+    regrouped = log_sum(int(group_hi.astype(np.int64)[::-1].sum()), int(group_lo.astype(np.int64).sum()))
+    assert float(regrouped).hex() == float(whole).hex()
+    # and elementwise, each group is its own correctly rounded sum
+    logs = np.log(ps.astype(np.float64))
+    sums = log_sum(group_hi, group_lo)
+    for g in range(groups):
+        assert float(sums[g]).hex() == math.fsum(logs[label == g]).hex()
+
+
+def test_log_parts_and_sum_refusals():
+    for bad in ([2], [1, 5], [0], [-7], [SUPPORTED_SIEVE_BOUND + 1]):
+        with pytest.raises(ValueError, match="3 <= p"):
+            log_parts(np.array(bad))
+    log_parts(np.array([3, SUPPORTED_SIEVE_BOUND]))  # both ends are accepted
+    log_sum(EXACT_SUM_BOUND - 1, EXACT_SUM_BOUND - 1)
+    for hi_sum, lo_sum in ((EXACT_SUM_BOUND, 0), (0, EXACT_SUM_BOUND), (np.array([1, EXACT_SUM_BOUND]), np.array([0, 0]))):
+        with pytest.raises(ValueError, match="2\\^53"):
+            log_sum(hi_sum, lo_sum)

@@ -25,6 +25,9 @@ def test_params_validation():
         WeightParams(0.5, 1)
     with pytest.raises(ValueError):
         WeightParams(10.0, 0)  # a = 0 rejected
+    for R in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            WeightParams(R, 1)
 
 
 def test_lambda_weight_examples():
