@@ -7,7 +7,11 @@ For moduli q up to x^theta and a geometric grid of dyadic points y, measure
 where theta*(y; a, q) sums log p over primes p in (y, 2y] with p = a (mod q),
 and report the per-q worst rows plus their total.  One shared prime pass per
 grid point feeds every modulus: the primes of (y, 2y] are materialized once
-and bucketed per q by residue.
+and bucketed per q by residue.  The residues p - q*(p // q) take one scalar
+floor-divide per q, in the narrowest unsigned dtype that holds 2y and every
+q.  Each class sum is still a sequential float sum in prime order
+(np.bincount), so the bytes do not depend on the residue kernel.  The classes
+that share a prime with q are struck by one strided slice per such prime.
 
 The exact maximum over all y <= x is infeasible and the dyadic sums change
 slowly, so the grid {x, x/2, x/4, ...} (integer halving, down to y_min)
@@ -24,7 +28,7 @@ import numpy as np
 
 from .errors import BudgetError, TrendError
 from .parallel import ordered_map
-from .primes import primes_in
+from .primes import prime_divisors, primes_in
 
 MODULUS_BUDGET = 100_000
 
@@ -111,11 +115,22 @@ def _grid_point_devs(args) -> tuple[np.ndarray, np.ndarray]:
     devs = np.zeros(q_max + 1)
     best_a = np.zeros(q_max + 1, dtype=np.int64)
     devs[1] = abs(total - y)  # q = 1: single class, exactly the fsum total
+    # p mod q = p - q * (p // q) in the narrowest unsigned type holding every
+    # p and q: one scalar floor-divide per q, into buffers reused across q.
+    # Rebinding frees the int64 primes, so the buffers fit under the sieve's
+    # peak memory.
+    ps = ps.astype(np.min_scalar_type(max(2 * y, q_max)))
+    quot = np.empty_like(ps)
+    res = np.empty(len(ps), dtype=np.intp)
     for q in range(2, q_max + 1):
-        buckets = np.bincount(ps % q, weights=logs, minlength=q)[:q]
-        expected = y / phi[q]
-        cls = np.abs(buckets - expected)
-        cls[np.gcd(np.arange(q), q) != 1] = -1.0  # only coprime classes compete
+        np.floor_divide(ps, q, out=quot)
+        np.multiply(quot, q, out=quot)
+        np.subtract(ps, quot, out=res)
+        cls = np.bincount(res, weights=logs, minlength=q)
+        cls -= y / phi[q]
+        np.abs(cls, out=cls)
+        for r in prime_divisors(q):
+            cls[::r] = -1.0  # only coprime classes compete
         a = int(np.argmax(cls))
         devs[q] = cls[a]
         best_a[q] = a

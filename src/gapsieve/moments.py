@@ -568,8 +568,8 @@ def _detector_chunk(args) -> tuple[float, np.ndarray, list[tuple[int, int, int]]
         for h in t.offsets:
             a, b = np.searchsorted(pos, (h - 1, h - 1 + size))
             at = key[pos[a:b] - (h - 1)]
-            lam_hi += np.bincount(at, weights=part_hi[a:b], minlength=keys).astype(np.int64)
-            lam_lo += np.bincount(at, weights=part_lo[a:b], minlength=keys).astype(np.int64)
+            np.add.at(lam_hi, at, part_hi[a:b])
+            np.add.at(lam_lo, at, part_lo[a:b])
             seen += flags[h - 1 : h - 1 + size]
 
     # keys that no n has add exact zeros

@@ -1,6 +1,7 @@
 """Segmented prime generation, the log-weighted prime indicator,
 progression-restricted prime sums, and the package's one base-prime cache and
-squarefree trial factorer.
+one trial factorer (prime_divisors; squarefree_factors adds the squarefree
+refusal).
 
 Primality over a window is produced by a segmented sieve of Eratosthenes with
 numpy strided marking.  All log-weight accumulations go through math.fsum
@@ -58,11 +59,12 @@ def base_primes(limit: int) -> np.ndarray:
     return _BASE_PRIMES[: int(np.searchsorted(_BASE_PRIMES, limit, side="right"))]
 
 
-def squarefree_factors(d: int) -> list[int]:
-    """Ascending prime factors of d by trial division, raising unless d is
-    squarefree; refuses d above FACTORING_BUDGET before touching the cache."""
+def prime_divisors(d: int) -> list[int]:
+    """Ascending distinct primes dividing d >= 1, by trial division against
+    the shared cache; refuses d above FACTORING_BUDGET before touching it.
+    The package's one factorer."""
     if d < 1:
-        raise NotSquarefreeError(f"need d >= 1, got {d}")
+        raise ValueError(f"need d >= 1, got {d}")
     if d > FACTORING_BUDGET:
         raise BudgetError(f"{d} exceeds factoring budget {FACTORING_BUDGET}")
     factors = []
@@ -72,12 +74,23 @@ def squarefree_factors(d: int) -> list[int]:
         if p * p > m:
             break
         if m % p == 0:
-            m //= p
-            if m % p == 0:
-                raise NotSquarefreeError(f"{d} is divisible by {p}^2")
+            while m % p == 0:
+                m //= p
             factors.append(p)
     if m > 1:
         factors.append(m)
+    return factors
+
+
+def squarefree_factors(d: int) -> list[int]:
+    """Ascending prime factors of d, raising unless d is squarefree (naming
+    the smallest p with p^2 | d)."""
+    if d < 1:
+        raise NotSquarefreeError(f"need d >= 1, got {d}")
+    factors = prime_divisors(d)
+    for p in factors:
+        if d % (p * p) == 0:
+            raise NotSquarefreeError(f"{d} is divisible by {p}^2")
     return factors
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, RegimeError
-from .primes import FACTORING_BUDGET, base_primes, squarefree_factors
+from .primes import base_primes, prime_divisors, squarefree_factors
 from .tuples import OffsetTuple, omega_residues
 
 # largest truncation level a divisor table will be built for
@@ -242,26 +242,6 @@ def lambda_block(
     return WeightBlock(lo, hi, values)
 
 
-def _factor_prime_set(m: int, cap: float) -> list[int]:
-    """Distinct prime factors of m that are <= cap, by trial division."""
-    if m > FACTORING_BUDGET:
-        raise BudgetError(f"{m} exceeds factoring budget {FACTORING_BUDGET}")
-    out = []
-    rest = m
-    for p in base_primes(math.isqrt(m)):
-        p = int(p)
-        if p * p > rest:
-            break
-        if rest % p == 0:
-            while rest % p == 0:
-                rest //= p
-            if p <= cap:
-                out.append(p)
-    if rest > 1 and rest <= cap:
-        out.append(rest)
-    return out
-
-
 def lambda_bruteforce(t: OffsetTuple, params: WeightParams, n: int) -> float:
     """Independent oracle: factor each n+h, enumerate all squarefree
     divisors <= R of the product, sum weights in ascending-d order.
@@ -273,7 +253,7 @@ def lambda_bruteforce(t: OffsetTuple, params: WeightParams, n: int) -> float:
         raise ValueError(f"n = {n} makes n + h nonpositive")
     prime_set: set[int] = set()
     for h in t.offsets:
-        prime_set.update(_factor_prime_set(n + h, params.R))
+        prime_set.update(p for p in prime_divisors(n + h) if p <= params.R)
     primes = sorted(prime_set)
 
     divisors = [(1, 1)]

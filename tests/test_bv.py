@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gapsieve import bv
@@ -113,3 +114,57 @@ def test_small_scale_run_shape():
     assert all(r.deviation >= 0 for r in table.rows)
     assert table.total == pytest.approx(math.fsum(r.deviation for r in table.rows), rel=1e-15)
     assert table.y_grid[0] == x
+
+
+def _old_grid_point_devs(y, phi):
+    """The probe's kernel before the floor-divide loop: int64 `ps % q` and a
+    gcd mask per modulus.  The oracle for bit-for-bit equality."""
+    q_max = len(phi) - 1
+    ps = bv.primes_in(y + 1, 2 * y + 1)
+    logs = np.log(ps.astype(np.float64))
+    devs = np.zeros(q_max + 1)
+    best_a = np.zeros(q_max + 1, dtype=np.int64)
+    devs[1] = abs(math.fsum(logs) - y)
+    for q in range(2, q_max + 1):
+        buckets = np.bincount(ps % q, weights=logs, minlength=q)[:q]
+        cls = np.abs(buckets - y / phi[q])
+        cls[np.gcd(np.arange(q), q) != 1] = -1.0
+        a = int(np.argmax(cls))
+        devs[q] = cls[a]
+        best_a[q] = a
+    return devs, best_a
+
+
+def _assert_kernel_is_oracle(y, phi):
+    devs, best_a = bv._grid_point_devs((y, phi))
+    old_devs, old_best_a = _old_grid_point_devs(y, phi)
+    assert devs.tobytes() == old_devs.tobytes()
+    assert best_a.tobytes() == old_best_a.tobytes()
+
+
+# y at both sides of each dtype edge; small y has q > 2y, and primes dividing
+# q (3 | 6 at y = 2) land in struck classes
+_KERNEL_YS = [2, 3, 100, 127, 128, 255, 256, 32767, 32768, 40000, 10**6]
+_KERNEL_Q_MAXES = [100, 3000]
+
+
+@pytest.mark.parametrize("q_max", _KERNEL_Q_MAXES)
+@pytest.mark.parametrize("y", _KERNEL_YS)
+def test_grid_point_kernel_is_the_old_loop_bit_for_bit(y, q_max):
+    _assert_kernel_is_oracle(y, totients_upto(q_max))
+
+
+def test_grid_point_kernel_grid_covers_every_narrow_dtype():
+    # the kernel's residue dtype is np.min_scalar_type(max(2y, q_max))
+    routes = {np.min_scalar_type(max(2 * y, q_max)) for y in _KERNEL_YS for q_max in _KERNEL_Q_MAXES}
+    assert routes == {np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.uint32)}
+
+
+def test_grid_point_kernel_uint64_route(monkeypatch):
+    # synthetic odd "primes" just above 2^32: nothing is sieved, and 2y > 2^32
+    # sends the residues through uint64
+    y = 2**31 + 10**4
+    fake = 2**32 + 1 + 2 * np.arange(20_000, dtype=np.int64)
+    monkeypatch.setattr(bv, "primes_in", lambda lo, hi: fake.copy())
+    assert np.min_scalar_type(2 * y) == np.uint64
+    _assert_kernel_is_oracle(y, totients_upto(700))

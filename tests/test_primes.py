@@ -6,19 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapsieve import primes
-from gapsieve.errors import CoprimalityError, SieveRangeError
+from gapsieve.errors import BudgetError, CoprimalityError, NotSquarefreeError, SieveRangeError
 from gapsieve.primes import (
     SUPPORTED_SIEVE_BOUND,
     PrimeSegment,
     ThetaStarQuery,
     EXACT_SUM_BOUND,
+    FACTORING_BUDGET,
     base_primes,
     chebyshev_theta,
     log_parts,
     log_sum,
     min_gap_in,
+    prime_divisors,
     primes_in,
     sieve_segment,
+    squarefree_factors,
     theta_star,
     varpi,
 )
@@ -193,3 +196,60 @@ def test_log_parts_and_sum_refusals():
     for hi_sum, lo_sum in ((EXACT_SUM_BOUND, 0), (0, EXACT_SUM_BOUND), (np.array([1, EXACT_SUM_BOUND]), np.array([0, 0]))):
         with pytest.raises(ValueError, match="2\\^53"):
             log_sum(hi_sum, lo_sum)
+
+
+def _old_squarefree_factors(d):
+    """squarefree_factors as it was before prime_divisors: one loop that
+    refuses at the first repeated prime."""
+    if d < 1:
+        raise NotSquarefreeError(f"need d >= 1, got {d}")
+    if d > FACTORING_BUDGET:
+        raise BudgetError(f"{d} exceeds factoring budget {FACTORING_BUDGET}")
+    factors = []
+    m = d
+    for p in base_primes(math.isqrt(d)):
+        p = int(p)
+        if p * p > m:
+            break
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                raise NotSquarefreeError(f"{d} is divisible by {p}^2")
+            factors.append(p)
+    if m > 1:
+        factors.append(m)
+    return factors
+
+
+def _outcome(fn, d):
+    try:
+        return fn(d)
+    except (NotSquarefreeError, BudgetError) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(1, 10**6))
+def test_prime_divisors_match_sympy(d):
+    import sympy
+
+    assert prime_divisors(d) == sympy.primefactors(d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(-5, 10**6))
+def test_squarefree_factors_unchanged(d):
+    assert _outcome(squarefree_factors, d) == _outcome(_old_squarefree_factors, d)
+
+
+def test_factorer_edges():
+    big = 4194301  # the largest prime below 2^22, so big^2 < FACTORING_BUDGET
+    for d in (big * big, 4 * big, 2 * 3 * big, 9 * 25 * 7, FACTORING_BUDGET, FACTORING_BUDGET + 1, 0, -1):
+        assert _outcome(squarefree_factors, d) == _outcome(_old_squarefree_factors, d), d
+    assert prime_divisors(big * big) == [big]
+    assert prime_divisors(FACTORING_BUDGET) == [2]
+    assert prime_divisors(1) == []
+    with pytest.raises(ValueError, match="need d >= 1, got 0"):
+        prime_divisors(0)
+    with pytest.raises(BudgetError, match="exceeds factoring budget"):
+        prime_divisors(FACTORING_BUDGET + 1)
