@@ -11,7 +11,8 @@ and bucketed per q by residue.  The residues p - q*(p // q) take one scalar
 floor-divide per q, in the narrowest unsigned dtype that holds 2y and every
 q.  Each class sum is still a sequential float sum in prime order
 (np.bincount), so the bytes do not depend on the residue kernel.  The classes
-that share a prime with q are struck by one strided slice per such prime.
+that share a prime with q are struck by one strided slice per such prime;
+each q is factored once per probe, and every grid point reads that list.
 
 The exact maximum over all y <= x is infeasible and the dyadic sums change
 slowly, so the grid {x, x/2, x/4, ...} (integer halving, down to y_min)
@@ -105,8 +106,9 @@ class BvDeviationTable:
 
 
 def _grid_point_devs(args) -> tuple[np.ndarray, np.ndarray]:
-    """Per-q (deviation, worst a) for one grid point y, all q < len(phi) at once."""
-    y, phi = args
+    """Per-q (deviation, worst a) for one grid point y, all q < len(phi) at once;
+    divisors[q] lists the primes of q."""
+    y, phi, divisors = args
     q_max = len(phi) - 1
     ps = primes_in(y + 1, 2 * y + 1)
     logs = np.log(ps.astype(np.float64))
@@ -129,7 +131,7 @@ def _grid_point_devs(args) -> tuple[np.ndarray, np.ndarray]:
         cls = np.bincount(res, weights=logs, minlength=q)
         cls -= y / phi[q]
         np.abs(cls, out=cls)
-        for r in prime_divisors(q):
+        for r in divisors[q]:
             cls[::r] = -1.0  # only coprime classes compete
         a = int(np.argmax(cls))
         devs[q] = cls[a]
@@ -157,7 +159,8 @@ def bv_deviation(
         raise BudgetError(f"x^theta = {q_max} exceeds modulus budget {MODULUS_BUDGET}")
 
     phi = totients_upto(q_max)
-    per_y = ordered_map(_grid_point_devs, [(y, phi) for y in ys], workers)
+    divisors = [[]] + [prime_divisors(q) for q in range(1, q_max + 1)]
+    per_y = ordered_map(_grid_point_devs, [(y, phi, divisors) for y in ys], workers)
     devs = np.stack([d for d, _ in per_y])
     best_a = np.stack([a for _, a in per_y])
     # the first grid point (largest y first) that reaches each q's maximum

@@ -12,7 +12,8 @@ chunk-partitioned with exactly-rounded per-chunk sums and a fixed pairwise
 reduction, so results are bit-identical for any worker count.  The three
 sums share one chunk pipeline that builds a tuple's divisor table and its
 signature state once, in the calling process, before any pool starts; the
-exact double sums (small R) read each divisor's primes from that same table.
+exact double sums (small R) read each divisor's primes from that same table,
+and the exact-count form counts each distinct lcm once.
 When R < 59, W(n) depends only on n's small-prime signature (see weights),
 and the pure moment sums W^2 once per signature, weighted by its count, with
 the same bits as the sum over n.
@@ -428,36 +429,32 @@ def double_sum_exact_counts(
 ) -> float:
     """sum_{d1,d2} w(d1) w(d2) * #{n in [lo, hi): [d1,d2] divides P(n)}.
 
-    Membership counts are exact integers (per residue class of the lcm), so
-    this equals the blockwise sum of W(n)^2 up to float summation only.  The
-    lcm's classes come from its own CRT over omega_residues, not from the
-    table's residues, so the comparison with lambda_block stays independent.
+    Membership counts are exact integers (per residue class of the lcm, one
+    count per distinct lcm), so this equals the blockwise sum of W(n)^2 up to
+    float summation only.  The lcm's classes come from its own CRT over
+    omega_residues, not from the table's residues, so the comparison with
+    lambda_block stays independent.
     """
     if params.R > EXACT_COUNT_R_BUDGET:
         raise BudgetError(f"R = {params.R} exceeds exact-count budget {EXACT_COUNT_R_BUDGET}")
 
-    # residue sets for every lcm that appears, built once
-    lcm_cache: dict[frozenset, tuple[int, tuple[int, ...]]] = {}
-
-    def lcm_residues(union: frozenset) -> tuple[int, tuple[int, ...]]:
-        if union not in lcm_cache:
+    # each lcm is counted once, keyed by its prime set; a pair adds weight * count
+    counts: dict[frozenset, int] = {}
+    terms = []
+    for weight, union in _divisor_pairs(t, params):
+        if union not in counts:
             m = 1
             res: tuple[int, ...] = (0,)
             for p in sorted(union):
                 res = _crt_merge(m, res, p, omega_residues(t, p))
                 m *= p
-            lcm_cache[union] = (m, res)
-        return lcm_cache[union]
-
-    terms = []
-    for weight, union in _divisor_pairs(t, params):
-        m, res = lcm_residues(union)
-        count = 0
-        for r in res:
-            first = lo + ((r - lo) % m)
-            if first < hi:
-                count += (hi - 1 - first) // m + 1
-        terms.append(weight * count)
+            count = 0
+            for r in res:
+                first = lo + ((r - lo) % m)
+                if first < hi:
+                    count += (hi - 1 - first) // m + 1
+            counts[union] = count
+        terms.append(weight * counts[union])
     return math.fsum(terms)
 
 

@@ -3,12 +3,14 @@ progression-restricted prime sums, and the package's one base-prime cache and
 one trial factorer (prime_divisors; squarefree_factors adds the squarefree
 refusal).
 
-Primality over a window is produced by a segmented sieve of Eratosthenes with
-numpy strided marking.  All log-weight accumulations go through math.fsum
-(exactly rounded, hence order-independent and bit-stable) unless a caller
-explicitly asks for the streaming bucket pass in the distribution-level probe,
-or sums the integer parts of log_parts, which log_sum rounds once: the same
-exactly rounded result, from integer sums that can be grouped at will.
+Primality over a window is produced by one segmented sieve of Eratosthenes
+(sieve_segment): one flag array per window, marked by numpy strided slices
+one SEGMENT_FLAGS block at a time; prime_flags and primes_in read that array.
+All log-weight accumulations go through math.fsum (exactly rounded, hence
+order-independent and bit-stable) unless a caller explicitly asks for the
+streaming bucket pass in the distribution-level probe, or sums the integer
+parts of log_parts, which log_sum rounds once: the same exactly rounded
+result, from integer sums that can be grouped at will.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ SEGMENT_FLAGS = 1 << 20
 # Largest hi accepted by the sieve (comfortably above 2e9).
 SUPPORTED_SIEVE_BOUND = 1 << 34
 
-# Largest window materialized as one flag array (memory guard); iterate
-# segments for anything bigger.
+# Largest window sieve_segment materializes as one flag array (memory guard);
+# larger ranges are sieved as several windows.
 MAX_MATERIALIZED_FLAGS = 1 << 28
 
 # trial-division factoring cap: inputs up to 2^44 need base primes up to 2^22
@@ -116,7 +118,9 @@ class PrimeSegment:
         return self.hi - self.lo
 
     def primes(self) -> np.ndarray:
-        return self.lo + np.flatnonzero(self.flags)
+        ps = np.flatnonzero(self.flags)
+        ps += self.lo
+        return ps
 
     def count(self) -> int:
         return int(np.count_nonzero(self.flags))
@@ -127,53 +131,42 @@ class PrimeSegment:
         return bool(self.flags[n - self.lo])
 
 
-def _check_range(lo: int, hi: int) -> None:
+def sieve_segment(lo: int, hi: int) -> PrimeSegment:
+    """Exact primality flags for [lo, hi) by segmented Eratosthenes.
+
+    The window's flags are allocated once; each SEGMENT_FLAGS block of it is
+    marked in place by the base primes up to the root of the block's end.
+    """
     if not (2 <= lo < hi):
         raise SieveRangeError(f"need 2 <= lo < hi, got [{lo}, {hi})")
     if hi > SUPPORTED_SIEVE_BOUND:
         raise SieveRangeError(f"hi={hi} exceeds supported sieve bound {SUPPORTED_SIEVE_BOUND}")
-
-
-def sieve_segment(lo: int, hi: int) -> PrimeSegment:
-    """Exact primality flags for [lo, hi) by segmented Eratosthenes."""
-    _check_range(lo, hi)
     if hi - lo > MAX_MATERIALIZED_FLAGS:
         raise SieveRangeError(
             f"window of {hi - lo} flags exceeds materialization cap "
-            f"{MAX_MATERIALIZED_FLAGS}; iterate segments instead"
+            f"{MAX_MATERIALIZED_FLAGS}; sieve it as smaller windows"
         )
     flags = np.ones(hi - lo, dtype=bool)
-    root = math.isqrt(hi - 1)
-    for p in base_primes(root):
-        p = int(p)
-        # start at p*p so base primes inside the window stay marked prime
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start < hi:
-            flags[start - lo :: p] = False
+    for s in range(lo, hi, SEGMENT_FLAGS):
+        e = min(s + SEGMENT_FLAGS, hi)
+        block = flags[s - lo : e - lo]
+        for p in base_primes(math.isqrt(e - 1)):
+            p = int(p)
+            # start at p*p so base primes inside the block stay marked prime
+            start = max(p * p, ((s + p - 1) // p) * p)
+            if start < e:
+                block[start - s :: p] = False
     return PrimeSegment(lo, hi, flags)
 
 
-def iter_prime_segments(lo: int, hi: int):
-    """Yield consecutive PrimeSegments of SEGMENT_FLAGS covering [lo, hi)."""
-    _check_range(lo, hi)
-    s = lo
-    while s < hi:
-        e = min(s + SEGMENT_FLAGS, hi)
-        yield sieve_segment(s, e)
-        s = e
-
-
 def prime_flags(lo: int, hi: int) -> np.ndarray:
-    """Primality flags for [lo, hi) as one array (windows up to the cap)."""
-    _check_range(lo, hi)
-    if hi - lo > MAX_MATERIALIZED_FLAGS:
-        raise SieveRangeError(f"window of {hi - lo} flags exceeds materialization cap")
-    return np.concatenate([seg.flags for seg in iter_prime_segments(lo, hi)])
+    """Read-only primality flags for [lo, hi): the sieve_segment array."""
+    return sieve_segment(lo, hi).flags
 
 
 def primes_in(lo: int, hi: int) -> np.ndarray:
     """Sorted primes in [lo, hi) as int64."""
-    return lo + np.flatnonzero(prime_flags(lo, hi))
+    return sieve_segment(lo, hi).primes()
 
 
 # log p for p >= 3 is at least 1, so as a float64 it is a whole multiple of
@@ -279,9 +272,10 @@ def chebyshev_theta(x: int) -> float:
     """Sum of log p over primes p <= x."""
     if x < 2:
         return 0.0
+    # one exactly rounded sum per SEGMENT_FLAGS block from 2, then their sum
     parts = [
-        math.fsum(np.log(seg.primes().astype(np.float64)))
-        for seg in iter_prime_segments(2, x + 1)
+        math.fsum(np.log(primes_in(s, min(s + SEGMENT_FLAGS, x + 1)).astype(np.float64)))
+        for s in range(2, x + 1, SEGMENT_FLAGS)
     ]
     return math.fsum(parts)
 

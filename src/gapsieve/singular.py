@@ -9,8 +9,9 @@ with w(p) the number of residue classes the tuple covers mod p.  Since
 w(p) = k for every prime beyond the tuple's span, the product splits into
 
   * an exact part over p <= span_bound (actual w(p), may vanish),
-  * a generic part over span_bound < p <= P0 with w(p) = k, shared by every
-    k-tuple of the same span and cached as a cumulative table,
+  * a generic part over span_bound < p <= P0 with w(p) = k: a difference of
+    one per-k prefix-sum table over the shared base primes, taken between
+    the prime counts pi(span_bound) and pi(P0),
   * an analytic tail for p > P0.
 
 The tail comes from expanding the log of each generic factor:
@@ -70,35 +71,28 @@ def _prime_zeta_ld(j: int) -> np.longdouble:
         return np.longdouble(mpmath.nstr(mpmath.primezeta(j), 25))
 
 
-class _GenericTables:
-    """Per-k prefix sums of the generic log-factors over the shared base primes."""
-
-    def __init__(self) -> None:
-        self._per_k: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def tables(self, k: int, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(primes <= limit, cum, cumabs): prefix sums of log factors for w(p) = k.
-
-        cum[i] = sum over the first i primes > k of the generic log factor;
-        primes <= k contribute 0 (the generic form is invalid there and such
-        primes are always handled by the exact part).  The sums run in prime
-        order, so a prefix is the same whatever limit built the table.
-        """
-        primes = base_primes(limit)
-        if k not in self._per_k or len(self._per_k[k][0]) <= len(primes):
-            p = primes.astype(np.longdouble)
-            g = np.zeros_like(p)
-            mask = primes > k
-            pm = p[mask]
-            g[mask] = np.log1p(-k / pm) - k * np.log1p(-1.0 / pm)
-            cum = np.concatenate([[np.longdouble(0)], np.cumsum(g)])
-            cumabs = np.concatenate([[np.longdouble(0)], np.cumsum(np.abs(g))])
-            self._per_k[k] = (cum, cumabs)
-        cum, cumabs = self._per_k[k]
-        return primes, cum, cumabs
+# per k: the (cum, cumabs) tables of _generic_tables, rebuilt when outgrown
+_GENERIC: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-_TABLES = _GenericTables()
+def _generic_tables(k: int, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cum, cumabs) covering at least the base-prime prefix `primes`.
+
+    cum[i] = sum over the first i primes > k of the generic log factor;
+    primes <= k contribute 0 (the generic form is invalid there and such
+    primes are always handled by the exact part).  The sums run in prime
+    order, so a prefix is the same whatever prefix built the table.
+    """
+    if k not in _GENERIC or len(_GENERIC[k][0]) <= len(primes):
+        p = primes.astype(np.longdouble)
+        g = np.zeros_like(p)
+        mask = primes > k
+        pm = p[mask]
+        g[mask] = np.log1p(-k / pm) - k * np.log1p(-1.0 / pm)
+        cum = np.concatenate([[np.longdouble(0)], np.cumsum(g)])
+        cumabs = np.concatenate([[np.longdouble(0)], np.cumsum(np.abs(g))])
+        _GENERIC[k] = (cum, cumabs)
+    return _GENERIC[k]
 
 
 @lru_cache(maxsize=None)
@@ -193,9 +187,11 @@ def _singular_series_from_sizes(
         comp = (s - log_small) - y
         log_small = s
 
-    primes, cum, cumabs = _TABLES.tables(k, p0)
-    i1 = int(np.searchsorted(primes, span_bound, side="right"))
-    i2 = int(np.searchsorted(primes, p0, side="right"))
+    primes = base_primes(p0)
+    cum, cumabs = _generic_tables(k, primes)
+    # base_primes(span_bound) is a prefix of primes, so the two lengths are
+    # the prime counts that bound the generic range
+    i1, i2 = len(base_primes(span_bound)), len(primes)
     log_generic = float(cum[i2] - cum[i1])
     generic_abs = float(cumabs[i2] - cumabs[i1])
 

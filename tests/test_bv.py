@@ -15,7 +15,7 @@ from gapsieve.bv import (
     DeviationRow,
 )
 from gapsieve.errors import BudgetError, TrendError
-from gapsieve.primes import ThetaStarQuery, chebyshev_theta, primes_in, theta_star
+from gapsieve.primes import ThetaStarQuery, chebyshev_theta, prime_divisors, primes_in, theta_star
 
 
 def test_rational_power_floor():
@@ -136,7 +136,8 @@ def _old_grid_point_devs(y, phi):
 
 
 def _assert_kernel_is_oracle(y, phi):
-    devs, best_a = bv._grid_point_devs((y, phi))
+    divisors = [[]] + [prime_divisors(q) for q in range(1, len(phi))]
+    devs, best_a = bv._grid_point_devs((y, phi, divisors))
     old_devs, old_best_a = _old_grid_point_devs(y, phi)
     assert devs.tobytes() == old_devs.tobytes()
     assert best_a.tobytes() == old_best_a.tobytes()
@@ -168,3 +169,22 @@ def test_grid_point_kernel_uint64_route(monkeypatch):
     monkeypatch.setattr(bv, "primes_in", lambda lo, hi: fake.copy())
     assert np.min_scalar_type(2 * y) == np.uint64
     _assert_kernel_is_oracle(y, totients_upto(700))
+
+
+def test_probe_factors_each_modulus_once_whatever_the_grid(monkeypatch):
+    calls = []
+
+    def counting_prime_divisors(q):
+        calls.append(q)
+        return prime_divisors(q)
+
+    monkeypatch.setattr(bv, "prime_divisors", counting_prime_divisors)
+    x = 10**5
+    q_max = rational_power_floor(x, Fraction(9, 20))
+    grid_lengths = set()
+    for y_min in (100, 10**4):
+        calls.clear()
+        table = bv_deviation(x, Fraction(9, 20), GridSpec(y_min=y_min), workers=1)
+        grid_lengths.add(len(table.y_grid))
+        assert sorted(calls) == list(range(1, q_max + 1))
+    assert len(grid_lengths) == 2

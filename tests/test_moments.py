@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapsieve import moments, weights
@@ -29,7 +29,7 @@ from gapsieve.moments import (
 )
 from gapsieve.parallel import block_spans, tree_fold
 from gapsieve.primes import prime_flags, sieve_segment
-from gapsieve.tuples import SEPTUPLE_OFFSETS, TWIN_OFFSETS, OffsetTuple
+from gapsieve.tuples import SEPTUPLE_OFFSETS, TWIN_OFFSETS, OffsetTuple, omega_residues
 from gapsieve.weights import WeightParams, divisor_table, lambda_block
 
 TWIN = OffsetTuple(TWIN_OFFSETS)
@@ -154,6 +154,51 @@ def test_double_sum_density_times_n_matches_exact_counts():
             bound += abs(w1 * w2) * w
     assert abs(density - exact) <= bound
     assert density == pytest.approx(exact, rel=0.05)
+
+
+def _exact_counts_per_pair(t, params, lo, hi):
+    """double_sum_exact_counts as it was before it counted each lcm once: the
+    per-pair count loop over cached lcm residues.  The oracle for .hex()
+    equality."""
+    lcm_cache = {}
+    terms = []
+    for weight, union in moments._divisor_pairs(t, params):
+        if union not in lcm_cache:
+            m = 1
+            res = (0,)
+            for p in sorted(union):
+                res = weights._crt_merge(m, res, p, omega_residues(t, p))
+                m *= p
+            lcm_cache[union] = (m, res)
+        m, res = lcm_cache[union]
+        count = 0
+        for r in res:
+            first = lo + ((r - lo) % m)
+            if first < hi:
+                count += (hi - 1 - first) // m + 1
+        terms.append(weight * count)
+    return math.fsum(terms)
+
+
+@settings(max_examples=40, deadline=None)
+@example(offsets=SEPTUPLE_OFFSETS, R=100.0, l=1, lo=10**9 + 7, long_window=True, extra=77)
+@example(offsets=SEPTUPLE_OFFSETS, R=100.0, l=1, lo=10**9 + 7, long_window=False, extra=3000)
+@example(offsets=TWIN_OFFSETS, R=100.0, l=2, lo=5, long_window=True, extra=0)
+@given(
+    offsets=st.sampled_from([TWIN_OFFSETS, SEPTUPLE_OFFSETS]),
+    R=st.floats(min_value=1.0, max_value=100.0),
+    l=st.integers(min_value=1, max_value=2),
+    lo=st.integers(min_value=1, max_value=10**12),
+    long_window=st.booleans(),
+    extra=st.integers(min_value=0, max_value=500),
+)
+def test_exact_counts_one_count_per_lcm_is_the_per_pair_loop(offsets, R, l, lo, long_window, extra):
+    t = OffsetTuple(offsets)
+    wp = WeightParams(R, t.k + l)
+    largest_lcm = max(math.prod(union) for _, union in moments._divisor_pairs(t, wp))
+    width = largest_lcm + 1 + extra if long_window else 1 + extra % largest_lcm
+    got = double_sum_exact_counts(t, wp, lo, lo + width)
+    assert got.hex() == _exact_counts_per_pair(t, wp, lo, lo + width).hex()
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,59 @@ def test_segment_concatenation(lo, width1, width2):
     assert np.array_equal(joined, sieve_segment(lo, hi).flags)
 
 
+def _eratosthenes(hi):
+    """Plain sieve of Eratosthenes over [0, hi): the oracle for the block sieve."""
+    flags = np.ones(hi, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(hi - 1) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return flags
+
+
+def _assert_window_is_oracle(lo, hi):
+    expected = _eratosthenes(hi)[lo:]
+    assert np.array_equal(sieve_segment(lo, hi).flags, expected)
+    assert np.array_equal(primes.prime_flags(lo, hi), expected)
+    assert np.array_equal(primes_in(lo, hi), lo + np.flatnonzero(expected))
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (primes.SEGMENT_FLAGS - 5, 3 * primes.SEGMENT_FLAGS + 7),  # unaligned, three boundaries
+        (2, 2 * primes.SEGMENT_FLAGS + 3),
+    ],
+)
+def test_sieve_blocks_match_plain_eratosthenes(lo, hi):
+    _assert_window_is_oracle(lo, hi)
+
+
+@given(lo=st.integers(min_value=2, max_value=3000), width=st.integers(min_value=1, max_value=2000))
+@settings(max_examples=60, deadline=None)
+def test_small_sieve_blocks_match_plain_eratosthenes(lo, width):
+    # blocks of 64 flags: many boundaries, and blocks below the square of
+    # their base primes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes, "SEGMENT_FLAGS", 64)
+        _assert_window_is_oracle(lo, lo + width)
+
+
+def test_materialization_cap_refuses_before_allocating(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("flag array allocated")
+
+    monkeypatch.setattr(primes, "MAX_MATERIALIZED_FLAGS", 100)
+    monkeypatch.setattr(primes.np, "ones", no_allocation)
+    for fn in (sieve_segment, primes.prime_flags, primes_in):
+        with pytest.raises(SieveRangeError, match="exceeds materialization cap 100") as err:
+            fn(10, 111)
+        assert "segments" not in str(err.value)
+    # a window at the cap is accepted and reaches the allocation
+    with pytest.raises(AssertionError, match="flag array allocated"):
+        sieve_segment(10, 110)
+
+
 def test_varpi_examples():
     assert varpi(7) == math.log(7)
     assert varpi(8) == 0.0
