@@ -28,6 +28,13 @@ drops below the target; that bound plus an explicit float-accumulation
 allowance is the certified tail_bound.  Extended precision (longdouble) is
 used for the cumulative tables and the tail series because the j-series
 suffers cancellation when P_j is formed by subtraction.
+
+At a fixed span bound H the series depends only on w(p) for p <= H, which is
+the same for t and any translate t + c inside [1, H]; every other input is
+shared, so the two values are bit-identical.  gallagher_average therefore
+evaluates one series per translation class (the class of offsets
+(1, h_2, ..., h_k) holds H - h_k + 1 tuples) and fsums each value repeated by
+its class size: the same multiset, so the same correctly rounded sum.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, combinations, repeat
 
 import mpmath
 import numpy as np
@@ -242,22 +250,41 @@ def gallagher_average(
     """Average the density constant over all k-subsets of [1, span_bound].
 
     Enumeration cost is C(span_bound, k) / stride; exceeding the budget
-    without sampling is an error rather than a silent long run.
+    without sampling is an error rather than a silent long run.  The full
+    average evaluates one series per translation class and repeats its
+    value once per member; a stride sample evaluates each sampled tuple.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    total = tuple_count(span_bound, k)
-    if total // stride > ENUMERATION_BUDGET:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > span_bound:
+        raise ValueError(f"k={k} exceeds span bound {span_bound}")
+    # C(n, m) >= 2^m for m <= n/2: refuse before forming a huge binomial
+    m = min(k, span_bound - k)
+    if m > (ENUMERATION_BUDGET * stride).bit_length():
         raise BudgetError(
-            f"C({span_bound},{k})/{stride} = {total // stride} exceeds budget "
+            f"C({span_bound},{k})/{stride} >= 2^{m}/{stride} exceeds budget "
+            f"{ENUMERATION_BUDGET}; enable stride sampling"
+        )
+    total = tuple_count(span_bound, k)
+    sample = -((phase % stride - total) // stride)  # len(range(phase % stride, total, stride))
+    if sample > ENUMERATION_BUDGET:
+        raise BudgetError(
+            f"C({span_bound},{k})/{stride} = {sample} exceeds budget "
             f"{ENUMERATION_BUDGET}; enable stride sampling"
         )
     resolve_workers(workers)  # validated; the sum itself is one fixed-order pass
-    values = []
-    count = 0
-    for t in enumerate_tuples(span_bound, k, stride=stride, phase=phase):
-        values.append(singular_series(t, tol).value)
-        count += 1
+    if stride == 1:
+        classes = ((1,) + rest for rest in combinations(range(2, span_bound + 1), k - 1))
+        values = chain.from_iterable(
+            repeat(singular_series(OffsetTuple(offs, span_bound), tol).value,
+                   span_bound - offs[-1] + 1)
+            for offs in classes
+        )
+    else:
+        values = (singular_series(t, tol).value
+                  for t in enumerate_tuples(span_bound, k, stride=stride, phase=phase))
     tuple_sum = math.fsum(values)
     normalized = math.factorial(k) * tuple_sum * stride / float(span_bound) ** k
-    return TupleAverageReport(span_bound, k, normalized, tuple_sum, count, stride, phase)
+    return TupleAverageReport(span_bound, k, normalized, tuple_sum, sample, stride, phase)

@@ -187,6 +187,12 @@ def test_gallagher_cli(capsys):
     assert doc["tuple_count"] == 40 * 39 // 2
 
 
+def test_gallagher_over_budget_is_an_error_exit(capsys):
+    code, _, err = run_cli(capsys, "gallagher", "--span", "1e6", "--k", "500000")
+    _assert_one_line_error(code, err)
+    assert "exceeds budget" in err
+
+
 def test_detector_cli_sampled_source_and_seed(capsys):
     base = ["moment", "--mode", "detector", "--tuple-source", "sample", "--stride", "7",
             "--k", "2", "--span", "20", "--N", "2e4", "--R-exponent", "0.25", "--l", "1",

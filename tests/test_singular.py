@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapsieve import singular
@@ -133,3 +133,82 @@ def test_gallagher_budget(monkeypatch):
     rep = gallagher_average(200, 5, stride=10**5)
     assert 0 < rep.tuple_count <= math.comb(200, 5) // 10**5 + 1
     assert 0.3 <= rep.normalized <= 2.0
+
+
+def test_gallagher_budget_refuses_before_the_binomial(monkeypatch):
+    def no_comb(*args):
+        raise AssertionError("math.comb called before the budget refusal")
+
+    monkeypatch.setattr(singular.math, "comb", no_comb)
+    with pytest.raises(BudgetError, match="budget 2000000;"):
+        gallagher_average(10**6, 5 * 10**5)
+    with pytest.raises(BudgetError, match="budget 2000000;"):
+        gallagher_average(10**6, 10**6 - 30)  # min(k, span - k) is what counts
+
+
+def test_gallagher_budget_counts_the_sample_exactly(monkeypatch):
+    # C(5, 2) = 10 at stride 3 samples the indices 0, 3, 6, 9: four tuples
+    monkeypatch.setattr(singular, "ENUMERATION_BUDGET", 3)
+    with pytest.raises(BudgetError, match="= 4 exceeds budget 3;"):
+        gallagher_average(5, 2, stride=3)
+    assert gallagher_average(5, 2, stride=3, phase=1).tuple_count == 3
+    monkeypatch.setattr(singular, "ENUMERATION_BUDGET", 4)
+    assert gallagher_average(5, 2, stride=3).tuple_count == 4
+
+
+def _gallagher_per_tuple(span_bound, k, stride, phase):
+    """gallagher_average as it was before it evaluated one series per
+    translation class: one series per enumerated tuple.  The oracle for
+    .hex() equality."""
+    values = [singular_series(t).value
+              for t in enumerate_tuples(span_bound, k, stride=stride, phase=phase)]
+    tuple_sum = math.fsum(values)
+    normalized = math.factorial(k) * tuple_sum * stride / float(span_bound) ** k
+    return tuple_sum, normalized, len(values)
+
+
+@settings(max_examples=25, deadline=None)
+@example(shape=(2, 40), stride=1, phase=0)
+@example(shape=(4, 25), stride=1, phase=0)
+@example(shape=(1, 40), stride=3, phase=-1)
+@given(
+    shape=st.integers(min_value=1, max_value=4).flatmap(
+        lambda k: st.tuples(st.just(k), st.integers(min_value=k, max_value=40))),
+    stride=st.sampled_from([1, 3, 7]),
+    phase=st.integers(min_value=-50, max_value=50),
+)
+def test_gallagher_by_class_is_the_per_tuple_loop(shape, stride, phase):
+    k, span_bound = shape
+    rep = gallagher_average(span_bound, k, stride=stride, phase=phase)
+    tuple_sum, normalized, count = _gallagher_per_tuple(span_bound, k, stride, phase)
+    assert rep.tuple_sum.hex() == tuple_sum.hex()
+    assert rep.normalized.hex() == normalized.hex()
+    assert rep.tuple_count == count
+
+
+@settings(max_examples=40, deadline=None)
+@example(offs={1, 3, 5}, c=7)  # inadmissible: covers every class mod 3
+@given(
+    offs=st.sets(st.integers(min_value=1, max_value=24), min_size=1, max_size=6),
+    c=st.integers(min_value=1, max_value=16),
+)
+def test_series_is_bitwise_translation_invariant_at_a_fixed_span_bound(offs, c):
+    span_bound = 40
+    a = singular_series(OffsetTuple(tuple(offs), span_bound))
+    b = singular_series(OffsetTuple(tuple(h + c for h in offs), span_bound))
+    assert a.value.hex() == b.value.hex()
+    assert (a.truncation_prime, a.tail_bound.hex()) == (b.truncation_prime, b.tail_bound.hex())
+
+
+def test_gallagher_evaluates_one_series_per_translation_class(monkeypatch):
+    calls = []
+
+    def counted(t, tol=singular.DEFAULT_TOL):
+        calls.append(t.offsets)
+        return singular_series(t, tol)
+
+    monkeypatch.setattr(singular, "singular_series", counted)
+    rep = gallagher_average(60, 3)
+    assert len(calls) == math.comb(59, 2) == 1711
+    assert all(offs[0] == 1 for offs in calls)
+    assert rep.tuple_count == math.comb(60, 3)
