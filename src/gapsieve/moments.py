@@ -16,13 +16,15 @@ exact double sums (small R) read each divisor's primes from that same table,
 and the exact-count form counts each distinct lcm once.
 When R < 59, W(n) depends only on n's small-prime signature (see weights),
 and the pure moment sums W^2 once per signature, weighted by its count, with
-the same bits as the sum over n.
+the same bits as the sum over n; the twisted moment looks W up by signature
+only at the n with n + h prime, and builds no weight block.
 
 The detector groups its sum the same way: a chunk adds W^2 (Lambda - log 3N
-* count) once per key, where a key is a signature (R < 59) or else a single
-n, count is the number of n with that key, and Lambda is the sum of log p
-over the primes those n see.  Lambda is exact, from integer log parts (see
-primes.log_parts), so no extended precision is needed.
+* count) once per key that some n has, where a key is a signature (R < 59)
+or else a single n, count is the number of n with that key, and Lambda is
+the sum of log p over the primes those n see.  Lambda is exact, an int64 sum
+of integer log parts (see primes.log_parts), so no extended precision is
+needed.
 
 Predicted main terms:
 
@@ -464,10 +466,13 @@ def double_sum_exact_counts(
 
 def _twisted_chunk(args) -> float:
     t, wp, lo, hi, table, h = args
-    blk = lambda_block(t, wp, lo, hi, force=True, table=table)
-    flags = prime_flags(lo + h, hi + h)
-    logs = np.log((lo + h + np.flatnonzero(flags)).astype(np.float64))
-    vals = blk.values[flags]
+    idx = np.flatnonzero(prime_flags(lo + h, hi + h))  # n = lo + idx has n + h prime
+    logs = np.log((lo + h + idx).astype(np.float64))
+    if table.tail:
+        vals = lambda_block(t, wp, lo, hi, force=True, table=table).values[idx]
+    else:
+        # no tail: W(n) is the signature state's value, read only where used
+        vals = table.prefix_state(wp)[0][table.signatures(lo, hi)[idx]]
     return math.fsum(vals * vals * logs)
 
 
@@ -556,8 +561,10 @@ def _detector_chunk(args) -> tuple[float, np.ndarray, list[tuple[int, int, int]]
         seen = end - start
         prefix_hi = np.concatenate(([0], np.cumsum(part_hi)))
         prefix_lo = np.concatenate(([0], np.cumsum(part_lo)))
-        lam_hi = np.bincount(key, weights=prefix_hi[end] - prefix_hi[start], minlength=keys)
-        lam_lo = np.bincount(key, weights=prefix_lo[end] - prefix_lo[start], minlength=keys)
+        lam_hi = np.zeros(keys, dtype=np.int64)
+        lam_lo = np.zeros(keys, dtype=np.int64)
+        np.add.at(lam_hi, key, prefix_hi[end] - prefix_hi[start])
+        np.add.at(lam_lo, key, prefix_lo[end] - prefix_lo[start])
     else:  # n sees lo + 1 + j for j = i + h - 1, h in the tuple
         seen = np.zeros(size, dtype=np.int8)
         lam_hi = np.zeros(keys, dtype=np.int64)
@@ -569,8 +576,11 @@ def _detector_chunk(args) -> tuple[float, np.ndarray, list[tuple[int, int, int]]
             np.add.at(lam_lo, at, part_lo[a:b])
             seen += flags[h - 1 : h - 1 + size]
 
-    # keys that no n has add exact zeros
-    terms = weights * weights * (log_sum(lam_hi, lam_lo) - log3n * np.bincount(key, minlength=keys))
+    # only the keys some n has: the others' terms are exact +0.0
+    counts = np.bincount(key, minlength=keys)
+    used = np.flatnonzero(counts)
+    w = weights[used]
+    terms = w * w * (log_sum(lam_hi[used], lam_lo[used]) - log3n * counts[used])
     partial = math.fsum(terms.tolist())
 
     flagged_idx = np.flatnonzero(seen >= 2)

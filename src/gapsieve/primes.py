@@ -4,8 +4,13 @@ one trial factorer (prime_divisors; squarefree_factors adds the squarefree
 refusal).
 
 Primality over a window is produced by one segmented sieve of Eratosthenes
-(sieve_segment): one flag array per window, marked by numpy strided slices
-one SEGMENT_FLAGS block at a time; prime_flags and primes_in read that array.
+(sieve_segment): one flag array per window, presieved by tiling the
+30030-wheel of the primes 2..13 over it, then marked by numpy strided slices
+for the primes from 17 on, one SEGMENT_FLAGS block at a time; prime_flags
+and primes_in read that array.  The tiler (_tile_periodic) is private so
+that its time counts toward its caller; it also builds the weights'
+small-prime signatures.
+
 All log-weight accumulations go through math.fsum (exactly rounded, hence
 order-independent and bit-stable) unless a caller explicitly asks for the
 streaming bucket pass in the distribution-level probe, or sums the integer
@@ -36,6 +41,16 @@ MAX_MATERIALIZED_FLAGS = 1 << 28
 # trial-division factoring cap: inputs up to 2^44 need base primes up to 2^22
 FACTORING_BUDGET = 1 << 44
 
+# the tiler repeats shorter periods up to this row length, so that numpy's
+# inner loops stay long
+TILE_ROW = 1 << 12
+
+# the presieve wheel: the primes 2..13 and, per residue mod their product
+# 30030, whether it is prime to all of them
+WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
+_WHEEL = np.gcd(np.arange(math.prod(WHEEL_PRIMES)), math.prod(WHEEL_PRIMES)) == 1
+_WHEEL.setflags(write=False)
+
 # the one base-prime cache: every prime <= _BASE_LIMIT, sorted, read-only
 _BASE_PRIMES: np.ndarray = np.zeros(0, dtype=np.int64)
 _BASE_LIMIT = 1
@@ -59,6 +74,26 @@ def base_primes(limit: int) -> np.ndarray:
         primes.setflags(write=False)
         _BASE_PRIMES, _BASE_LIMIT = primes, size - 1
     return _BASE_PRIMES[: int(np.searchsorted(_BASE_PRIMES, limit, side="right"))]
+
+
+def _tile_periodic(pattern: np.ndarray, lo: int, out: np.ndarray, op) -> np.ndarray:
+    """Combine the contiguous out in place with pattern read periodically
+    from phase lo: out[i] = op(out[i], pattern[(lo + i) % len(pattern)]).
+
+    One period, rotated to the phase and repeated up to TILE_ROW, is
+    broadcast by the ufunc op over the rows of out, so out takes one pass
+    and needs no scratch copy.  Returns out.
+    """
+    period = len(pattern)
+    phase = lo % period
+    row = np.concatenate((pattern[phase:], pattern[:phase]))
+    if period < TILE_ROW:
+        row = np.tile(row, -(-TILE_ROW // period))
+    full = len(out) - len(out) % len(row)
+    body = out[:full].reshape(-1, len(row))
+    op(body, row, out=body)
+    op(out[full:], row[: len(out) - full], out=out[full:])
+    return out
 
 
 def prime_divisors(d: int) -> list[int]:
@@ -134,8 +169,10 @@ class PrimeSegment:
 def sieve_segment(lo: int, hi: int) -> PrimeSegment:
     """Exact primality flags for [lo, hi) by segmented Eratosthenes.
 
-    The window's flags are allocated once; each SEGMENT_FLAGS block of it is
-    marked in place by the base primes up to the root of the block's end.
+    The window's flags are allocated once and presieved by the wheel of the
+    primes 2..13, which are then marked prime again where the window holds
+    them.  Each SEGMENT_FLAGS block is marked in place by the other base
+    primes up to the root of the block's end.
     """
     if not (2 <= lo < hi):
         raise SieveRangeError(f"need 2 <= lo < hi, got [{lo}, {hi})")
@@ -146,11 +183,14 @@ def sieve_segment(lo: int, hi: int) -> PrimeSegment:
             f"window of {hi - lo} flags exceeds materialization cap "
             f"{MAX_MATERIALIZED_FLAGS}; sieve it as smaller windows"
         )
-    flags = np.ones(hi - lo, dtype=bool)
+    flags = _tile_periodic(_WHEEL, lo, np.ones(hi - lo, dtype=bool), np.logical_and)
+    for p in WHEEL_PRIMES:
+        if lo <= p < hi:
+            flags[p - lo] = True
     for s in range(lo, hi, SEGMENT_FLAGS):
         e = min(s + SEGMENT_FLAGS, hi)
         block = flags[s - lo : e - lo]
-        for p in base_primes(math.isqrt(e - 1)):
+        for p in base_primes(math.isqrt(e - 1))[len(WHEEL_PRIMES) :]:
             p = int(p)
             # start at p*p so base primes inside the block stay marked prime
             start = max(p * p, ((s + p - 1) // p) * p)

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, repeat
 
@@ -286,5 +287,11 @@ def gallagher_average(
         values = (singular_series(t, tol).value
                   for t in enumerate_tuples(span_bound, k, stride=stride, phase=phase))
     tuple_sum = math.fsum(values)
-    normalized = math.factorial(k) * tuple_sum * stride / float(span_bound) ** k
+    try:
+        normalized = math.factorial(k) * tuple_sum * stride / float(span_bound) ** k
+    except OverflowError:  # k! or H^k is beyond the float range
+        normalized = math.inf
+    if not math.isfinite(normalized):
+        # a factor or partial product overflowed: round the exact ratio once
+        normalized = float(math.factorial(k) * stride * Fraction(tuple_sum) / span_bound**k)
     return TupleAverageReport(span_bound, k, normalized, tuple_sum, sample, stride, phase)

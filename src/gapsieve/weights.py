@@ -11,7 +11,11 @@ The per-divisor weight is mu(d) * (log(R/d))^a / a! for squarefree d <= R and
     those primes p with n mod p a covered class.  The Kahan state (value,
     compensation) after all divisors below 59 is therefore computed once per
     signature -- at most 2^16 of them -- by the same elementwise steps on a
-    (2,)*m view, and each n looks its state up.  Divisors from 59 on (the
+    (2,)*m view, and each n looks its state up.  Signatures are periodic:
+    the table holds one uint16 pattern per run of consecutive signature
+    primes whose product stays within 2^15 (2..13, 17..23, 29..31, 37..41,
+    43..47, 53), and a block's signatures are those patterns tiled from the
+    block's phase (primes._tile_periodic) and ORed.  Divisors from 59 on (the
     tail; empty when R < 59) continue with vectorized strided updates over
     their covered residue classes.  Each n thus receives exactly its
     divisors, in ascending-d order, compensated -- so block values are
@@ -26,8 +30,9 @@ isolates the divisor-finding logic rather than float noise.
 
 divisor_table is the package's one source of the squarefree d <= R: each
 entry carries its primes and covered classes, and the moment sums reuse it
-rather than factoring again.  The table also holds each weight exponent's
-signature state, built on first use.
+rather than factoring again.  The table also holds its signature patterns,
+built with it, and each weight exponent's signature state, built on first
+use; both travel with a pickled table, so unpickling builds nothing.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, RegimeError
-from .primes import base_primes, prime_divisors, squarefree_factors
+from .primes import _tile_periodic, base_primes, prime_divisors, squarefree_factors
 from .tuples import OffsetTuple, omega_residues
 
 # largest truncation level a divisor table will be built for
@@ -49,6 +54,8 @@ BLOCK_BUDGET = 1 << 24
 # the 17th prime: every squarefree d below it is a product of the first 16
 # primes, the signature primes, so signatures fit in uint16
 SIGNATURE_LIMIT = 59
+# largest period of one signature pattern (30030 = 2*3*5*7*11*13 fits)
+TILE_LIMIT = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -116,7 +123,9 @@ class DivisorTable(tuple):
 
     The entries below the limit are summed once per signature (bit i set
     when n mod p_i is a covered class of the i-th prime); `tail` holds the
-    entries from the limit on, which are summed per n.
+    entries from the limit on, which are summed per n.  The signature
+    patterns are built here, once per table, and a pickled table carries
+    them and its signature states (see __reduce__).
     """
 
     def __new__(cls, entries):
@@ -126,16 +135,19 @@ class DivisorTable(tuple):
         self.tail = self[cut:]
         # a prime's own entry covers exactly its classes Omega(p)
         self._signature_primes = tuple((e.d, e.residues) for e in self._prefix if len(e.primes) == 1)
+        self._tiles = _signature_tiles(self._signature_primes)
         self._states: dict[WeightParams, tuple[np.ndarray, np.ndarray]] = {}
         return self
 
+    def __reduce__(self):
+        return _restore_table, (tuple(self), self.__dict__)
+
     def signatures(self, lo: int, hi: int) -> np.ndarray:
-        """Signature of every n in [lo, hi), as uint16."""
+        """Signature of every n in [lo, hi), as uint16: every pattern ORed
+        in, tiled from phase lo."""
         sig = np.zeros(hi - lo, dtype=np.uint16)
-        for i, (p, residues) in enumerate(self._signature_primes):
-            bit = np.uint16(1 << i)
-            for r in residues:
-                sig[(r - lo) % p :: p] |= bit
+        for pattern in self._tiles:
+            _tile_periodic(pattern, lo, sig, np.bitwise_or)
         return sig
 
     def prefix_state(self, params: WeightParams) -> tuple[np.ndarray, np.ndarray]:
@@ -159,6 +171,35 @@ class DivisorTable(tuple):
             comp.setflags(write=False)
             self._states[params] = (values, comp)
         return self._states[params]
+
+
+def _signature_tiles(signature_primes) -> tuple[np.ndarray, ...]:
+    """One read-only uint16 pattern per run of consecutive signature primes
+    whose product stays within TILE_LIMIT; the run's product is the pattern's
+    period, and pattern[x] has bit i set when x mod p_i is a covered class
+    of the i-th prime."""
+    runs: list[list] = []
+    for i, (p, residues) in enumerate(signature_primes):
+        if not runs or runs[-1][0] * p > TILE_LIMIT:
+            runs.append([1, []])
+        runs[-1][0] *= p
+        runs[-1][1].append((i, p, residues))
+    tiles = []
+    for period, members in runs:
+        pattern = np.zeros(period, dtype=np.uint16)
+        for i, p, residues in members:
+            for r in residues:
+                pattern[r::p] |= np.uint16(1 << i)
+        pattern.setflags(write=False)
+        tiles.append(pattern)
+    return tuple(tiles)
+
+
+def _restore_table(entries, state) -> DivisorTable:
+    # unpickling: the entries and the built state as they were, nothing rebuilt
+    table = tuple.__new__(DivisorTable, entries)
+    table.__dict__.update(state)
+    return table
 
 
 def divisor_table(t: OffsetTuple, R: float) -> DivisorTable:

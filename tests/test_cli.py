@@ -187,6 +187,18 @@ def test_gallagher_cli(capsys):
     assert doc["tuple_count"] == 40 * 39 // 2
 
 
+@pytest.mark.parametrize(
+    "span, k, stride",
+    [("200", "190", "10000000000000"), ("10000", "80", str(math.comb(10**4, 80) // 10))],
+    ids=["k-factorial", "span-power"],
+)
+def test_gallagher_past_the_float_range_exits_ok(capsys, span, k, stride):
+    code, out, _ = run_cli(capsys, "gallagher", "--span", span, "--k", k, "--stride", stride, "--json")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["normalized"] == doc["tuple_sum"] == 0
+
+
 def test_gallagher_over_budget_is_an_error_exit(capsys):
     code, _, err = run_cli(capsys, "gallagher", "--span", "1e6", "--k", "500000")
     _assert_one_line_error(code, err)

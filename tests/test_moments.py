@@ -418,6 +418,21 @@ def test_pure_chunk_is_bitwise_fsum_of_squares(t, R):
     assert got.hex() == math.fsum(vals * vals).hex()
 
 
+@pytest.mark.parametrize("t", [TWIN, OffsetTuple(SEPTUPLE_OFFSETS)], ids=["twin", "septuple"])
+@pytest.mark.parametrize("R", [56.2, 59.0, 100.0])
+@pytest.mark.parametrize("h", [1, 2, 3, 13, 60])
+def test_twisted_chunk_is_bitwise_the_block_formula(t, R, h):
+    # R < 59 reads W only at the n with n + h prime; R >= 59 takes the block
+    wp = WeightParams(R, t.k + 1)
+    table = divisor_table(t, R)
+    lo, hi = 10**6 + 17, 10**6 + 17 + 300_000
+    flags = prime_flags(lo + h, hi + h)
+    logs = np.log((lo + h + np.flatnonzero(flags)).astype(np.float64))
+    vals = lambda_block(t, wp, lo, hi, table=table).values[flags]
+    got = moments._twisted_chunk((t, wp, lo, hi, table, h))
+    assert got.hex() == math.fsum(vals * vals * logs).hex()
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("R", [56.2, 100.0])
 def test_pure_moment_is_bitwise_fsum_of_block_squares(workers, R):
@@ -456,7 +471,7 @@ def test_chunk_tasks_carry_the_signature_state(driver, monkeypatch):
     def recording_map(fn, task_list, workers=None):
         # pickled as a pool would send them, before any chunk runs
         tasks.extend(task_list)
-        shipped.extend(pickle.loads(pickle.dumps(task)) for task in task_list)
+        shipped.extend(pickle.dumps(task) for task in task_list)
         return [fn(task) for task in task_list]
 
     monkeypatch.setattr(moments, "ordered_map", recording_map)
@@ -470,13 +485,19 @@ def test_chunk_tasks_carry_the_signature_state(driver, monkeypatch):
     assert not any(isinstance(field, bool) for task in tasks for field in task)
 
     def no_rebuild(*args):
-        raise AssertionError("signature state rebuilt in a worker")
+        raise AssertionError("signature state or patterns rebuilt in a worker")
 
     monkeypatch.setattr(weights, "_weight_value", no_rebuild)
-    for (_, wp, _, _, table, *_), (_, _, _, _, copy, *_) in zip(tasks, shipped):
+    monkeypatch.setattr(weights, "_signature_tiles", no_rebuild)
+    for (_, wp, lo, hi, table, *_), sent in zip(tasks, shipped):
+        copy = pickle.loads(sent)[4]
         state = table.prefix_state(wp)
         got = copy.prefix_state(wp)
         assert all(np.array_equal(a.view(np.int64), b.view(np.int64)) for a, b in zip(got, state))
+        # the patterns travel too: at R = 33.1, the periods of 2..13, 17..23, 29..31
+        assert [len(p) for p in copy._tiles] == [30030, 7429, 899]
+        assert all(np.array_equal(a, b) for a, b in zip(copy._tiles, table._tiles))
+        assert np.array_equal(copy.signatures(lo, hi), table.signatures(lo, hi))
 
 
 def test_tuple_size_error_comes_before_the_regime_check():

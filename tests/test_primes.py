@@ -92,6 +92,14 @@ def _assert_window_is_oracle(lo, hi):
     [
         (primes.SEGMENT_FLAGS - 5, 3 * primes.SEGMENT_FLAGS + 7),  # unaligned, three boundaries
         (2, 2 * primes.SEGMENT_FLAGS + 3),
+        # below 13 the window holds wheel primes, which the presieve strikes
+        (2, 14),
+        (5, 12),
+        (12, 30_030 + 40),
+        # windows from just off a whole number of wheel periods
+        (30_030 * 333 - 1, 30_030 * 336 + 2),
+        (30_030 * 333 + 1, 30_030 * 333 + 500),
+        (30_030 * 33_300 - 1, 30_030 * 33_300 + primes.SEGMENT_FLAGS + 1),
     ],
 )
 def test_sieve_blocks_match_plain_eratosthenes(lo, hi):

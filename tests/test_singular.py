@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -212,3 +214,22 @@ def test_gallagher_evaluates_one_series_per_translation_class(monkeypatch):
     assert len(calls) == math.comb(59, 2) == 1711
     assert all(offs[0] == 1 for offs in calls)
     assert rep.tuple_count == math.comb(60, 3)
+
+
+@pytest.mark.parametrize(
+    "span_bound, k, stride",
+    [
+        (200, 190, 10**13),  # 190! is beyond the float range
+        (10**4, 80, math.comb(10**4, 80) // 10),  # so is (10^4)^80
+    ],
+)
+def test_gallagher_normalizes_past_the_float_range(monkeypatch, span_bound, k, stride):
+    rep = gallagher_average(span_bound, k, stride=stride)
+    assert rep.tuple_sum == 0.0  # every sampled tuple is inadmissible
+    assert rep.normalized == 0.0
+    # with every series 1, the sum is the sample size; the ratio is rounded once
+    monkeypatch.setattr(singular, "singular_series", lambda t, tol: SimpleNamespace(value=1.0))
+    rep = gallagher_average(span_bound, k, stride=stride)
+    assert rep.tuple_sum == rep.tuple_count > 0
+    exact = Fraction(math.factorial(k) * stride * rep.tuple_count, span_bound**k)
+    assert rep.normalized == float(exact) > 0

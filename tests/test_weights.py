@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapsieve.errors import BudgetError, NotSquarefreeError, RegimeError
 from gapsieve.primes import sieve_segment
-from gapsieve.tuples import SEPTUPLE_OFFSETS, TWIN_OFFSETS, OffsetTuple
+from gapsieve.tuples import SEPTUPLE_OFFSETS, TWIN_OFFSETS, OffsetTuple, is_admissible
 from gapsieve.weights import (
     WeightParams,
     divisor_table,
@@ -163,6 +163,44 @@ def test_divisor_table_contents():
     assert by_d[2].residues == ((-1) % 2,) == (1,)
     assert by_d[6].mu == 1 and by_d[3].mu == -1
     assert len(by_d[3].residues) == 2
+
+
+@st.composite
+def _admissible_tuples(draw):
+    """Admissible tuples of at most 7 offsets in [1, 60]: each drawn offset
+    is kept when the tuple stays admissible with it."""
+    kept: list[int] = []
+    for h in draw(st.lists(st.integers(1, 60), min_size=1, max_size=7, unique=True)):
+        if is_admissible(OffsetTuple(tuple(kept + [h]))):
+            kept.append(h)
+    return OffsetTuple(tuple(kept))
+
+
+_WHEEL_PERIOD = 2 * 3 * 5 * 7 * 11 * 13
+
+
+@settings(max_examples=60, deadline=None)
+@example(t=SEPTUPLE, R=58.0, lo=_WHEEL_PERIOD * 33_300, size=70_000)
+@example(t=SEPTUPLE, R=100.0, lo=_WHEEL_PERIOD * 33_300 - 1, size=2 * _WHEEL_PERIOD + 5)
+@example(t=TWIN, R=31.6, lo=2, size=1)
+@given(
+    t=_admissible_tuples(),
+    R=st.sampled_from([10.0, 31.6, 58.0, 100.0]),
+    lo=st.one_of(
+        st.integers(2, 10**9),
+        st.integers(1, 10**9 // _WHEEL_PERIOD).map(lambda j: j * _WHEEL_PERIOD),
+        st.integers(1, 10**9 // _WHEEL_PERIOD).map(lambda j: j * _WHEEL_PERIOD - 1),
+    ),
+    size=st.integers(1, 70_000),
+)
+def test_signatures_are_the_per_n_definition(t, R, lo, size):
+    # bit i is set when n mod p_i is a class -h mod p_i, p_i the i-th prime <= min(R, 53)
+    n = np.arange(lo, lo + size, dtype=np.int64)
+    expected = np.zeros(size, dtype=np.uint16)
+    for i, p in enumerate(p for p in range(2, 54) if p <= R and all(p % q for q in range(2, p))):
+        covered = np.isin(n % p, [(-h) % p for h in t.offsets])
+        expected |= covered.astype(np.uint16) << i
+    assert np.array_equal(divisor_table(t, R).signatures(lo, lo + size), expected)
 
 
 def _naive_prime_factors(d):
