@@ -6,6 +6,9 @@ sums), moments (moment sums, detector, threshold algebra), bv (distribution
 level probe), cli (command line).
 """
 
+# before the submodule imports, so that any of them can read it
+__version__ = "0.1.0"
+
 from .bv import BvDeviationTable, GridSpec, bv_deviation, supported_theta
 from .moments import (
     DetectorReport,
@@ -43,8 +46,6 @@ from .tuples import (
     omega_profile,
 )
 from .weights import WeightBlock, WeightParams, lambda_block, lambda_bruteforce, lambda_weight
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BvDeviationTable",

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: primes, tuple, singular-series, gallagher, weights, moment,
-threshold, bv, trend, replay.  Human-readable text goes to stdout by default;
---json switches to the canonical machine document (byte-stable across runs
-and worker counts).  --manifest records the run; replay re-executes a
-manifest and verifies the fingerprint.
+threshold, bv, trend, replay.  Each command's output (its text or CSV lines,
+or with --json the canonical machine document, byte-stable across runs and
+worker counts) goes to the --out file when one is given, else to stdout.
+--manifest records the run; replay re-executes a manifest and verifies the
+fingerprint.
 """
 
 from __future__ import annotations
@@ -72,51 +73,52 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"{text} is not a rational") from exc
 
 
-def _common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--workers", type=int, default=None, help="worker processes (env GAPSIEVE_WORKERS)")
-    sub.add_argument("--json", action="store_true", help="emit the canonical JSON document")
-    sub.add_argument("--out", type=str, default=None, help="write the primary artifact to this path")
-    sub.add_argument("--manifest", type=str, default=None, help="write a run manifest to this path")
-    sub.add_argument("--config", type=str, default=None, help="key=value defaults file; flags override")
-    sub.add_argument("--force", action="store_true", help="run despite regime violations")
-    sub.add_argument("--seed", type=int, default=0, help="phase offset for stride sampling (no other RNG)")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="gapsieve")
+    """Each flag only on the subcommands it acts on; abbreviations are refused,
+    so every spelling of --out and --manifest is one _strip_io_flags knows."""
+    p = argparse.ArgumentParser(prog="gapsieve", allow_abbrev=False)
     subs = p.add_subparsers(dest="command", required=True)
 
-    s = subs.add_parser("primes", help="emit primes in a range, one per line")
+    def command(name: str, summary: str, workers=False, force=False, seed=False) -> argparse.ArgumentParser:
+        s = subs.add_parser(name, help=summary, allow_abbrev=False)
+        s.add_argument("--json", action="store_true", help="emit the canonical JSON document")
+        s.add_argument("--out", type=str, default=None, help="write the output here instead of to stdout")
+        s.add_argument("--manifest", type=str, default=None, help="write a run manifest to this path")
+        s.add_argument("--config", type=str, default=None, help="key=value defaults file; flags override")
+        if workers:
+            s.add_argument("--workers", type=int, default=None, help="worker processes (env GAPSIEVE_WORKERS)")
+        if force:
+            s.add_argument("--force", action="store_true", help="run despite regime violations")
+        if seed:
+            s.add_argument("--seed", type=int, default=0, help="phase offset for stride sampling (no other RNG)")
+        return s
+
+    s = command("primes", "emit primes in a range, one per line")
     s.add_argument("--from", dest="lo", type=_int_arg, required=True)
     s.add_argument("--to", dest="hi", type=_int_arg, required=True)
-    _common(s)
 
-    s = subs.add_parser("tuple", help="tuple utilities")
+    s = command("tuple", "tuple utilities")
     s.add_argument("action", choices=["check"])
     s.add_argument("offsets", type=str, help="comma-separated offsets, e.g. 1,3")
-    _common(s)
 
-    s = subs.add_parser("singular-series", help="tuple density constant")
+    s = command("singular-series", "tuple density constant")
     s.add_argument("--tuple", dest="offsets", type=str, required=True)
     s.add_argument("--tol", type=float, default=1e-12)
     s.add_argument("--truncation-prime", type=_int_arg, default=None)
-    _common(s)
 
-    s = subs.add_parser("gallagher", help="normalized tuple-density average")
+    s = command("gallagher", "normalized tuple-density average", seed=True)
     s.add_argument("--span", type=_int_arg, required=True)
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--stride", type=int, default=1)
-    _common(s)
 
-    s = subs.add_parser("weights", help="divisor-sum weights over a block")
+    s = command("weights", "divisor-sum weights over a block", force=True)
     s.add_argument("--tuple", dest="offsets", type=str, required=True)
     s.add_argument("--R", type=float, required=True)
     s.add_argument("--a", type=int, required=True)
     s.add_argument("--from", dest="lo", type=_int_arg, required=True)
     s.add_argument("--to", dest="hi", type=_int_arg, required=True)
-    _common(s)
 
-    s = subs.add_parser("moment", help="moment sums and the detector")
+    s = command("moment", "moment sums and the detector", workers=True, force=True, seed=True)
     s.add_argument("--mode", choices=["pure", "twisted", "detector"], required=True)
     s.add_argument("--tuple", dest="offsets", type=str, action="append", default=None,
                    help="explicit tuple (repeatable for the detector)")
@@ -133,30 +135,25 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--h", type=int, default=None, help="shift for twisted mode")
     s.add_argument("--h-mode", choices=["window", "tuple"], default="window")
     s.add_argument("--witness-cap", type=int, default=1000)
-    _common(s)
 
-    s = subs.add_parser("threshold", help="exact-rational threshold algebra")
+    s = command("threshold", "exact-rational threshold algebra")
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--l", type=int, required=True)
     s.add_argument("--theta", type=_fraction_arg, required=True)
     s.add_argument("--eps", type=_fraction_arg, default=Fraction(0))
-    _common(s)
 
-    s = subs.add_parser("bv", help="level-of-distribution deviation table")
+    s = command("bv", "level-of-distribution deviation table", workers=True)
     s.add_argument("--x", type=_int_arg, required=True)
     s.add_argument("--theta", type=_fraction_arg, required=True)
     s.add_argument("--A", type=float, default=1.0)
     s.add_argument("--y-min", type=_int_arg, default=100)
     s.add_argument("--grid-factor", type=int, default=2)
-    _common(s)
 
-    s = subs.add_parser("trend", help="direction of a metric across saved reports")
+    s = command("trend", "direction of a metric across saved reports")
     s.add_argument("paths", nargs="+")
-    _common(s)
 
-    s = subs.add_parser("replay", help="re-run a manifest and verify its fingerprint")
+    s = subs.add_parser("replay", help="re-run a manifest and verify its fingerprint", allow_abbrev=False)
     s.add_argument("--manifest-in", dest="manifest_in", type=str, required=True)
-    _common(s)
 
     return p
 
@@ -179,7 +176,7 @@ def _read_config(path: str) -> list[str]:
     return extra
 
 
-def _parse_tuple(text: str, span: int = 0) -> tuple[OffsetTuple, list[str]]:
+def _parse_tuple(text: str) -> tuple[OffsetTuple, list[str]]:
     """Parse offsets, shifting patterns that start at 0 (or below) into [1, ...]."""
     try:
         values = [int(part) for part in text.split(",")]
@@ -190,62 +187,31 @@ def _parse_tuple(text: str, span: int = 0) -> tuple[OffsetTuple, list[str]]:
         shifted, shift = normalize_offsets(values)
         notes.append(f"tuple {text} shifted by +{shift} into [1, span]")
         values = list(shifted)
-    return OffsetTuple(tuple(values), span), notes
-
-
-def _emit(args, doc: dict, text_lines: list[str], csv_text: str | None = None) -> None:
-    if args.json:
-        payload = canonical_json(doc)
-        if args.out:
-            Path(args.out).write_text(payload + "\n", encoding="utf-8")
-        else:
-            print(payload)
-    elif csv_text is not None and args.out:
-        Path(args.out).write_text(csv_text, encoding="utf-8")
-    else:
-        out = csv_text if csv_text is not None else "\n".join(text_lines) + "\n"
-        sys.stdout.write(out)
-
-
-def _finish(args, argv: list[str], doc: dict, wall_time: float, notes=None, sampling=None) -> None:
-    if args.manifest:
-        stored = _strip_io_flags(argv)
-        m = manifest_mod.build_manifest(
-            command=argv[0],
-            argv=stored,
-            result_doc=doc,
-            notes=notes,
-            sampling=sampling,
-            wall_time=wall_time,
-            workers=resolve_workers(args.workers),
-        )
-        manifest_mod.write_manifest(args.manifest, m)
+    return OffsetTuple(tuple(values)), notes
 
 
 def _strip_io_flags(argv: list[str]) -> list[str]:
-    """Drop --manifest/--out (I/O routing, not computation) from stored argv."""
+    """Drop --out/--manifest (I/O routing, not computation) from stored argv,
+    in both the spaced and the --flag=value spelling."""
     out = []
-    skip = False
-    for tok in argv:
-        if skip:
-            skip = False
-            continue
-        if tok in ("--manifest", "--out"):
-            skip = True
-            continue
-        out.append(tok)
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok in ("--out", "--manifest"):
+            next(tokens, None)
+        elif not tok.startswith(("--out=", "--manifest=")):
+            out.append(tok)
     return out
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies: each returns (doc, text lines, csv or None, notes, sampling)
+# subcommand bodies: each returns (doc, text or CSV lines, notes, sampling)
 # ---------------------------------------------------------------------------
 
 def _run_primes(args):
     ps = primes_in(args.lo, args.hi)
     doc = {"kind": "primes", "lo": args.lo, "hi": args.hi, "count": int(len(ps)),
-           "primes": [int(p) for p in ps]}
-    return doc, [str(int(p)) for p in ps], None, [], {}
+           "primes": ps.tolist()}
+    return doc, [str(p) for p in doc["primes"]], [], {}
 
 
 def _run_tuple(args):
@@ -255,7 +221,7 @@ def _run_tuple(args):
     doc = {"kind": "tuple_check", "offsets": list(t.offsets), "admissible": ok,
            "first_failing_prime": obstruction}
     line = f"{t}: " + ("admissible" if ok else f"inadmissible (first failing prime {obstruction})")
-    return doc, [line], None, notes, {}
+    return doc, [line], notes, {}
 
 
 def _run_singular(args):
@@ -265,30 +231,29 @@ def _run_singular(args):
            "truncation_prime": v.truncation_prime, "tail_bound": v.tail_bound}
     lines = [f"tuple {t}", f"value            {fmt_float(v.value)}",
              f"truncation prime {v.truncation_prime}", f"tail bound       {fmt_float(v.tail_bound)}"]
-    return doc, lines, None, notes, {}
+    return doc, lines, notes, {}
 
 
 def _run_gallagher(args):
     rep = gallagher_average(args.span, args.k, stride=args.stride,
-                            phase=args.seed % args.stride if args.stride > 1 else 0,
-                            workers=args.workers)
+                            phase=args.seed % args.stride if args.stride > 1 else 0)
     doc = {"kind": "gallagher", "span_bound": rep.span_bound, "k": rep.k,
            "normalized": rep.normalized, "tuple_sum": rep.tuple_sum,
            "tuple_count": rep.tuple_count, "stride": rep.stride, "phase": rep.phase,
            "convention": rep.convention}
     lines = [f"span {rep.span_bound}  k {rep.k}  tuples {rep.tuple_count}",
              f"normalized average {fmt_float(rep.normalized)}  ({rep.convention})"]
-    return doc, lines, None, [], {"stride": rep.stride, "phase": rep.phase}
+    return doc, lines, [], {"stride": rep.stride, "phase": rep.phase}
 
 
 def _run_weights(args):
     t, notes = _parse_tuple(args.offsets)
     blk = lambda_block(t, WeightParams(args.R, args.a), args.lo, args.hi, force=args.force)
-    rows = [(int(n), float(v)) for n, v in zip(range(blk.lo, blk.hi), blk.values)]
+    values = [float(v) for v in blk.values]
     doc = {"kind": "weights", "offsets": list(t.offsets), "R": args.R, "a": args.a,
-           "lo": blk.lo, "hi": blk.hi, "values": [v for _, v in rows]}
-    csv_text = "n,value\n" + "\n".join(f"{n},{fmt_float(v)}" for n, v in rows) + "\n"
-    return doc, [], csv_text, notes, {}
+           "lo": blk.lo, "hi": blk.hi, "values": values}
+    csv_lines = ["n,value"] + [f"{n},{fmt_float(v)}" for n, v in zip(range(blk.lo, blk.hi), values)]
+    return doc, csv_lines, notes, {}
 
 
 def _moment_params(args, k: int, span: int) -> SieveParams:
@@ -315,8 +280,7 @@ def _run_moment(args):
         params = _moment_params(args, t.k, args.span or t.span_bound)
         rep = pure_moment(t, params, workers=args.workers, force=args.force)
         doc = rep.doc()
-        lines = _moment_text(doc)
-        return doc, lines, None, notes, sampling
+        return doc, _moment_text(doc), notes, sampling
 
     if args.mode == "twisted":
         if len(explicit) != 1 or args.h is None:
@@ -326,7 +290,7 @@ def _run_moment(args):
         params = _moment_params(args, t.k, span)
         rep = twisted_moment(t, args.h, params, workers=args.workers, force=args.force)
         doc = rep.doc()
-        return doc, _moment_text(doc), None, notes, sampling
+        return doc, _moment_text(doc), notes, sampling
 
     # detector
     span = args.span or (explicit[0].span_bound if explicit else None)
@@ -361,7 +325,7 @@ def _run_moment(args):
         f"predicted {fmt_float(rep.predicted)}  bracket {fmt_float(rep.bracket)}",
         f"positive windows {rep.positive_count}",
     ]
-    return doc, lines, None, notes, sampling
+    return doc, lines, notes, sampling
 
 
 def _moment_text(doc: dict) -> list[str]:
@@ -387,7 +351,7 @@ def _run_threshold(args):
         f"bracket coefficient    {rep.bracket_coefficient} (at R = N^(theta/2))",
         f"gap bound              {gb}",
     ]
-    return doc, lines, None, [], {}
+    return doc, lines, [], {}
 
 
 def _run_bv(args):
@@ -403,7 +367,7 @@ def _run_bv(args):
     csv_lines.append(f"total,,,{fmt_float(table.total)}")
     csv_lines.append(f"bound x/(log x)^{args.A:g},,,{fmt_float(bound)}")
     sampling = {"y_grid": list(table.y_grid), "grid_factor": args.grid_factor, "y_min": args.y_min}
-    return doc, [], "\n".join(csv_lines) + "\n", [], sampling
+    return doc, csv_lines, [], sampling
 
 
 def _run_trend(args):
@@ -411,7 +375,7 @@ def _run_trend(args):
     doc = manifest_mod.emit_trend(docs)
     lines = [f"metric {doc['metric']} (target {doc['target']:g}): {doc['direction']}",
              "values " + " ".join(fmt_float(v) for v in doc["values"])]
-    return doc, lines, None, [], {}
+    return doc, lines, [], {}
 
 
 _RUNNERS = {
@@ -427,14 +391,22 @@ _RUNNERS = {
 }
 
 
-def run_argv(argv: list[str]) -> tuple[dict, object]:
-    """Parse and execute; returns (result doc, parsed args).  Used by replay."""
+def _parse(argv: list[str]) -> argparse.Namespace:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
-        extra = _read_config(args.config)
-        argv2 = [argv[0]] + extra + argv[1:]
-        args = parser.parse_args(argv2)
+        args = parser.parse_args([argv[0], *_read_config(args.config), *argv[1:]])
+    return args
+
+
+def run_argv(argv: list[str], args: argparse.Namespace | None = None,
+             manifest: bool = True) -> tuple[dict, str, dict | None]:
+    """Run argv (already parsed as args when given), the one path of plain runs
+    and replays.  Returns the result doc, the output text (canonical JSON with
+    --json, else the command's text or CSV lines) and the run manifest, or None
+    when manifest is false (its fingerprint serializes the whole doc once
+    more); writes nothing."""
+    args = args if args is not None else _parse(argv)
     if args.command not in _RUNNERS:
         # only a hand-written manifest can store a replay
         raise ValueError(f"a manifest cannot replay {args.command!r}")
@@ -442,33 +414,39 @@ def run_argv(argv: list[str]) -> tuple[dict, object]:
         value = getattr(args, dest, None)
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
-    doc, lines, csv_text, notes, sampling = _RUNNERS[args.command](args)
-    return doc, (args, lines, csv_text, notes, sampling)
+    if hasattr(args, "workers"):
+        args.workers = resolve_workers(args.workers)
+    t0 = time.perf_counter()
+    doc, lines, notes, sampling = _RUNNERS[args.command](args)
+    wall = time.perf_counter() - t0
+    text = canonical_json(doc) + "\n" if args.json else "\n".join(lines) + "\n"
+    record = manifest_mod.build_manifest(
+        argv[0], _strip_io_flags(argv), doc, notes, sampling,
+        wall_time=wall, workers=getattr(args, "workers", 1),
+    ) if manifest else None
+    return doc, text, record
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
         if args.command == "replay":
             stored = manifest_mod.load_manifest(args.manifest_in)
-            t0 = time.perf_counter()
-            doc, (rargs, lines, csv_text, notes, sampling) = run_argv(list(stored["argv"]))
-            actual = manifest_mod.build_manifest(
-                stored["argv"][0], stored["argv"], doc, notes, sampling,
-                wall_time=time.perf_counter() - t0, workers=resolve_workers(args.workers),
-            )
+            doc, _, actual = run_argv(list(stored["argv"]))
             print(canonical_json(doc))
             if manifest_mod.manifest_spec(actual) != manifest_mod.manifest_spec(stored):
                 print("replay mismatch: fingerprints differ", file=sys.stderr)
                 return EXIT_REPLAY_MISMATCH
             return EXIT_OK
 
-        t0 = time.perf_counter()
-        doc, (args, lines, csv_text, notes, sampling) = run_argv(argv)
-        wall = time.perf_counter() - t0
-        _emit(args, doc, lines, csv_text)
-        _finish(args, argv, doc, wall, notes, sampling)
+        _, text, record = run_argv(argv, args, manifest=bool(args.manifest))
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+        if args.manifest:
+            manifest_mod.write_manifest(args.manifest, record)
         return EXIT_OK
     except SystemExit as exc:
         # argparse's usage exit, also for argv read from --config or a manifest

@@ -11,10 +11,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from . import __version__
 from .errors import TrendError
 from .serialize import canonical_json, fingerprint
-
-VERSION = "0.1.0"
 
 
 def build_manifest(
@@ -27,7 +26,7 @@ def build_manifest(
     workers: int = 1,
 ) -> dict:
     return {
-        "version": VERSION,
+        "version": __version__,
         "command": command,
         "argv": list(argv),
         "notes": list(notes or []),

@@ -190,21 +190,33 @@ def extended_omega_size(t: OffsetTuple, h: int, p: int) -> int:
 
 
 def unrank_combination(span_bound: int, k: int, index: int) -> tuple[int, ...]:
-    """The index-th k-subset of [1, span_bound] in lexicographic order."""
-    if not (0 <= index < math.comb(span_bound, k)):
+    """The index-th k-subset of [1, span_bound] in lexicographic order.
+
+    below = C(span_bound - c, m) counts the subsets that put c in the current
+    slot with m slots after it.  It moves by exact integer ratios, C(n-1, m) =
+    C(n, m)(n-m)/n to the next c and C(n-1, m-1) = C(n, m)m/n to the next
+    slot, so a call forms one binomial instead of one per step.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    total = math.comb(span_bound, k)
+    if not (0 <= index < total):
         raise ValueError(f"index {index} outside [0, C({span_bound},{k}))")
     out = []
-    c = 1
-    for slot in range(k):
-        while True:
-            below = math.comb(span_bound - c, k - slot - 1)
-            if index < below:
-                break
+    c, m = 1, k - 1
+    below = total * k // span_bound
+    while True:
+        n = span_bound - c
+        if index < below:
+            out.append(c)
+            if not m:
+                return tuple(out)
+            below = below * m // n
+            m -= 1
+        else:
             index -= below
-            c += 1
-        out.append(c)
+            below = below * (n - m) // n
         c += 1
-    return tuple(out)
 
 
 def enumerate_tuples(

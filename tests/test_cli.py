@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gapsieve
-from gapsieve.cli import EXIT_ERROR, EXIT_OK, EXIT_REGIME, _int_arg, main, run_argv
+from gapsieve.cli import EXIT_ERROR, EXIT_OK, EXIT_REGIME, _int_arg, build_parser, main, run_argv
 from gapsieve.manifest import emit_trend, load_manifest, manifest_spec
 from gapsieve.serialize import canonical_json, fmt_float
 
@@ -118,8 +118,10 @@ def test_manifest_roundtrip_and_replay(capsys, tmp_path):
     assert "--manifest" not in stored["argv"]
 
     # flag round-trip: re-parsing the stored argv reproduces the same doc
-    doc2, _ = run_argv(list(stored["argv"]))
+    doc2, _, replayed = run_argv(list(stored["argv"]))
     assert canonical_json(doc2) == out1.strip()
+    assert manifest_spec(replayed) == manifest_spec(stored)
+    assert replayed["telemetry"]["workers"] == stored["telemetry"]["workers"]
 
     code, out2, err = run_cli(capsys, "replay", "--manifest-in", str(man))
     assert code == EXIT_OK, err
@@ -350,6 +352,102 @@ def test_non_finite_floats_are_error_exits_before_any_work(argv, capsys, monkeyp
 
 
 # ---------------------------------------------------------------------------
+# each flag on the subcommands it acts on, and one output rule
+# ---------------------------------------------------------------------------
+
+_IO = {"--json", "--out", "--manifest", "--config"}
+# the flags that were once on every subcommand
+_SHARED = _IO | {"--workers", "--force", "--seed"}
+_OPTIONS = {
+    "primes": {"--from", "--to"} | _IO,
+    "tuple": _IO,
+    "singular-series": {"--tuple", "--tol", "--truncation-prime"} | _IO,
+    "gallagher": {"--span", "--k", "--stride", "--seed"} | _IO,
+    "weights": {"--tuple", "--R", "--a", "--from", "--to", "--force"} | _IO,
+    "moment": {"--mode", "--tuple", "--tuple-source", "--stride", "--k", "--N", "--R", "--R-exponent",
+               "--l", "--span", "--theta", "--h", "--h-mode", "--witness-cap",
+               "--workers", "--force", "--seed"} | _IO,
+    "threshold": {"--k", "--l", "--theta", "--eps"} | _IO,
+    "bv": {"--x", "--theta", "--A", "--y-min", "--grid-factor", "--workers"} | _IO,
+    "trend": _IO,
+    "replay": {"--manifest-in"},
+}
+# a cheap argv that runs, per subcommand (trend reads a.json and b.json)
+_MINIMAL = {
+    "primes": ["primes", "--from", "90", "--to", "100"],
+    "tuple": ["tuple", "check", "1,3"],
+    "singular-series": ["singular-series", "--tuple", "1,3"],
+    "gallagher": ["gallagher", "--span", "10", "--k", "2"],
+    "weights": ["weights", "--tuple", "1,3", "--R", "10", "--a", "2", "--from", "100", "--to", "110"],
+    "moment": ["moment", "--mode", "pure", "--tuple", "1,3", "--N", "1e4", "--R-exponent", "0.25", "--l", "1"],
+    "threshold": ["threshold", "--k", "2", "--l", "1", "--theta", "1/2"],
+    "bv": ["bv", "--x", "1e3", "--theta", "1/2"],
+    "trend": ["trend", "a.json", "b.json"],
+    "replay": ["replay", "--manifest-in", "m.json"],
+}
+_REMOVED = [(command, flag) for command in sorted(_OPTIONS) for flag in sorted(_SHARED - _OPTIONS[command])]
+
+
+def test_each_subcommand_takes_exactly_its_options():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(subparsers) == set(_OPTIONS)
+    for command, sub in subparsers.items():
+        assert {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"} == _OPTIONS[command]
+    assert sum(len(_SHARED & options) for options in _OPTIONS.values()) == 42
+    assert len(_REMOVED) == 28
+
+
+@pytest.mark.parametrize("command, flag", _REMOVED, ids=[f"{c}{f}" for c, f in _REMOVED])
+def test_a_flag_the_subcommand_does_not_take_exits_2(command, flag, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    value = [] if flag in ("--json", "--force") else ["x.out"]
+    code, out, err = run_cli(capsys, *_MINIMAL[command], flag, *value)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {flag}" in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("command", sorted(set(_MINIMAL) - {"replay"}))
+def test_out_writes_the_bytes_stdout_shows(command, as_json, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if command == "trend":
+        for N, name in (("1e4", "a.json"), ("2e4", "b.json")):
+            assert main(["moment", "--mode", "pure", "--tuple", "1,3", "--N", N, "--R-exponent", "0.25",
+                         "--l", "1", "--json", "--out", name]) == EXIT_OK
+    argv = _MINIMAL[command] + ["--json"] * as_json
+    code, shown, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK and shown
+    code, printed, _ = run_cli(capsys, *argv, "--out", "F")
+    assert code == EXIT_OK and printed == ""
+    assert Path("F").read_bytes() == shown.encode()
+
+
+def test_io_flag_spellings_store_one_argv(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    spaced = ["threshold", "--out", "a.txt", "--k", "2", "--manifest", "m1.json", "--l", "1", "--theta", "1/2"]
+    joined = ["threshold", "--out=b.txt", "--k", "2", "--manifest=m2.json", "--l", "1", "--theta", "1/2"]
+    assert main(spaced) == main(joined) == EXIT_OK
+    first, second = load_manifest("m1.json"), load_manifest("m2.json")
+    assert first["argv"] == second["argv"] == ["threshold", "--k", "2", "--l", "1", "--theta", "1/2"]
+    assert manifest_spec(first) == manifest_spec(second)
+    # abbreviations are refused, so no spelling of the two flags goes unstripped
+    code, _, err = run_cli(capsys, *_MINIMAL["threshold"], "--ou", "c.txt", "--man", "m3.json")
+    assert code == 2 and "unrecognized arguments: --ou" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt", "m1.json", "m2.json"]
+
+
+def test_telemetry_workers_is_the_runs_own_count(monkeypatch):
+    monkeypatch.delenv("GAPSIEVE_WORKERS", raising=False)
+    assert run_argv([*_MINIMAL["moment"], "--workers", "2"])[2]["telemetry"]["workers"] == 2
+    monkeypatch.setenv("GAPSIEVE_WORKERS", "3")
+    assert run_argv(_MINIMAL["moment"])[2]["telemetry"]["workers"] == 3
+    # a subcommand without --workers runs in one process, whatever the environment
+    assert run_argv(_MINIMAL["threshold"])[2]["telemetry"]["workers"] == 1
+
+
+# ---------------------------------------------------------------------------
 # argv property test: every argv ends in a documented exit code
 # ---------------------------------------------------------------------------
 
@@ -446,12 +544,16 @@ def _argvs(draw):
         chosen += draw(st.lists(st.sampled_from(optional), unique=True))
     for flag in chosen:
         argv += [flag, value(flags[flag])]
-    if draw(st.booleans()):
+    # a bad argv may also give flags its subcommand does not take
+    options = _OPTIONS[command] | (_SHARED if bad else set())
+    if "--workers" in options and draw(st.booleans()):
         argv += ["--workers", value((["1"], ["0", "x"]))]
-    argv += draw(st.lists(st.sampled_from(["--json", "--force", "--seed=3"] + ["--bogus"] * bad), unique=True, max_size=2))
-    if draw(st.booleans()):
+    switches = sorted(options & {"--json", "--force"}) + ["--seed=3"] * ("--seed" in options) + ["--bogus"] * bad
+    if switches:
+        argv += draw(st.lists(st.sampled_from(switches), unique=True, max_size=2))
+    if "--config" in options and draw(st.booleans()):
         argv += ["--config", draw(st.sampled_from(_INPUTS))]
-    if draw(st.booleans()):
+    if "--out" in options and draw(st.booleans()):
         argv += [draw(st.sampled_from(["--out", "--manifest"])), value((["written.out"], ["no-dir/x"]))]
     return argv
 

@@ -21,6 +21,7 @@ from gapsieve.tuples import (
     omega_profile,
     omega_size,
     tuple_count,
+    unrank_combination,
 )
 
 TWIN = OffsetTuple(TWIN_OFFSETS)
@@ -156,6 +157,15 @@ def test_enumeration_admissible_filter_matches_bruteforce():
     }
     assert filtered == brute
     assert 0 < len(filtered) < math.comb(20, 3)
+
+
+@pytest.mark.parametrize("span, k", [(1, 1), (5, 1), (6, 3), (7, 7), (9, 4), (12, 11)])
+def test_unrank_is_the_lexicographic_enumeration(span, k):
+    got = [unrank_combination(span, k, i) for i in range(math.comb(span, k))]
+    assert got == list(combinations(range(1, span + 1), k))
+    for index in (-1, math.comb(span, k)):
+        with pytest.raises(ValueError):
+            unrank_combination(span, k, index)
 
 
 def test_enumeration_stride_sampling():
