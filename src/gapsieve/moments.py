@@ -7,24 +7,33 @@ Three empirical sums are paired with exact-rational prefactor algebra:
   * twisted:   sum over N < n <= 2N of  varpi(n+h) * W(n)^2
   * detector:  sum over tuples, n of (sum_h varpi(n+h) - log 3N) * W(n)^2
 
-with W(n) the block weight at exponent a = k + l.  Empirical values are
-chunk-partitioned with exactly-rounded per-chunk sums and a fixed pairwise
-reduction, so results are bit-identical for any worker count.  The three
-sums share one chunk pipeline that builds a tuple's divisor table and its
-signature state once, in the calling process, before any pool starts; the
-exact double sums (small R) read each divisor's primes from that same table,
-and the exact-count form counts each distinct lcm once.
-When R < 59, W(n) depends only on n's small-prime signature (see weights),
-and the pure moment sums W^2 once per signature, weighted by its count, with
-the same bits as the sum over n; the twisted moment looks W up by signature
-only at the n with n + h prime, and builds no weight block.
+with W(n) the block weight at exponent a = k + l.  The three sums share one
+chunk pipeline that builds a tuple's divisor table and its signature state
+once, in the calling process, before any pool starts, and folds each chunk's
+result as it arrives, in chunk order; the exact double sums (small R) read
+each divisor's primes from that same table, and the exact-count form counts
+each distinct lcm once.
 
-The detector groups its sum the same way: a chunk adds W^2 (Lambda - log 3N
-* count) once per key that some n has, where a key is a signature (R < 59)
-or else a single n, count is the number of n with that key, and Lambda is
-the sum of log p over the primes those n see.  Lambda is exact, an int64 sum
-of integer log parts (see primes.log_parts), so no extended precision is
-needed.
+When R < 59, W(n) depends only on n's small-prime signature (see weights),
+so a chunk returns exact integers per signature s instead of a rounded sum:
+the count C_s of its n with signature s, and the integer log parts
+(primes.log_parts) of the primes those n see, summed in int64.  The driver
+adds them in int64 and rounds once per run, with one math.fsum over the
+signatures that occur:
+
+  pure:      sum_s C_s V_s^2                    (bit for bit the fsum over n)
+  twisted:   sum_s V_s^2 Lambda_s
+  detector:  sum_s V_s^2 (Lambda_s - log 3N * C_s)
+
+with V_s the signature state's value and Lambda_s the correctly rounded sum
+of log p over the primes the signature's n see; so results do not depend on
+CHUNK or the worker count at all.  From R = 59 on (a tail of divisors that
+the signature does not decide), each chunk rounds its own partial, keyed by
+single n, and the partials take a fixed pairwise tree_fold.  Either way no
+extended precision is needed.  A detector over several tuples adds the
+per-tuple sums by tree_fold too.  Every fsum reads its array through a
+memoryview, which hands it one float at a time: no list of every term, and
+faster than iterating the array itself.
 
 Predicted main terms:
 
@@ -41,6 +50,7 @@ more, so the per-n parenthesis is positive exactly when n sees two primes in
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -50,13 +60,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BudgetError, RegimeError
-from .parallel import block_spans, ordered_map, tree_fold
-from .primes import SEGMENT_FLAGS, base_primes, log_parts, log_sum, prime_flags
+from .parallel import block_spans, ordered_imap, tree_fold
+from .primes import LOG_PART_BITS, SEGMENT_FLAGS, base_primes, log_parts, log_sum, prime_flags
 from .singular import DEFAULT_TOL, singular_series
 from .tuples import UNCHANGED, OffsetTuple, extend, omega_residues, omega_size
 from .weights import WeightParams, _crt_merge, _weight_value, divisor_table, lambda_block
 
 CHUNK = SEGMENT_FLAGS
+# a detector chunk's per-key log-part sums stay below CHUNK * span * 2^31,
+# inside int64, for span below this
+MAX_DETECTOR_SPAN = (1 << 32) // CHUNK
 DOUBLE_SUM_R_BUDGET = 2000
 EXACT_COUNT_R_BUDGET = 500
 
@@ -313,24 +326,77 @@ class DetectorReport:
 # pure moment
 # ---------------------------------------------------------------------------
 
-def _map_chunks(chunk, t: OffsetTuple, params: SieveParams, workers: int | None, *extra) -> list:
-    """chunk((t, wp, lo, hi, table, *extra)) over the CHUNK spans of (N, 2N],
-    in span order.  The signature state is built here, so it travels inside
-    the pickled table.  Chunks may force lambda_block: the callers' regime
-    check means R <= N < lo unless the run itself was forced."""
+class _KeySums:
+    """Exact per-signature integers of one run, added chunk by chunk.
+
+    count[s] is the number of n with signature s.  The logs of the primes
+    those n see sum to whole[s] + frac[s] * 2^-52 exactly: each add moves
+    the carry out of frac, so 0 <= frac < 2^52 between adds, and the totals
+    stay exact in int64 far past the 2^53 at which primes.log_sum refuses.
+    Fields no chunk fed stay the int 0.
+    """
+
+    def __init__(self) -> None:
+        self.count = self.whole = self.frac = 0
+
+    def add(self, count, lam_hi, lam_lo) -> None:
+        # the first add of each field makes a new array; later ones add in place
+        if count is not None:
+            self.count += count
+        if lam_hi is not None:
+            # sum log p = lam_hi * 2^-26 + lam_lo * 2^-52 (see log_parts)
+            self.whole += lam_hi >> LOG_PART_BITS
+            self.frac += ((lam_hi & _PART_MASK) << LOG_PART_BITS) + lam_lo
+            self.whole += self.frac >> 2 * LOG_PART_BITS
+            self.frac &= _FRAC_MASK
+
+    def logs(self) -> np.ndarray:
+        """Per-signature sum of logs, correctly rounded: whole (below 2^53)
+        and frac * 2^-52 are exact doubles, so their sum takes one rounding."""
+        return self.whole + np.ldexp(self.frac.astype(np.float64), -2 * LOG_PART_BITS)
+
+
+_PART_MASK = (1 << LOG_PART_BITS) - 1
+_FRAC_MASK = (1 << 2 * LOG_PART_BITS) - 1
+
+
+def _fold_chunks(chunk, finish, t: OffsetTuple, params: SieveParams, workers: int | None,
+                 *extra, take=None) -> tuple[float, int]:
+    """(empirical sum, chunk count) of chunk((t, wp, lo, hi, table, *extra))
+    over the CHUNK spans of (N, 2N].
+
+    Results are folded as they arrive, in span order, so memory does not
+    grow with the number of chunks; take(result), when given, first takes
+    what the caller keeps besides the sum.  With a tail, chunks return
+    rounded partials and the sum is their tree_fold.  Without one they
+    return (count, lam_hi, lam_lo) per signature, None where unused; these
+    add up exactly, and finish(V, sums) rounds once, V the signature values.
+    The signature state is built here, so it travels inside the pickled
+    table.  Chunks may force lambda_block: the callers' regime check means
+    R <= N < lo unless the run itself was forced.
+    """
     wp = WeightParams(params.R, params.a)
     table = divisor_table(t, wp.R)
-    table.prefix_state(wp)
+    values = table.prefix_state(wp)[0]
     spans = block_spans(params.N + 1, 2 * params.N + 1, CHUNK)
-    return ordered_map(chunk, [(t, wp, lo, hi, table, *extra) for lo, hi in spans], workers)
+    results = ordered_imap(chunk, [(t, wp, lo, hi, table, *extra) for lo, hi in spans], workers)
+    if take is not None:
+        results = map(take, results)
+    if table.tail:
+        return tree_fold(list(results)), len(spans)
+    sums = _KeySums()
+    for stats in results:
+        sums.add(*stats)
+        del stats  # free this chunk's arrays before the next chunk runs
+    return finish(values, sums), len(spans)
 
 
 def _grouped_square_sum(values: np.ndarray, counts: np.ndarray) -> float:
     """math.fsum of values[s]**2 repeated counts[s] times, bit for bit.
 
-    Each square is split (Veltkamp) into two halves of at most 26 bits, so
-    count * half is exact for any count <= 2**24 (a chunk holds CHUNK = 2**20
-    terms).  The terms then add up to exactly the real sum of the repeated
+    Each square is split (Veltkamp) into two halves of at most 26 bits, and
+    each count below 2^48 into two 24-bit limbs, so every limb * half is
+    exact.  The terms then add up to exactly the real sum of the repeated
     squares, and fsum rounds that sum correctly either way.
     """
     seen = np.flatnonzero(counts)
@@ -338,18 +404,23 @@ def _grouped_square_sum(values: np.ndarray, counts: np.ndarray) -> float:
     scaled = squares * 134217729.0  # 2**27 + 1
     high = scaled - (scaled - squares)
     low = squares - high
-    c = counts[seen].astype(np.float64)
-    return math.fsum(np.concatenate((c * high, c * low)).tolist())
+    c = counts[seen]
+    small = (c & 0xFFFFFF).astype(np.float64)
+    big = np.ldexp((c >> 24).astype(np.float64), 24)
+    terms = [small * high, small * low]
+    if big.any():
+        terms += [big * high, big * low]
+    return math.fsum(memoryview(np.concatenate(terms)))
 
 
-def _pure_chunk(args) -> float:
+def _pure_chunk(args):
+    """The chunk's rounded sum of W^2 with a tail, else its count per
+    signature."""
     t, wp, lo, hi, table = args
     if table.tail:
         blk = lambda_block(t, wp, lo, hi, force=True, table=table)
-        return math.fsum(blk.values * blk.values)
-    # no tail: W(n) is the signature state's value, so sum over signatures
-    counts = np.bincount(table.signatures(lo, hi))
-    return _grouped_square_sum(table.prefix_state(wp)[0], counts)
+        return math.fsum(memoryview(blk.values * blk.values))
+    return np.bincount(table.signatures(lo, hi), minlength=table.signature_count), None, None
 
 
 def pure_moment(
@@ -363,8 +434,9 @@ def pure_moment(
     if t.k != params.k:
         raise ValueError(f"tuple size {t.k} does not match params.k = {params.k}")
     violations = _enforce_regime(params.pure_regime_violations(), force)
-    partials = _map_chunks(_pure_chunk, t, params, workers)
-    empirical = tree_fold(partials)
+    empirical, chunks = _fold_chunks(
+        _pure_chunk, lambda values, sums: _grouped_square_sum(values, sums.count), t, params, workers
+    )
 
     dens = singular_series(t, DEFAULT_TOL)
     main = float(pure_main_prefactor(params.k, params.l)) * dens.value
@@ -377,7 +449,7 @@ def pure_moment(
         params=params,
         offsets=t.offsets,
         diagnostics={
-            "chunks": len(partials),
+            "chunks": chunks,
             "regime_violations": violations,
             "singular_series": dens.value,
         },
@@ -464,16 +536,28 @@ def double_sum_exact_counts(
 # twisted moment
 # ---------------------------------------------------------------------------
 
-def _twisted_chunk(args) -> float:
+def _twisted_chunk(args):
+    """The chunk's rounded sum of varpi(n + h) W(n)^2 with a tail, else the
+    log parts of its n + h prime summed per signature of n (W is read only
+    where used)."""
     t, wp, lo, hi, table, h = args
     idx = np.flatnonzero(prime_flags(lo + h, hi + h))  # n = lo + idx has n + h prime
-    logs = np.log((lo + h + idx).astype(np.float64))
     if table.tail:
+        logs = np.log((lo + h + idx).astype(np.float64))
         vals = lambda_block(t, wp, lo, hi, force=True, table=table).values[idx]
-    else:
-        # no tail: W(n) is the signature state's value, read only where used
-        vals = table.prefix_state(wp)[0][table.signatures(lo, hi)[idx]]
-    return math.fsum(vals * vals * logs)
+        return math.fsum(memoryview(vals * vals * logs))
+    key = table.signatures(lo, hi)[idx]
+    # one prime per n: a key's sums stay below CHUNK * 2^31, exact as doubles
+    lam = [np.bincount(key, weights=part, minlength=table.signature_count).astype(np.int64)
+           for part in log_parts(lo + h + idx)]
+    return None, *lam
+
+
+def _twisted_total(values: np.ndarray, sums: _KeySums) -> float:
+    lam = sums.logs()
+    used = np.flatnonzero(lam)
+    w = values[used]
+    return math.fsum(memoryview(w * w * lam[used]))
 
 
 def twisted_moment(
@@ -495,8 +579,7 @@ def twisted_moment(
             f"params.span_bound {params.span_bound} below tuple span {t.span_bound}"
         )
     violations = _enforce_regime(params.twisted_regime_violations(), force)
-    partials = _map_chunks(_twisted_chunk, t, params, workers, h)
-    empirical = tree_fold(partials)
+    empirical, chunks = _fold_chunks(_twisted_chunk, _twisted_total, t, params, workers, h)
 
     # extension lives in [1, params.span_bound]
     spanned = OffsetTuple(t.offsets, params.span_bound)
@@ -515,7 +598,7 @@ def twisted_moment(
         diagnostics={
             "h": h,
             "h_member": member,
-            "chunks": len(partials),
+            "chunks": chunks,
             "regime_violations": violations,
             "singular_series": dens.value,
             "log_r_power": power,
@@ -529,30 +612,29 @@ def twisted_moment(
 # detector
 # ---------------------------------------------------------------------------
 
-def _detector_chunk(args) -> tuple[float, np.ndarray, list[tuple[int, int, int]]]:
-    """One (tuple, chunk) unit: (partial sum, flagged n, capped witnesses).
+def _detector_chunk(args):
+    """One (tuple, chunk) unit: (sum, flagged n, capped witnesses).
 
-    The partial is the sum over keys of W^2 (Lambda - log 3N * count), with
-    Lambda the exact sum of log p over the primes that the key's n see.  The
-    key is n's signature when the table has no tail (W is then the signature
-    state's value), else n itself.  n is flagged when it sees at least two
-    primes: while span < N that is exactly a positive parenthesis.
+    With a tail the sum is the chunk's rounded partial over keys n of W^2
+    (Lambda - log 3N * count), Lambda the exact sum of log p over the primes
+    that n sees; without one it is (count, lam_hi, lam_lo) per signature,
+    the integers that partial is made of.  n is flagged when it sees at
+    least two primes: while span < N that is exactly a positive parenthesis.
+    Witnesses are (n, first prime, second prime) rows for the first cap
+    flagged n.
     """
     t, wp, lo, hi, table, span, log3n, mode, cap = args
     size = hi - lo
     flags = prime_flags(lo + 1, hi + span)  # flags[j]: is lo + 1 + j prime
     pos = np.flatnonzero(flags)
     part_hi, part_lo = log_parts(lo + 1 + pos)
-    if table.tail:
-        key = np.arange(size)
-        weights = lambda_block(t, wp, lo, hi, force=True, table=table).values
-    else:
-        key = table.signatures(lo, hi)
-        weights = table.prefix_state(wp)[0]
-    keys = len(weights)
+    key = np.arange(size) if table.tail else table.signatures(lo, hi)
+    keys = size if table.tail else table.signature_count
 
-    # seen[i]: how many primes n = lo + i sees; lam_hi, lam_lo: per-key sums
-    # of their integer log parts, exact since log_sum refuses sums from 2^53 on
+    # seen[i]: how many primes n = lo + i sees; lam_hi, lam_lo: per-key int64
+    # sums of their integer log parts, below CHUNK * span * 2^31 < 2^63
+    lam_hi = np.zeros(keys, dtype=np.int64)
+    lam_lo = np.zeros(keys, dtype=np.int64)
     if mode == "window":
         # n sees pos[start[i] : end[i]], the primes in (n, n + span]
         cum = np.zeros(len(flags) + 1, dtype=np.int64)
@@ -561,38 +643,46 @@ def _detector_chunk(args) -> tuple[float, np.ndarray, list[tuple[int, int, int]]
         seen = end - start
         prefix_hi = np.concatenate(([0], np.cumsum(part_hi)))
         prefix_lo = np.concatenate(([0], np.cumsum(part_lo)))
-        lam_hi = np.zeros(keys, dtype=np.int64)
-        lam_lo = np.zeros(keys, dtype=np.int64)
         np.add.at(lam_hi, key, prefix_hi[end] - prefix_hi[start])
         np.add.at(lam_lo, key, prefix_lo[end] - prefix_lo[start])
     else:  # n sees lo + 1 + j for j = i + h - 1, h in the tuple
         seen = np.zeros(size, dtype=np.int8)
-        lam_hi = np.zeros(keys, dtype=np.int64)
-        lam_lo = np.zeros(keys, dtype=np.int64)
         for h in t.offsets:
             a, b = np.searchsorted(pos, (h - 1, h - 1 + size))
             at = key[pos[a:b] - (h - 1)]
             np.add.at(lam_hi, at, part_hi[a:b])
             np.add.at(lam_lo, at, part_lo[a:b])
             seen += flags[h - 1 : h - 1 + size]
-
-    # only the keys some n has: the others' terms are exact +0.0
     counts = np.bincount(key, minlength=keys)
-    used = np.flatnonzero(counts)
-    w = weights[used]
-    terms = w * w * (log_sum(lam_hi[used], lam_lo[used]) - log3n * counts[used])
-    partial = math.fsum(terms.tolist())
 
     flagged_idx = np.flatnonzero(seen >= 2)
-    witnesses: list[tuple[int, int, int]] = []
-    for i in flagged_idx[:cap].tolist():
-        if mode == "window":
-            j = int(start[i])
-            witnesses.append((lo + i, lo + 1 + int(pos[j]), lo + 1 + int(pos[j + 1])))
-        else:
-            hits = [lo + i + h for h in t.offsets if flags[i + h - 1]]
-            witnesses.append((lo + i, hits[0], hits[1]))
-    return partial, lo + flagged_idx, witnesses
+    first = flagged_idx[:cap]
+    if mode == "window":
+        j = start[first]
+        pair = (lo + 1 + pos[j], lo + 1 + pos[j + 1])
+    else:
+        # hit[r, c]: first[r] + offsets[c] is prime; the first two hits per row
+        offsets = np.array(t.offsets)
+        hit = flags[first[:, None] + (offsets - 1)]
+        rows = np.arange(len(first))
+        c1 = hit.argmax(axis=1)
+        hit[rows, c1] = False
+        pair = (lo + first + offsets[c1], lo + first + offsets[hit.argmax(axis=1)])
+    witnesses = np.stack((lo + first, *pair), axis=1)
+
+    if not table.tail:
+        return (counts, lam_hi, lam_lo), lo + flagged_idx, witnesses
+    # only the keys some n has: the others' terms are exact +0.0
+    used = np.flatnonzero(counts)
+    w = lambda_block(t, wp, lo, hi, force=True, table=table).values[used]
+    terms = w * w * (log_sum(lam_hi[used], lam_lo[used]) - log3n * counts[used])
+    return math.fsum(memoryview(terms)), lo + flagged_idx, witnesses
+
+
+def _detector_total(values: np.ndarray, sums: _KeySums, log3n: float) -> float:
+    used = np.flatnonzero(sums.count)
+    w = values[used]
+    return math.fsum(memoryview(w * w * (sums.logs()[used] - log3n * sums.count[used])))
 
 
 def two_primes_detector(
@@ -610,8 +700,8 @@ def two_primes_detector(
     "tuple" sums only over the tuple's own offsets.  Every n whose inner
     parenthesis is positive is counted, and for the first witness_cap such n
     the two witnessing primes in (n, n + span_bound] are reported.  Refuses
-    span_bound >= N (positivity is then no longer "two primes") and a
-    negative witness_cap.
+    span_bound >= N (positivity is then no longer "two primes"), span_bound
+    >= MAX_DETECTOR_SPAN and a negative witness_cap.
     """
     start = time.perf_counter()
     if h_mode not in ("window", "tuple"):
@@ -622,6 +712,11 @@ def two_primes_detector(
         # below N, one prime never outweighs log 3N and two always do, so
         # positivity is the integer test "at least two primes"
         raise ValueError(f"span_bound {params.span_bound} must be below N = {params.N}")
+    if params.span_bound >= MAX_DETECTOR_SPAN:
+        raise ValueError(
+            f"span_bound {params.span_bound} must be below {MAX_DETECTOR_SPAN}, "
+            "where a chunk's log-part sums could pass int64"
+        )
     tuple_list = list(tuples)
     if not tuple_list:
         raise ValueError("empty tuple source")
@@ -640,17 +735,25 @@ def two_primes_detector(
     witnesses: list[dict] = []
     positives: list[np.ndarray] = []
     positive_count = 0
+    finish = functools.partial(_detector_total, log3n=log3n)
     for ti, t in enumerate(tuple_list):
-        results = _map_chunks(_detector_chunk, t, params, workers, span, log3n, h_mode, witness_cap)
-        per_tuple_sums.append(tree_fold([r[0] for r in results]))
-        flagged_parts = [r[1] for r in results]
-        positive_count += int(sum(len(f) for f in flagged_parts))
+        flagged_parts = []
+
+        def take(result):
+            nonlocal positive_count
+            total, flagged, wit = result
+            positive_count += len(flagged)
+            if collect_positives:
+                flagged_parts.append(flagged)
+            for n, p1, p2 in wit[: witness_cap - len(witnesses)].tolist():
+                witnesses.append({"tuple_index": ti, "n": n, "p1": p1, "p2": p2})
+            return total
+
+        total, chunks = _fold_chunks(_detector_chunk, finish, t, params, workers,
+                                     span, log3n, h_mode, witness_cap, take=take)
+        per_tuple_sums.append(total)
         if collect_positives:
             positives.append(np.concatenate(flagged_parts))
-        for _, _, wit in results:
-            for n, p1, p2 in wit:
-                if len(witnesses) < witness_cap:
-                    witnesses.append({"tuple_index": ti, "n": n, "p1": p1, "p2": p2})
 
     empirical = tree_fold(per_tuple_sums)
 
@@ -677,7 +780,7 @@ def two_primes_detector(
         tuple_count=len(tuple_list),
         params=params,
         diagnostics={
-            "chunks": len(results),
+            "chunks": chunks,
             "regime_violations": violations,
             "witness_cap": witness_cap,
             "a": params.a,

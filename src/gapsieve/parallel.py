@@ -1,17 +1,19 @@
 """Deterministic block partitioning and worker-count-invariant map/reduce.
 
 The contract every caller relies on: the partition of a range depends only on
-(lo, hi, block size), results are gathered in task order, and reductions walk
-a balanced pairwise tree over that fixed order.  Worker count changes
-scheduling, never arithmetic, so outputs are bit-identical for 1 or 16
-workers.
+(lo, hi, block size), results arrive in task order, and whatever a caller
+folds them with sees that fixed order: exact integer additions, or a
+balanced pairwise tree (tree_fold) over rounded partials.  Worker count
+changes scheduling, never arithmetic, so outputs are bit-identical for 1 or
+16 workers.  ordered_imap hands results over one at a time, so a caller that
+folds them as they arrive need not hold one per task.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 WORKERS_ENV = "GAPSIEVE_WORKERS"
 
@@ -52,15 +54,26 @@ def block_spans(lo: int, hi: int, size: int) -> list[tuple[int, int]]:
     return spans
 
 
-def ordered_map(fn: Callable[[T], R], tasks: Sequence[T], workers: int | None = None) -> list[R]:
-    """Map fn over tasks, results in task order regardless of scheduling, in
-    at most min(workers, len(tasks), os.cpu_count()) processes (one: inline)."""
+def ordered_imap(fn: Callable[[T], R], tasks: Sequence[T], workers: int | None = None) -> Iterator[R]:
+    """Map fn over tasks, yielding results in task order regardless of
+    scheduling, in at most min(workers, len(tasks), os.cpu_count()) processes
+    (one: inline, each task run when its result is asked for).  The worker
+    count is checked here, before anything runs."""
     tasks = list(tasks)
     nworkers = min(resolve_workers(workers), len(tasks), os.cpu_count() or 1)
     if nworkers <= 1:
-        return [fn(t) for t in tasks]
+        return map(fn, tasks)
+    return _pooled(fn, tasks, nworkers)
+
+
+def _pooled(fn, tasks, nworkers):
     with ProcessPoolExecutor(max_workers=nworkers) as pool:
-        return list(pool.map(fn, tasks))
+        yield from pool.map(fn, tasks)
+
+
+def ordered_map(fn: Callable[[T], R], tasks: Sequence[T], workers: int | None = None) -> list[R]:
+    """ordered_imap's results as a list."""
+    return list(ordered_imap(fn, tasks, workers))
 
 
 def tree_fold(values: Sequence[float]) -> float:

@@ -32,12 +32,15 @@ divisor_table is the package's one source of the squarefree d <= R: each
 entry carries its primes and covered classes, and the moment sums reuse it
 rather than factoring again.  The table also holds its signature patterns,
 built with it, and each weight exponent's signature state, built on first
-use; both travel with a pickled table, so unpickling builds nothing.
+use; both travel with a pickled table, so unpickling builds nothing.  The
+TABLE_MEMO tables used last are kept per process, keyed by (tuple, R), so a
+repeated (tuple, R, a) builds neither the table nor its signature state.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,6 +59,8 @@ BLOCK_BUDGET = 1 << 24
 SIGNATURE_LIMIT = 59
 # largest period of one signature pattern (30030 = 2*3*5*7*11*13 fits)
 TILE_LIMIT = 1 << 15
+# divisor tables kept for reuse; a twin table at R = R_BUDGET holds about 64 MiB
+TABLE_MEMO = 4
 
 
 @dataclass(frozen=True)
@@ -142,6 +147,11 @@ class DivisorTable(tuple):
     def __reduce__(self):
         return _restore_table, (tuple(self), self.__dict__)
 
+    @property
+    def signature_count(self) -> int:
+        """How many signatures there are: 2^(number of signature primes)."""
+        return 1 << len(self._signature_primes)
+
     def signatures(self, lo: int, hi: int) -> np.ndarray:
         """Signature of every n in [lo, hi), as uint16: every pattern ORed
         in, tiled from phase lo."""
@@ -155,8 +165,8 @@ class DivisorTable(tuple):
         SIGNATURE_LIMIT, built on first use for each params (read-only)."""
         if params not in self._states:
             m = len(self._signature_primes)
-            values = np.zeros(1 << m)
-            comp = np.zeros(1 << m)
+            values = np.zeros(self.signature_count)
+            comp = np.zeros(self.signature_count)
             # C order: the prime of bit i is axis m - 1 - i
             axis = {p: m - 1 - i for i, (p, _) in enumerate(self._signature_primes)}
             cube_v = values.reshape((2,) * m)
@@ -204,9 +214,15 @@ def _restore_table(entries, state) -> DivisorTable:
 
 def divisor_table(t: OffsetTuple, R: float) -> DivisorTable:
     """Every squarefree d <= R with its primes and covered residue classes,
-    ascending d."""
+    ascending d.  The same (t, R) returns the same table, with its signature
+    states, while it is among the TABLE_MEMO tables used last."""
     if R > R_BUDGET:
         raise BudgetError(f"R = {R} exceeds divisor-table budget {R_BUDGET}")
+    return _build_table(t, R)
+
+
+@functools.lru_cache(maxsize=TABLE_MEMO)
+def _build_table(t: OffsetTuple, R: float) -> DivisorTable:
     primes = [int(p) for p in base_primes(int(R))]
     omegas = {p: omega_residues(t, p) for p in primes}
     entries = [DivisorEntry(1, 1, (0,), ())]

@@ -403,7 +403,7 @@ _GOLDEN_SHA256 = {
     "07": "fb60eda4de427166dd1a6e56af2540696f795247b9ec91aa54f21f92286535a1",
     "08": "8da83701abef923c78d045736b639b1bc1c79b0af6ec336ca00852ae8ce55b54",
     "09": "7e0ca3de3d3df4eab069c938bd6abde7d011e367276bd6f9d02fbe94204b0673",
-    "10": "d7f235e00fcb8add6fcaea69a062789a09665127491a3ee7d34443715bb90b10",
+    "10": "89af4ce9195a9aeeed0a6f3817d5213e17a2fa6a6ef56df4fd5832b976e9bf32",
     "11": "6dfab8c3d51858913f37dc2644d60d10010a731e41e7a6cd272f38ac1bc1f638",
 }
 

@@ -332,6 +332,14 @@ def test_span_from_n_on_is_an_error_exit(capsys):
     assert err == "error: span_bound 16 must be below N = 16\n"
 
 
+def test_span_from_4096_on_is_an_error_exit(capsys):
+    # a chunk's int64 log-part sums are bounded through the span
+    code, _, err = run_cli(capsys, "moment", "--mode", "detector", "--tuple", "1,3", "--span", "4096",
+                           "--N", "1e5", "--R", "2", "--l", "1")
+    assert code == EXIT_ERROR
+    assert err.startswith("error: span_bound 4096 must be below 4096")
+
+
 @pytest.mark.parametrize("argv", [
     ["moment", "--mode", "pure", "--tuple", "1,3", "--N", "1e4", "--R", "nan", "--l", "1"],
     ["moment", "--mode", "detector", "--tuple", "1,3", "--N", "1e4", "--R-exponent", "inf", "--l", "1"],

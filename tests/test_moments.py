@@ -1,5 +1,6 @@
 import math
 import pickle
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -12,9 +13,14 @@ from gapsieve import moments, weights
 from gapsieve.errors import BudgetError, RegimeError
 from gapsieve.moments import (
     CHUNK,
+    MAX_DETECTOR_SPAN,
     SieveParams,
     _detector_chunk,
+    _detector_total,
+    _grouped_square_sum,
+    _KeySums,
     _pure_chunk,
+    _twisted_total,
     binomial_step_ratio,
     detector_coefficient,
     double_sum_T,
@@ -28,7 +34,7 @@ from gapsieve.moments import (
     twisted_moment,
 )
 from gapsieve.parallel import block_spans, tree_fold
-from gapsieve.primes import prime_flags, sieve_segment
+from gapsieve.primes import log_sum, prime_flags, sieve_segment
 from gapsieve.tuples import SEPTUPLE_OFFSETS, TWIN_OFFSETS, OffsetTuple, omega_residues
 from gapsieve.weights import WeightParams, divisor_table, lambda_block
 
@@ -309,10 +315,47 @@ def test_detector_chunk_is_the_per_n_sum(mode, t, R):
     w = np.full(hi - lo, -log3n)
     for h in range(1, span + 1) if mode == "window" else t.offsets:
         w += np.where(flags[h - 1 : h - 1 + hi - lo], np.log((n + h).astype(np.float64)), 0.0)
-    partial, flagged, witnesses = _detector_chunk((t, wp, lo, hi, divisor_table(t, R), span, log3n, mode, 5))
-    assert partial == pytest.approx(math.fsum(w * vals * vals), rel=1e-13)
+    table = divisor_table(t, R)
+    total, flagged, witnesses = _detector_chunk((t, wp, lo, hi, table, span, log3n, mode, 5))
+    if not table.tail:
+        # the chunk's integers, rounded as a run of this one chunk rounds them
+        total = _detector_total(table.prefix_state(wp)[0], _folded(total), log3n)
+    assert total == pytest.approx(math.fsum(w * vals * vals), rel=1e-13)
     assert np.array_equal(flagged, n[w > 0.0])
-    assert [wit[0] for wit in witnesses] == flagged[:5].tolist()
+    assert witnesses[:, 0].tolist() == flagged[:5].tolist()
+
+
+def _folded(*chunk_stats) -> _KeySums:
+    sums = _KeySums()
+    for stats in chunk_stats:
+        sums.add(*stats)
+    return sums
+
+
+def _loop_witnesses(t, lo, hi, span, mode, cap):
+    """The first cap flagged n with their first two primes, one n at a time."""
+    flags = prime_flags(lo + 1, hi + span)
+    seen_by = range(1, span + 1) if mode == "window" else t.offsets
+    out = []
+    for i in range(hi - lo):
+        hits = [lo + i + h for h in seen_by if flags[i + h - 1]]
+        if len(hits) >= 2 and len(out) < cap:
+            out.append((lo + i, hits[0], hits[1]))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["window", "tuple"])
+@pytest.mark.parametrize("t", [TWIN, OffsetTuple((1, 3, 7)), OffsetTuple(SEPTUPLE_OFFSETS)],
+                         ids=["twin", "triple", "septuple"])
+@pytest.mark.parametrize("cap", [0, 1, 7, 1000])
+def test_detector_witnesses_are_the_loop_output(mode, t, cap):
+    span, lo = 22, 10**6 + 17
+    hi = lo + 30_000
+    wp = WeightParams(31.6, t.k + 1)
+    _, flagged, witnesses = _detector_chunk((t, wp, lo, hi, divisor_table(t, wp.R), span, 1.0, mode, cap))
+    expected = _loop_witnesses(t, lo, hi, span, mode, cap)
+    assert len(expected) == min(cap, len(flagged))
+    assert [tuple(row) for row in witnesses.tolist()] == expected
 
 
 def _two_prime_witnesses(N, offsets, span, window):
@@ -357,6 +400,10 @@ def test_detector_input_refusals():
         two_primes_detector(SieveParams(N=16, R=2.0, k=2, l=1, span_bound=16), [TWIN], force=True)
     with pytest.raises(ValueError, match="exceeds span_bound"):
         two_primes_detector(_params(10**4, span=2), [TWIN], h_mode="tuple")
+    # a chunk's int64 log-part sums are bounded through the span
+    wide = SieveParams(N=10**5, R=2.0, k=2, l=1, span_bound=MAX_DETECTOR_SPAN)
+    with pytest.raises(ValueError, match="int64"):
+        two_primes_detector(wide, [TWIN], force=True)
 
 
 @pytest.mark.parametrize("R", [math.nan, math.inf])
@@ -409,12 +456,17 @@ def test_twisted_ratio_at_ten_million():
 @pytest.mark.parametrize("t", [TWIN, OffsetTuple(SEPTUPLE_OFFSETS)], ids=["twin", "septuple"])
 @pytest.mark.parametrize("R", [56.2, 59.0, 100.0])
 def test_pure_chunk_is_bitwise_fsum_of_squares(t, R):
-    # R < 59 takes the grouped sum over signatures, R >= 59 the block values
+    # R < 59: the chunk counts signatures, and the grouped sum over them is
+    # the fsum over n; R >= 59: the chunk sums the block values itself
     wp = WeightParams(R, t.k + 1)
     table = divisor_table(t, R)
     lo, hi = 10**6 + 17, 10**6 + 17 + 300_000
     vals = lambda_block(t, wp, lo, hi, table=table).values
     got = _pure_chunk((t, wp, lo, hi, table))
+    if not table.tail:
+        counts, _, _ = got
+        assert counts.sum() == hi - lo
+        got = _grouped_square_sum(table.prefix_state(wp)[0], counts)
     assert got.hex() == math.fsum(vals * vals).hex()
 
 
@@ -430,21 +482,105 @@ def test_twisted_chunk_is_bitwise_the_block_formula(t, R, h):
     logs = np.log((lo + h + np.flatnonzero(flags)).astype(np.float64))
     vals = lambda_block(t, wp, lo, hi, table=table).values[flags]
     got = moments._twisted_chunk((t, wp, lo, hi, table, h))
-    assert got.hex() == math.fsum(vals * vals * logs).hex()
+    if table.tail:
+        assert got.hex() == math.fsum(vals * vals * logs).hex()
+        return
+    # R < 59: per signature, the chunk's log parts are the fsum of the logs
+    # of its n + h prime, bit for bit; the run then rounds sum V^2 Lambda once
+    _, lam_hi, lam_lo = got
+    key = table.signatures(lo, hi)[flags]
+    seen = np.unique(key)
+    order = np.argsort(key, kind="stable")
+    groups = np.split(logs[order], np.searchsorted(key[order], seen[1:]))
+    assert [x.hex() for x in log_sum(lam_hi[seen], lam_lo[seen]).tolist()] == [math.fsum(g).hex() for g in groups]
+    assert lam_hi.sum() == lam_hi[seen].sum() and lam_lo.sum() == lam_lo[seen].sum()
+    total = _twisted_total(table.prefix_state(wp)[0], _folded(got))
+    assert total == pytest.approx(math.fsum(vals * vals * logs), rel=1e-15)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("R", [56.2, 100.0])
 def test_pure_moment_is_bitwise_fsum_of_block_squares(workers, R):
+    # R < 59: one fsum over every n's square; R >= 59: the pairwise fold of
+    # the chunks' fsums
     params = SieveParams(N=1_500_000, R=R, k=2, l=1, span_bound=3)
     wp = WeightParams(R, params.a)
-    partials = []
+    squares = []
     for lo, hi in block_spans(params.N + 1, 2 * params.N + 1, CHUNK):
         vals = lambda_block(TWIN, wp, lo, hi).values
-        partials.append(math.fsum(vals * vals))
-    assert len(partials) == 2
-    expected = tree_fold(partials)
+        squares.append(vals * vals)
+    assert len(squares) == 2
+    if R < 59:
+        expected = math.fsum(np.concatenate(squares))
+    else:
+        expected = tree_fold([math.fsum(sq) for sq in squares])
     assert pure_moment(TWIN, params, workers=workers).empirical.hex() == expected.hex()
+
+
+def _per_n_sums(t, params, h, span, log3n):
+    """(twisted, detector) over (N, 2N] by the per-n formulas, one fsum each."""
+    wp = WeightParams(params.R, params.a)
+    lo, hi = params.N + 1, 2 * params.N + 1
+    vals = lambda_block(t, wp, lo, hi).values
+    n = np.arange(lo, hi)
+    flags = sieve_segment(lo + 1, hi + span).flags
+    seen = [(flags[g - 1 : g - 1 + hi - lo], np.log((n + g).astype(np.float64))) for g in range(1, span + 1)]
+    twisted = math.fsum((vals * vals * seen[h - 1][1])[seen[h - 1][0]])
+    w = np.full(hi - lo, -log3n)
+    for g in t.offsets:
+        w += np.where(seen[g - 1][0], seen[g - 1][1], 0.0)
+    return twisted, math.fsum(w * vals * vals)
+
+
+@pytest.mark.parametrize("t", [TWIN, OffsetTuple(SEPTUPLE_OFFSETS)], ids=["twin", "septuple"])
+def test_no_tail_runs_round_once(t, monkeypatch):
+    # R < 59: the run's value is its per-signature integers rounded once, so
+    # it is bit-identical at any CHUNK and worker count, and within 1e-15 of
+    # the per-n formula
+    params = SieveParams(N=1_200_000, R=56.2, k=t.k, l=1, span_bound=22)
+    h, log3n = 13, math.log(3 * params.N)
+
+    def run(workers):
+        return (
+            pure_moment(t, params, workers=workers, force=True).empirical,
+            twisted_moment(t, h, params, workers=workers, force=True).empirical,
+            two_primes_detector(params, [t], h_mode="tuple", workers=workers, force=True).empirical,
+        )
+
+    base = run(1)
+    assert run(2) == base
+    monkeypatch.setattr(moments, "CHUNK", 1 << 16)
+    assert run(1) == base
+    twisted, detector = _per_n_sums(t, params, h, params.span_bound, log3n)
+    assert base[1] == pytest.approx(twisted, rel=1e-15)
+    assert base[2] == pytest.approx(detector, rel=1e-15)
+
+
+def test_grouped_square_sum_is_exact_past_2_24_counts():
+    # per-run counts reach N: counts near 2^34, and a mix with small ones,
+    # against the exact rational sum of the repeated float squares, rounded
+    rng = np.random.default_rng(7)
+    values = rng.uniform(-40.0, 40.0, 300)
+    for counts in (rng.integers(2**33, 2**34, 300), rng.integers(0, 2**34, 300) >> rng.integers(0, 34, 300)):
+        exact = sum(Fraction(v * v) * int(c) for v, c in zip(values.tolist(), counts.tolist()))
+        assert _grouped_square_sum(values, counts).hex() == float(exact).hex()
+
+
+def test_key_sums_stay_exact_past_2_53():
+    # a run over 2^34 n: 2^14 chunks whose per-key log-part sums are near the
+    # most a chunk can hold; the totals pass 2^53, where log_sum refuses, and
+    # even 2^63, and still round correctly
+    rng = np.random.default_rng(11)
+    keys, chunks = 8, 1 << 14
+    hi = rng.integers(2**61, 2**62, (chunks, keys))
+    lo = rng.integers(2**55, 2**56, (chunks, keys))
+    sums = _folded(*((None, h, l) for h, l in zip(hi, lo)))
+    assert ((0 <= sums.frac) & (sums.frac < 2**52)).all()
+    total_hi = [sum(col) for col in zip(*hi.tolist())]
+    total_lo = [sum(col) for col in zip(*lo.tolist())]
+    assert min(total_hi) >= 2**63
+    exact = [float(Fraction(a, 2**26) + Fraction(b, 2**52)) for a, b in zip(total_hi, total_lo)]
+    assert [x.hex() for x in sums.logs().tolist()] == [x.hex() for x in exact]
 
 
 def test_pure_moment_worker_invariance():
@@ -459,29 +595,40 @@ def test_pure_moment_worker_invariance():
 # the chunk pipeline
 # ---------------------------------------------------------------------------
 
-_PIPELINE_N = 1_200_000  # two chunks
+_PIPELINE_N = 1_200_000  # five chunks of 2^18
 
 
 @pytest.mark.parametrize("driver", ["pure", "twisted", "detector"])
 def test_chunk_tasks_carry_the_signature_state(driver, monkeypatch):
     params = _params(_PIPELINE_N, span=10)
+    monkeypatch.setattr(moments, "CHUNK", 1 << 18)
     tasks = []
     shipped = []
+    alive = []
 
-    def recording_map(fn, task_list, workers=None):
+    def watched(result):
+        stats = result[0] if driver == "detector" else result
+        alive.append(weakref.ref(next(a for a in stats if a is not None)))
+        return result
+
+    def recording_imap(fn, task_list, workers=None):
         # pickled as a pool would send them, before any chunk runs
         tasks.extend(task_list)
         shipped.extend(pickle.dumps(task) for task in task_list)
-        return [fn(task) for task in task_list]
+        for task in task_list:
+            # streaming fold: by the time a chunk runs, every earlier result
+            # has been folded and dropped
+            assert not alive or alive[-1]() is None
+            yield watched(fn(task))
 
-    monkeypatch.setattr(moments, "ordered_map", recording_map)
+    monkeypatch.setattr(moments, "ordered_imap", recording_imap)
     run = {
         "pure": lambda: pure_moment(TWIN, params),
         "twisted": lambda: twisted_moment(TWIN, 7, params),
         "detector": lambda: two_primes_detector(params, [TWIN], h_mode="tuple"),
     }[driver]
-    run()
-    assert [task[2:4] for task in tasks] == block_spans(_PIPELINE_N + 1, 2 * _PIPELINE_N + 1, CHUNK)
+    assert run().diagnostics["chunks"] == len(tasks) == 5
+    assert [task[2:4] for task in tasks] == block_spans(_PIPELINE_N + 1, 2 * _PIPELINE_N + 1, 1 << 18)
     assert not any(isinstance(field, bool) for task in tasks for field in task)
 
     def no_rebuild(*args):

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from gapsieve.errors import BudgetError, NotSquarefreeError, RegimeError
 from gapsieve.primes import sieve_segment
 from gapsieve.tuples import SEPTUPLE_OFFSETS, TWIN_OFFSETS, OffsetTuple, is_admissible
+from gapsieve import weights
 from gapsieve.weights import (
+    TABLE_MEMO,
     WeightParams,
     divisor_table,
     lambda_block,
@@ -163,6 +165,29 @@ def test_divisor_table_contents():
     assert by_d[2].residues == ((-1) % 2,) == (1,)
     assert by_d[6].mu == 1 and by_d[3].mu == -1
     assert len(by_d[3].residues) == 2
+
+
+def test_divisor_table_memo(monkeypatch):
+    # a repeated (tuple, R) is the same table, with its signature states
+    # built once and read-only; the memo keeps the last TABLE_MEMO tables
+    weights._build_table.cache_clear()
+    table = divisor_table(SEPTUPLE, 56.2)
+    wp = WeightParams(56.2, 8)
+    values, comp = table.prefix_state(wp)
+    assert divisor_table(SEPTUPLE, 56.2) is table
+    monkeypatch.setattr(weights, "_weight_value", None)  # nothing may be rebuilt
+    assert divisor_table(SEPTUPLE, 56.2).prefix_state(wp)[0] is values
+    monkeypatch.undo()
+    for state in (values, comp):
+        with pytest.raises(ValueError):
+            state[0] = 1.0
+    others = [divisor_table(TWIN, 10.0 + i) for i in range(TABLE_MEMO - 1)]
+    assert divisor_table(SEPTUPLE, 56.2) is table
+    assert [divisor_table(TWIN, 10.0 + i) for i in range(TABLE_MEMO - 1)] == others
+    divisor_table(TWIN, 100.0)  # one more evicts the least recently used
+    assert weights._build_table.cache_info().currsize == TABLE_MEMO
+    assert divisor_table(SEPTUPLE, 56.2) is not table
+    assert list(divisor_table(SEPTUPLE, 56.2)) == list(table)
 
 
 @st.composite
