@@ -10,9 +10,10 @@ Three empirical sums are paired with exact-rational prefactor algebra:
 with W(n) the block weight at exponent a = k + l.  The three sums share one
 chunk pipeline that builds a tuple's divisor table and its signature state
 once, in the calling process, before any pool starts, and folds each chunk's
-result as it arrives, in chunk order; the exact double sums (small R) read
-each divisor's primes from that same table, and the exact-count form counts
-each distinct lcm once.
+result as it arrives, in chunk order.  A task carries no table: chunks read
+it from divisor_table's per-process memo, which forked workers inherit.  The
+exact double sums (small R) read each divisor's primes from that same table,
+and the exact-count form counts each distinct lcm once.
 
 When R < 59, W(n) depends only on n's small-prime signature (see weights),
 so a chunk returns exact integers per signature s instead of a rounded sum:
@@ -29,9 +30,9 @@ with V_s the signature state's value and Lambda_s the correctly rounded sum
 of log p over the primes the signature's n see; so results do not depend on
 CHUNK or the worker count at all.  From R = 59 on (a tail of divisors that
 the signature does not decide), each chunk rounds its own partial, keyed by
-single n, and the partials take a fixed pairwise tree_fold.  Either way no
+single n, and the run adds the partials with one math.fsum.  Either way no
 extended precision is needed.  A detector over several tuples adds the
-per-tuple sums by tree_fold too.  Every fsum reads its array through a
+per-tuple sums with one math.fsum too.  Every fsum reads its array through a
 memoryview, which hands it one float at a time: no list of every term, and
 faster than iterating the array itself.
 
@@ -60,8 +61,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BudgetError, RegimeError
-from .parallel import block_spans, ordered_imap, tree_fold
-from .primes import LOG_PART_BITS, SEGMENT_FLAGS, base_primes, log_parts, log_sum, prime_flags
+from .parallel import block_spans, ordered_imap
+from .primes import SEGMENT_FLAGS, LogSum, base_primes, log_parts, log_sum, prime_flags
 from .singular import DEFAULT_TOL, singular_series
 from .tuples import UNCHANGED, OffsetTuple, extend, omega_residues, omega_size
 from .weights import WeightParams, _crt_merge, _weight_value, divisor_table, lambda_block
@@ -115,6 +116,12 @@ class SieveParams:
             object.__setattr__(self, "theta", Fraction(self.theta))
         if not (0 < self.theta < 1):
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
+        WeightParams(self.R, self.a)  # the weights' own range check
+        power = self.k + 2 * self.l + 1  # the main terms' largest power of log R
+        try:
+            self.log_r ** power
+        except OverflowError:
+            raise ValueError(f"(log R)^(k + 2l + 1) = {self.log_r}^{power} leaves the float range") from None
 
     @property
     def a(self) -> int:
@@ -326,69 +333,42 @@ class DetectorReport:
 # pure moment
 # ---------------------------------------------------------------------------
 
-class _KeySums:
-    """Exact per-signature integers of one run, added chunk by chunk.
-
-    count[s] is the number of n with signature s.  The logs of the primes
-    those n see sum to whole[s] + frac[s] * 2^-52 exactly: each add moves
-    the carry out of frac, so 0 <= frac < 2^52 between adds, and the totals
-    stay exact in int64 far past the 2^53 at which primes.log_sum refuses.
-    Fields no chunk fed stay the int 0.
-    """
-
-    def __init__(self) -> None:
-        self.count = self.whole = self.frac = 0
-
-    def add(self, count, lam_hi, lam_lo) -> None:
-        # the first add of each field makes a new array; later ones add in place
-        if count is not None:
-            self.count += count
-        if lam_hi is not None:
-            # sum log p = lam_hi * 2^-26 + lam_lo * 2^-52 (see log_parts)
-            self.whole += lam_hi >> LOG_PART_BITS
-            self.frac += ((lam_hi & _PART_MASK) << LOG_PART_BITS) + lam_lo
-            self.whole += self.frac >> 2 * LOG_PART_BITS
-            self.frac &= _FRAC_MASK
-
-    def logs(self) -> np.ndarray:
-        """Per-signature sum of logs, correctly rounded: whole (below 2^53)
-        and frac * 2^-52 are exact doubles, so their sum takes one rounding."""
-        return self.whole + np.ldexp(self.frac.astype(np.float64), -2 * LOG_PART_BITS)
-
-
-_PART_MASK = (1 << LOG_PART_BITS) - 1
-_FRAC_MASK = (1 << 2 * LOG_PART_BITS) - 1
-
-
 def _fold_chunks(chunk, finish, t: OffsetTuple, params: SieveParams, workers: int | None,
                  *extra, take=None) -> tuple[float, int]:
-    """(empirical sum, chunk count) of chunk((t, wp, lo, hi, table, *extra))
-    over the CHUNK spans of (N, 2N].
+    """(empirical sum, chunk count) of chunk((t, wp, lo, hi, *extra)) over
+    the CHUNK spans of (N, 2N].
 
+    The divisor table and its signature state are built here, before any
+    pool starts; chunks look them up with divisor_table, in the memo that
+    forked workers inherit (any other worker builds them once per (t, R)).
     Results are folded as they arrive, in span order, so memory does not
     grow with the number of chunks; take(result), when given, first takes
     what the caller keeps besides the sum.  With a tail, chunks return
-    rounded partials and the sum is their tree_fold.  Without one they
-    return (count, lam_hi, lam_lo) per signature, None where unused; these
-    add up exactly, and finish(V, sums) rounds once, V the signature values.
-    The signature state is built here, so it travels inside the pickled
-    table.  Chunks may force lambda_block: the callers' regime check means
+    rounded partials and the sum is their math.fsum.  Without one they
+    return (count, lam_hi, lam_lo) per signature, None where unused: counts
+    add up in int64 and log parts in a primes.LogSum (a chunk's lo sums stay
+    below CHUNK * span * 2^26), and finish(V, counts, Lambda) rounds once, V
+    the signature values and Lambda the rounded per-signature sums of logs.
+    Chunks may force lambda_block: the callers' regime check means
     R <= N < lo unless the run itself was forced.
     """
     wp = WeightParams(params.R, params.a)
     table = divisor_table(t, wp.R)
     values = table.prefix_state(wp)[0]
     spans = block_spans(params.N + 1, 2 * params.N + 1, CHUNK)
-    results = ordered_imap(chunk, [(t, wp, lo, hi, table, *extra) for lo, hi in spans], workers)
+    results = ordered_imap(chunk, [(t, wp, lo, hi, *extra) for lo, hi in spans], workers)
     if take is not None:
         results = map(take, results)
     if table.tail:
-        return tree_fold(list(results)), len(spans)
-    sums = _KeySums()
-    for stats in results:
-        sums.add(*stats)
-        del stats  # free this chunk's arrays before the next chunk runs
-    return finish(values, sums), len(spans)
+        return math.fsum(results), len(spans)
+    counts, lam = 0, LogSum()
+    for count, lam_hi, lam_lo in results:
+        if count is not None:
+            counts += count
+        if lam_hi is not None:
+            lam.add(lam_hi, lam_lo)
+        del count, lam_hi, lam_lo  # free this chunk's arrays before the next chunk runs
+    return finish(values, counts, lam.value()), len(spans)
 
 
 def _grouped_square_sum(values: np.ndarray, counts: np.ndarray) -> float:
@@ -416,9 +396,10 @@ def _grouped_square_sum(values: np.ndarray, counts: np.ndarray) -> float:
 def _pure_chunk(args):
     """The chunk's rounded sum of W^2 with a tail, else its count per
     signature."""
-    t, wp, lo, hi, table = args
+    t, wp, lo, hi = args
+    table = divisor_table(t, wp.R)
     if table.tail:
-        blk = lambda_block(t, wp, lo, hi, force=True, table=table)
+        blk = lambda_block(t, wp, lo, hi, force=True)
         return math.fsum(memoryview(blk.values * blk.values))
     return np.bincount(table.signatures(lo, hi), minlength=table.signature_count), None, None
 
@@ -435,7 +416,7 @@ def pure_moment(
         raise ValueError(f"tuple size {t.k} does not match params.k = {params.k}")
     violations = _enforce_regime(params.pure_regime_violations(), force)
     empirical, chunks = _fold_chunks(
-        _pure_chunk, lambda values, sums: _grouped_square_sum(values, sums.count), t, params, workers
+        _pure_chunk, lambda values, counts, _: _grouped_square_sum(values, counts), t, params, workers
     )
 
     dens = singular_series(t, DEFAULT_TOL)
@@ -540,11 +521,12 @@ def _twisted_chunk(args):
     """The chunk's rounded sum of varpi(n + h) W(n)^2 with a tail, else the
     log parts of its n + h prime summed per signature of n (W is read only
     where used)."""
-    t, wp, lo, hi, table, h = args
+    t, wp, lo, hi, h = args
+    table = divisor_table(t, wp.R)
     idx = np.flatnonzero(prime_flags(lo + h, hi + h))  # n = lo + idx has n + h prime
     if table.tail:
         logs = np.log((lo + h + idx).astype(np.float64))
-        vals = lambda_block(t, wp, lo, hi, force=True, table=table).values[idx]
+        vals = lambda_block(t, wp, lo, hi, force=True).values[idx]
         return math.fsum(memoryview(vals * vals * logs))
     key = table.signatures(lo, hi)[idx]
     # one prime per n: a key's sums stay below CHUNK * 2^31, exact as doubles
@@ -553,8 +535,7 @@ def _twisted_chunk(args):
     return None, *lam
 
 
-def _twisted_total(values: np.ndarray, sums: _KeySums) -> float:
-    lam = sums.logs()
+def _twisted_total(values: np.ndarray, lam: np.ndarray) -> float:
     used = np.flatnonzero(lam)
     w = values[used]
     return math.fsum(memoryview(w * w * lam[used]))
@@ -579,7 +560,9 @@ def twisted_moment(
             f"params.span_bound {params.span_bound} below tuple span {t.span_bound}"
         )
     violations = _enforce_regime(params.twisted_regime_violations(), force)
-    empirical, chunks = _fold_chunks(_twisted_chunk, _twisted_total, t, params, workers, h)
+    empirical, chunks = _fold_chunks(
+        _twisted_chunk, lambda values, _, lam: _twisted_total(values, lam), t, params, workers, h
+    )
 
     # extension lives in [1, params.span_bound]
     spanned = OffsetTuple(t.offsets, params.span_bound)
@@ -613,17 +596,20 @@ def twisted_moment(
 # ---------------------------------------------------------------------------
 
 def _detector_chunk(args):
-    """One (tuple, chunk) unit: (sum, flagged n, capped witnesses).
+    """One (tuple, chunk) unit: (sum, flagged count, flagged n or None,
+    capped witnesses).
 
-    With a tail the sum is the chunk's rounded partial over keys n of W^2
-    (Lambda - log 3N * count), Lambda the exact sum of log p over the primes
-    that n sees; without one it is (count, lam_hi, lam_lo) per signature,
-    the integers that partial is made of.  n is flagged when it sees at
-    least two primes: while span < N that is exactly a positive parenthesis.
-    Witnesses are (n, first prime, second prime) rows for the first cap
-    flagged n.
+    The sum is (count, lam_hi, lam_lo) per key: the number of n with the key
+    and the int64 sums of the log parts of the primes they see.  Keys are
+    signatures without a tail; with one they are single n, and the chunk
+    rounds its own partial with the run's finisher, _detector_total.  n is
+    flagged when it sees at least two primes: while span < N that is exactly
+    a positive parenthesis.  The flagged n come back only when collect is
+    set.  Witnesses are (n, first prime, second prime) rows for the first
+    cap flagged n.
     """
-    t, wp, lo, hi, table, span, log3n, mode, cap = args
+    t, wp, lo, hi, span, log3n, mode, cap, collect = args
+    table = divisor_table(t, wp.R)
     size = hi - lo
     flags = prime_flags(lo + 1, hi + span)  # flags[j]: is lo + 1 + j prime
     pos = np.flatnonzero(flags)
@@ -670,19 +656,18 @@ def _detector_chunk(args):
         pair = (lo + first + offsets[c1], lo + first + offsets[hit.argmax(axis=1)])
     witnesses = np.stack((lo + first, *pair), axis=1)
 
-    if not table.tail:
-        return (counts, lam_hi, lam_lo), lo + flagged_idx, witnesses
+    total = counts, lam_hi, lam_lo
+    if table.tail:
+        vals = lambda_block(t, wp, lo, hi, force=True).values
+        total = _detector_total(vals, counts, log_sum(lam_hi, lam_lo), log3n)
+    return total, len(flagged_idx), lo + flagged_idx if collect else None, witnesses
+
+
+def _detector_total(values: np.ndarray, counts: np.ndarray, lam: np.ndarray, log3n: float) -> float:
     # only the keys some n has: the others' terms are exact +0.0
     used = np.flatnonzero(counts)
-    w = lambda_block(t, wp, lo, hi, force=True, table=table).values[used]
-    terms = w * w * (log_sum(lam_hi[used], lam_lo[used]) - log3n * counts[used])
-    return math.fsum(memoryview(terms)), lo + flagged_idx, witnesses
-
-
-def _detector_total(values: np.ndarray, sums: _KeySums, log3n: float) -> float:
-    used = np.flatnonzero(sums.count)
     w = values[used]
-    return math.fsum(memoryview(w * w * (sums.logs()[used] - log3n * sums.count[used])))
+    return math.fsum(memoryview(w * w * (lam[used] - log3n * counts[used])))
 
 
 def two_primes_detector(
@@ -701,7 +686,8 @@ def two_primes_detector(
     parenthesis is positive is counted, and for the first witness_cap such n
     the two witnessing primes in (n, n + span_bound] are reported.  Refuses
     span_bound >= N (positivity is then no longer "two primes"), span_bound
-    >= MAX_DETECTOR_SPAN and a negative witness_cap.
+    >= MAX_DETECTOR_SPAN, a negative witness_cap, and in window mode a
+    span_bound^k past the float range.
     """
     start = time.perf_counter()
     if h_mode not in ("window", "tuple"):
@@ -717,6 +703,11 @@ def two_primes_detector(
             f"span_bound {params.span_bound} must be below {MAX_DETECTOR_SPAN}, "
             "where a chunk's log-part sums could pass int64"
         )
+    if h_mode == "window":
+        try:
+            float(params.span_bound) ** params.k  # the window prediction's power
+        except OverflowError:
+            raise ValueError(f"span^k = {params.span_bound}^{params.k} leaves the float range") from None
     tuple_list = list(tuples)
     if not tuple_list:
         raise ValueError("empty tuple source")
@@ -741,8 +732,8 @@ def two_primes_detector(
 
         def take(result):
             nonlocal positive_count
-            total, flagged, wit = result
-            positive_count += len(flagged)
+            total, count, flagged, wit = result
+            positive_count += count
             if collect_positives:
                 flagged_parts.append(flagged)
             for n, p1, p2 in wit[: witness_cap - len(witnesses)].tolist():
@@ -750,12 +741,12 @@ def two_primes_detector(
             return total
 
         total, chunks = _fold_chunks(_detector_chunk, finish, t, params, workers,
-                                     span, log3n, h_mode, witness_cap, take=take)
+                                     span, log3n, h_mode, witness_cap, collect_positives, take=take)
         per_tuple_sums.append(total)
         if collect_positives:
             positives.append(np.concatenate(flagged_parts))
 
-    empirical = tree_fold(per_tuple_sums)
+    empirical = math.fsum(per_tuple_sums)
 
     coeff = float(detector_coefficient(params.k, params.l))
     pref = float(pure_main_prefactor(params.k, params.l))

@@ -1,11 +1,10 @@
 """Deterministic block partitioning and worker-count-invariant map/reduce.
 
 The contract every caller relies on: the partition of a range depends only on
-(lo, hi, block size), results arrive in task order, and whatever a caller
-folds them with sees that fixed order: exact integer additions, or a
-balanced pairwise tree (tree_fold) over rounded partials.  Worker count
-changes scheduling, never arithmetic, so outputs are bit-identical for 1 or
-16 workers.  ordered_imap hands results over one at a time, so a caller that
+(lo, hi, block size), and results arrive in task order, whatever a caller
+then does with them (the moment sums add exact integers or take one
+math.fsum).  Worker count changes scheduling, never arithmetic, so outputs
+are bit-identical for 1 or 16 workers.  ordered_imap hands results over one at a time, so a caller that
 folds them as they arrive need not hold one per task.
 """
 
@@ -75,17 +74,3 @@ def ordered_map(fn: Callable[[T], R], tasks: Sequence[T], workers: int | None = 
     """ordered_imap's results as a list."""
     return list(ordered_imap(fn, tasks, workers))
 
-
-def tree_fold(values: Sequence[float]) -> float:
-    """Pairwise sum in index order; the tree shape depends only on len(values)."""
-    items = list(values)
-    if not items:
-        raise ValueError("cannot fold an empty sequence")
-    while len(items) > 1:
-        nxt = []
-        for i in range(0, len(items) - 1, 2):
-            nxt.append(items[i] + items[i + 1])
-        if len(items) % 2:
-            nxt.append(items[-1])
-        items = nxt
-    return items[0]

@@ -14,8 +14,9 @@ small-prime signatures.
 All log-weight accumulations go through math.fsum (exactly rounded, hence
 order-independent and bit-stable) unless a caller explicitly asks for the
 streaming bucket pass in the distribution-level probe, or sums the integer
-parts of log_parts, which log_sum rounds once: the same exactly rounded
-result, from integer sums that can be grouped at will.
+parts of log_parts in int64, which LogSum carries and rounds once (log_sum
+for one sum): the same exactly rounded result, from integer sums that can be
+grouped at will, and carried so they never pass int64.
 """
 
 from __future__ import annotations
@@ -212,15 +213,15 @@ def primes_in(lo: int, hi: int) -> np.ndarray:
 # log p for p >= 3 is at least 1, so as a float64 it is a whole multiple of
 # 2^-52: log p * 2^52 splits into two integers of at most 31 and 26 bits
 LOG_PART_BITS = 26
-# integer-valued float64 sums (np.bincount weights) are exact below this
-EXACT_SUM_BOUND = 1 << 53
+_PART_MASK = (1 << LOG_PART_BITS) - 1
+_FRAC_MASK = (1 << 2 * LOG_PART_BITS) - 1
 
 
 def log_parts(ps) -> tuple[np.ndarray, np.ndarray]:
     """Integer parts (hi, lo) of log p, int64, for 3 <= p <= SUPPORTED_SIEVE_BOUND.
 
     log p = hi * 2^-26 + lo * 2^-52 exactly, with hi < 2^31 and lo < 2^26, so
-    sums of the parts are exact integers, and log_sum turns any such sums
+    sums of the parts are exact integers, and LogSum turns any such sums
     into the correctly rounded sum of the logs whatever the order or grouping.
     """
     ps = np.asarray(ps, dtype=np.int64)
@@ -232,21 +233,41 @@ def log_parts(ps) -> tuple[np.ndarray, np.ndarray]:
     return hi.astype(np.int64), lo.astype(np.int64)
 
 
-def log_sum(hi_sum, lo_sum):
-    """The correctly rounded sum of logs whose log_parts sum to (hi_sum, lo_sum).
+class LogSum:
+    """Exact running sum of logs, fed int64 sums of their log_parts.
 
-    Both are exact in float64 below 2^53, so the result takes one rounding.
-    Sums at or above 2^53 are refused: a float64 accumulation of the parts
-    may already have rounded there (parts are nonnegative, so a sum below the
-    bound proves every partial sum was exact too).  Elementwise on arrays.
+    The total is whole + frac * 2^-52 with 0 <= frac < 2^52, carried on
+    every add, so it stays exact however many sums come in: hi sums may
+    take all of int64, lo sums anything below 2^62 (2^36 lo parts).
+    value() rounds once: whole (below 2^53, as no run within the sieve
+    bound sums logs that far) and frac * 2^-52 are exact doubles.  Fields
+    start as the int 0, and the first add gives them its shape; elementwise.
     """
-    hi_sum = np.asarray(hi_sum)
-    lo_sum = np.asarray(lo_sum)
-    if (hi_sum >= EXACT_SUM_BOUND).any() or (lo_sum >= EXACT_SUM_BOUND).any():
-        raise ValueError("log part sums reach 2^53; split the sum")
-    return np.ldexp(hi_sum.astype(np.float64), -LOG_PART_BITS) + np.ldexp(
-        lo_sum.astype(np.float64), -2 * LOG_PART_BITS
-    )
+
+    def __init__(self) -> None:
+        self.whole = self.frac = 0
+
+    def add(self, hi_sum, lo_sum) -> None:
+        hi_sum, lo_sum = np.asarray(hi_sum), np.asarray(lo_sum)
+        if hi_sum.dtype.kind not in "iu" or lo_sum.dtype.kind not in "iu":
+            raise TypeError("log part sums must be integers; a float sum may already have rounded")
+        hi_sum, lo_sum = hi_sum.astype(np.int64, copy=False), lo_sum.astype(np.int64, copy=False)
+        self.whole += hi_sum >> LOG_PART_BITS
+        self.frac += ((hi_sum & _PART_MASK) << LOG_PART_BITS) + lo_sum
+        self.whole += self.frac >> 2 * LOG_PART_BITS
+        self.frac &= _FRAC_MASK
+
+    def value(self):
+        """The correctly rounded sum of the logs."""
+        return self.whole + self.frac * 2.0 ** (-2 * LOG_PART_BITS)
+
+
+def log_sum(hi_sum, lo_sum):
+    """The correctly rounded sum of logs whose log_parts sum to (hi_sum,
+    lo_sum), integers only: one LogSum add.  Elementwise."""
+    total = LogSum()
+    total.add(hi_sum, lo_sum)
+    return total.value()
 
 
 def is_prime(n: int) -> bool:

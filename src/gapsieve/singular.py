@@ -48,17 +48,15 @@ from itertools import chain, combinations, repeat
 import mpmath
 import numpy as np
 
-from .errors import BudgetError, ToleranceError
+from .errors import ToleranceError
 from .parallel import resolve_workers
 from .primes import base_primes
-from .tuples import OffsetTuple, enumerate_tuples, extended_omega_size, omega_size, tuple_count
+from .tuples import OffsetTuple, enumerate_tuples, enumeration_size, extended_omega_size, omega_size
 
 DEFAULT_TOL = 1e-12
 TRUNCATION_FLOOR = 1000
 MAX_TRUNCATION_PRIME = 10**8
 _SERIES_CAP = 80
-# largest number of tuples gallagher_average evaluates (after stride sampling)
-ENUMERATION_BUDGET = 2_000_000
 
 _EPS = float(np.finfo(np.float64).eps)
 _EPS_LD = float(np.finfo(np.longdouble).eps)
@@ -250,31 +248,12 @@ def gallagher_average(
 ) -> TupleAverageReport:
     """Average the density constant over all k-subsets of [1, span_bound].
 
-    Enumeration cost is C(span_bound, k) / stride; exceeding the budget
-    without sampling is an error rather than a silent long run.  The full
+    Enumeration cost is C(span_bound, k) / stride; exceeding the budget of
+    tuples.enumeration_size is an error rather than a silent long run.  The full
     average evaluates one series per translation class and repeats its
     value once per member; a stride sample evaluates each sampled tuple.
     """
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > span_bound:
-        raise ValueError(f"k={k} exceeds span bound {span_bound}")
-    # C(n, m) >= 2^m for m <= n/2: refuse before forming a huge binomial
-    m = min(k, span_bound - k)
-    if m > (ENUMERATION_BUDGET * stride).bit_length():
-        raise BudgetError(
-            f"C({span_bound},{k})/{stride} >= 2^{m}/{stride} exceeds budget "
-            f"{ENUMERATION_BUDGET}; enable stride sampling"
-        )
-    total = tuple_count(span_bound, k)
-    sample = -((phase % stride - total) // stride)  # len(range(phase % stride, total, stride))
-    if sample > ENUMERATION_BUDGET:
-        raise BudgetError(
-            f"C({span_bound},{k})/{stride} = {sample} exceeds budget "
-            f"{ENUMERATION_BUDGET}; enable stride sampling"
-        )
+    sample = enumeration_size(span_bound, k, stride, phase)
     resolve_workers(workers)  # validated; the sum itself is one fixed-order pass
     if stride == 1:
         classes = ((1,) + rest for rest in combinations(range(2, span_bound + 1), k - 1))

@@ -15,12 +15,15 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator
 
+from .errors import BudgetError
 from .primes import base_primes, squarefree_factors
 
 # The 7-offset pattern used for the two-primes-in-a-window computations,
 # stored shifted into [1, 22].
 SEPTUPLE_OFFSETS = (2, 4, 8, 10, 14, 20, 22)
 TWIN_OFFSETS = (1, 3)
+# largest number of tuples one enumeration yields (after stride sampling)
+ENUMERATION_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -219,6 +222,32 @@ def unrank_combination(span_bound: int, k: int, index: int) -> tuple[int, ...]:
         c += 1
 
 
+def enumeration_size(span_bound: int, k: int, stride: int = 1, phase: int = 0) -> int:
+    """How many k-subsets of [1, span_bound] the stride sample at phase
+    holds; BudgetError above ENUMERATION_BUDGET.
+
+    C(n, m) >= 2^m for m <= n/2, so a count far over budget is refused
+    before the binomial is formed; any other is counted exactly.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > span_bound:
+        raise ValueError(f"k={k} exceeds span bound {span_bound}")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    m = min(k, span_bound - k)
+    if m > (ENUMERATION_BUDGET * stride).bit_length():
+        size = f">= 2^{m}/{stride}"
+    else:
+        total = math.comb(span_bound, k)
+        sample = -((phase % stride - total) // stride)  # len(range(phase % stride, total, stride))
+        if sample <= ENUMERATION_BUDGET:
+            return sample
+        size = f"= {sample}"
+    raise BudgetError(f"C({span_bound},{k})/{stride} {size} exceeds budget {ENUMERATION_BUDGET}; "
+                      "enable stride sampling")
+
+
 def enumerate_tuples(
     span_bound: int,
     k: int,
@@ -231,26 +260,16 @@ def enumerate_tuples(
     stride > 1 keeps every stride-th subset (offset by phase) *before* the
     admissibility filter, so a sample is a deterministic, unbiased slice of
     the full enumeration.  Sampled subsets are unranked directly; the cost
-    scales with the sample, not the full binomial count.
+    scales with the sample, not the full binomial count.  The sample is
+    checked against enumeration_size's budget here, before anything is
+    yielded.
     """
-    if k > span_bound:
-        raise ValueError(f"k={k} exceeds span bound {span_bound}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+    enumeration_size(span_bound, k, stride, phase)
     phase %= stride
     if stride == 1:
         source = combinations(range(1, span_bound + 1), k)
     else:
-        total = math.comb(span_bound, k)
-        source = (unrank_combination(span_bound, k, i) for i in range(phase, total, stride))
-    for offs in source:
-        t = OffsetTuple(offs, span_bound)
-        if admissible_only and not is_admissible(t):
-            continue
-        yield t
-
-
-def tuple_count(span_bound: int, k: int) -> int:
-    return math.comb(span_bound, k)
+        source = (unrank_combination(span_bound, k, i)
+                  for i in range(phase, math.comb(span_bound, k), stride))
+    tuples = (OffsetTuple(offs, span_bound) for offs in source)
+    return (t for t in tuples if is_admissible(t)) if admissible_only else tuples

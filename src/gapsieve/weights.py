@@ -32,9 +32,10 @@ divisor_table is the package's one source of the squarefree d <= R: each
 entry carries its primes and covered classes, and the moment sums reuse it
 rather than factoring again.  The table also holds its signature patterns,
 built with it, and each weight exponent's signature state, built on first
-use; both travel with a pickled table, so unpickling builds nothing.  The
-TABLE_MEMO tables used last are kept per process, keyed by (tuple, R), so a
-repeated (tuple, R, a) builds neither the table nor its signature state.
+use.  The TABLE_MEMO tables used last are kept in a per-process memo, keyed
+by (tuple, R), so a repeated (tuple, R, a) builds neither the table nor its
+signature state; forked workers inherit the memo, and any other worker
+builds a table once per (tuple, R).
 """
 
 from __future__ import annotations
@@ -75,6 +76,11 @@ class WeightParams:
             raise ValueError(f"need finite R >= 1, got {self.R}")
         if self.a < 1:
             raise ValueError(f"need a >= 1, got {self.a}; a = 0 has no use here")
+        try:
+            # the largest weight, at d = 1; a! passes the float range from a = 171 on
+            _weight_value(1, 1, self.R, min(self.a, 171))
+        except OverflowError:
+            raise ValueError(f"a = {self.a} at R = {self.R}: (log R)^a / a! leaves the float range") from None
 
 
 def _weight_value(mu: int, d: int, R: float, a: int) -> float:
@@ -129,8 +135,7 @@ class DivisorTable(tuple):
     The entries below the limit are summed once per signature (bit i set
     when n mod p_i is a covered class of the i-th prime); `tail` holds the
     entries from the limit on, which are summed per n.  The signature
-    patterns are built here, once per table, and a pickled table carries
-    them and its signature states (see __reduce__).
+    patterns are built here, once per table.
     """
 
     def __new__(cls, entries):
@@ -143,9 +148,6 @@ class DivisorTable(tuple):
         self._tiles = _signature_tiles(self._signature_primes)
         self._states: dict[WeightParams, tuple[np.ndarray, np.ndarray]] = {}
         return self
-
-    def __reduce__(self):
-        return _restore_table, (tuple(self), self.__dict__)
 
     @property
     def signature_count(self) -> int:
@@ -203,13 +205,6 @@ def _signature_tiles(signature_primes) -> tuple[np.ndarray, ...]:
         pattern.setflags(write=False)
         tiles.append(pattern)
     return tuple(tiles)
-
-
-def _restore_table(entries, state) -> DivisorTable:
-    # unpickling: the entries and the built state as they were, nothing rebuilt
-    table = tuple.__new__(DivisorTable, entries)
-    table.__dict__.update(state)
-    return table
 
 
 def divisor_table(t: OffsetTuple, R: float) -> DivisorTable:
@@ -270,7 +265,6 @@ def lambda_block(
     lo: int,
     hi: int,
     force: bool = False,
-    table: DivisorTable | None = None,
 ) -> WeightBlock:
     """Divisor sums for all n in [lo, hi): each n's signature state, then the
     table's tail by residue-class accumulation.
@@ -284,8 +278,7 @@ def lambda_block(
         raise BudgetError(f"block of {hi - lo} exceeds budget {BLOCK_BUDGET}")
     if params.R >= lo and not force:
         raise RegimeError(f"R = {params.R} >= block start {lo}; pass force=True to evaluate anyway")
-    if table is None:
-        table = divisor_table(t, params.R)
+    table = divisor_table(t, params.R)
     prefix_values, prefix_comp = table.prefix_state(params)
     sig = table.signatures(lo, hi)
     values = prefix_values[sig]

@@ -396,7 +396,7 @@ def test_criterion_11_absolute_bound():
 _GOLDEN_SHA256 = {
     "01": "528cc921325e582a8dcfe94b9461a979a980626d2686cb1bfc49f9f9dfe5d705",
     "02": "7f613e96e52819a1e7375540a6b6951b84bf6a7e4204ae5df14854e822392237",
-    "03": "d9de1a3af6c3b3c0c26d1a21626013f4ff5fb2eaca2501cab50bfe769d40177a",
+    "03": "df9cd5fc2a7bce43bf5998b52d615d9d7fa361158e983e6e7165f5e639ba4ae8",
     "04": "d2cb7c1303bbb2d2c101be21f9ef5ae275b1dc6d7a7bcc6c113a9dd8c33bcbd1",
     "05": "69d30f331d308489ae4d3c82caaff84d82417535a4f3b1883cb158f4833a3eb8",
     "06": "ccab7989ae90a245895d74f4e495c084503139b416a3629a99933649c9cc602a",

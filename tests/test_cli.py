@@ -207,6 +207,33 @@ def test_gallagher_over_budget_is_an_error_exit(capsys):
     assert "exceeds budget" in err
 
 
+@pytest.mark.parametrize("source", [["all"], ["admissible"], ["sample", "--stride", "1000"]])
+def test_detector_over_budget_source_is_an_error_exit(capsys, source):
+    # C(100, 10) is about 1.7e13 tuples, and a thousandth of that is still
+    # over budget: refused before the first tuple is formed
+    code, out, err = run_cli(capsys, "moment", "--mode", "detector", "--tuple-source", *source,
+                             "--k", "10", "--span", "100", "--N", "1e6", "--R-exponent", "0.25", "--l", "1")
+    _assert_one_line_error(code, err)
+    assert "exceeds budget" in err and out == ""
+
+
+def test_exponents_past_the_float_range_are_error_exits(capsys):
+    weights = ["weights", "--tuple", "1,3", "--R", "1000", "--from", "10000", "--to", "10003"]
+    code, out, _ = run_cli(capsys, *weights, "--a", "170")
+    assert code == EXIT_OK
+    assert all(0 < float(line.split(",")[1]) < 1e-164 for line in out.splitlines()[1:])
+    # a! at a = 171, (log R)^(k + 2l + 1) in the main term and span^k in the
+    # window prediction leave the float range: refused before any chunk runs
+    hundred = ",".join(str(h) for h in range(1, 101))
+    for argv in ([*weights, "--a", "171"],
+                 ["moment", "--mode", "pure", "--tuple", "1,3", "--N", "1e5", "--R", "2e5", "--l", "150", "--force"],
+                 ["moment", "--mode", "detector", "--tuple", hundred, "--span", "2000", "--N", "3000", "--R", "10",
+                  "--l", "1", "--force"]):
+        code, out, err = run_cli(capsys, *argv)
+        _assert_one_line_error(code, err)
+        assert "float range" in err and out == ""
+
+
 def test_detector_cli_sampled_source_and_seed(capsys):
     base = ["moment", "--mode", "detector", "--tuple-source", "sample", "--stride", "7",
             "--k", "2", "--span", "20", "--N", "2e4", "--R-exponent", "0.25", "--l", "1",

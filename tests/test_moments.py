@@ -1,6 +1,9 @@
+import functools
 import math
+import multiprocessing
 import pickle
 import weakref
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +12,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gapsieve import moments, weights
+from gapsieve import moments, parallel, weights
 from gapsieve.errors import BudgetError, RegimeError
 from gapsieve.moments import (
     CHUNK,
@@ -18,7 +21,6 @@ from gapsieve.moments import (
     _detector_chunk,
     _detector_total,
     _grouped_square_sum,
-    _KeySums,
     _pure_chunk,
     _twisted_total,
     binomial_step_ratio,
@@ -33,7 +35,7 @@ from gapsieve.moments import (
     threshold,
     twisted_moment,
 )
-from gapsieve.parallel import block_spans, tree_fold
+from gapsieve.parallel import block_spans
 from gapsieve.primes import log_sum, prime_flags, sieve_segment
 from gapsieve.tuples import SEPTUPLE_OFFSETS, TWIN_OFFSETS, OffsetTuple, omega_residues
 from gapsieve.weights import WeightParams, divisor_table, lambda_block
@@ -316,20 +318,19 @@ def test_detector_chunk_is_the_per_n_sum(mode, t, R):
     for h in range(1, span + 1) if mode == "window" else t.offsets:
         w += np.where(flags[h - 1 : h - 1 + hi - lo], np.log((n + h).astype(np.float64)), 0.0)
     table = divisor_table(t, R)
-    total, flagged, witnesses = _detector_chunk((t, wp, lo, hi, table, span, log3n, mode, 5))
+    total, count, flagged, witnesses = _detector_chunk((t, wp, lo, hi, span, log3n, mode, 5, True))
     if not table.tail:
         # the chunk's integers, rounded as a run of this one chunk rounds them
-        total = _detector_total(table.prefix_state(wp)[0], _folded(total), log3n)
+        counts, lam_hi, lam_lo = total
+        total = _detector_total(table.prefix_state(wp)[0], counts, log_sum(lam_hi, lam_lo), log3n)
     assert total == pytest.approx(math.fsum(w * vals * vals), rel=1e-13)
     assert np.array_equal(flagged, n[w > 0.0])
+    assert count == len(flagged)
     assert witnesses[:, 0].tolist() == flagged[:5].tolist()
-
-
-def _folded(*chunk_stats) -> _KeySums:
-    sums = _KeySums()
-    for stats in chunk_stats:
-        sums.add(*stats)
-    return sums
+    # without collect the chunk returns the same sums and count, no flagged n
+    uncollected = _detector_chunk((t, wp, lo, hi, span, log3n, mode, 5, False))
+    assert uncollected[1:3] == (count, None)
+    assert np.array_equal(uncollected[3], witnesses)
 
 
 def _loop_witnesses(t, lo, hi, span, mode, cap):
@@ -352,9 +353,9 @@ def test_detector_witnesses_are_the_loop_output(mode, t, cap):
     span, lo = 22, 10**6 + 17
     hi = lo + 30_000
     wp = WeightParams(31.6, t.k + 1)
-    _, flagged, witnesses = _detector_chunk((t, wp, lo, hi, divisor_table(t, wp.R), span, 1.0, mode, cap))
+    _, count, _, witnesses = _detector_chunk((t, wp, lo, hi, span, 1.0, mode, cap, False))
     expected = _loop_witnesses(t, lo, hi, span, mode, cap)
-    assert len(expected) == min(cap, len(flagged))
+    assert len(expected) == min(cap, count)
     assert [tuple(row) for row in witnesses.tolist()] == expected
 
 
@@ -461,8 +462,8 @@ def test_pure_chunk_is_bitwise_fsum_of_squares(t, R):
     wp = WeightParams(R, t.k + 1)
     table = divisor_table(t, R)
     lo, hi = 10**6 + 17, 10**6 + 17 + 300_000
-    vals = lambda_block(t, wp, lo, hi, table=table).values
-    got = _pure_chunk((t, wp, lo, hi, table))
+    vals = lambda_block(t, wp, lo, hi).values
+    got = _pure_chunk((t, wp, lo, hi))
     if not table.tail:
         counts, _, _ = got
         assert counts.sum() == hi - lo
@@ -480,8 +481,8 @@ def test_twisted_chunk_is_bitwise_the_block_formula(t, R, h):
     lo, hi = 10**6 + 17, 10**6 + 17 + 300_000
     flags = prime_flags(lo + h, hi + h)
     logs = np.log((lo + h + np.flatnonzero(flags)).astype(np.float64))
-    vals = lambda_block(t, wp, lo, hi, table=table).values[flags]
-    got = moments._twisted_chunk((t, wp, lo, hi, table, h))
+    vals = lambda_block(t, wp, lo, hi).values[flags]
+    got = moments._twisted_chunk((t, wp, lo, hi, h))
     if table.tail:
         assert got.hex() == math.fsum(vals * vals * logs).hex()
         return
@@ -494,15 +495,15 @@ def test_twisted_chunk_is_bitwise_the_block_formula(t, R, h):
     groups = np.split(logs[order], np.searchsorted(key[order], seen[1:]))
     assert [x.hex() for x in log_sum(lam_hi[seen], lam_lo[seen]).tolist()] == [math.fsum(g).hex() for g in groups]
     assert lam_hi.sum() == lam_hi[seen].sum() and lam_lo.sum() == lam_lo[seen].sum()
-    total = _twisted_total(table.prefix_state(wp)[0], _folded(got))
+    total = _twisted_total(table.prefix_state(wp)[0], log_sum(lam_hi, lam_lo))
     assert total == pytest.approx(math.fsum(vals * vals * logs), rel=1e-15)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("R", [56.2, 100.0])
 def test_pure_moment_is_bitwise_fsum_of_block_squares(workers, R):
-    # R < 59: one fsum over every n's square; R >= 59: the pairwise fold of
-    # the chunks' fsums
+    # R < 59: one fsum over every n's square; R >= 59: one fsum of the
+    # chunks' fsums
     params = SieveParams(N=1_500_000, R=R, k=2, l=1, span_bound=3)
     wp = WeightParams(R, params.a)
     squares = []
@@ -513,7 +514,7 @@ def test_pure_moment_is_bitwise_fsum_of_block_squares(workers, R):
     if R < 59:
         expected = math.fsum(np.concatenate(squares))
     else:
-        expected = tree_fold([math.fsum(sq) for sq in squares])
+        expected = math.fsum([math.fsum(sq) for sq in squares])
     assert pure_moment(TWIN, params, workers=workers).empirical.hex() == expected.hex()
 
 
@@ -566,21 +567,21 @@ def test_grouped_square_sum_is_exact_past_2_24_counts():
         assert _grouped_square_sum(values, counts).hex() == float(exact).hex()
 
 
-def test_key_sums_stay_exact_past_2_53():
+def test_key_sums_stay_exact_past_2_53(monkeypatch):
     # a run over 2^34 n: 2^14 chunks whose per-key log-part sums are near the
-    # most a chunk can hold; the totals pass 2^53, where log_sum refuses, and
-    # even 2^63, and still round correctly
+    # most a chunk can hold; the run's fold takes totals past 2^53 and even
+    # 2^63, and still rounds them correctly
     rng = np.random.default_rng(11)
     keys, chunks = 8, 1 << 14
     hi = rng.integers(2**61, 2**62, (chunks, keys))
     lo = rng.integers(2**55, 2**56, (chunks, keys))
-    sums = _folded(*((None, h, l) for h, l in zip(hi, lo)))
-    assert ((0 <= sums.frac) & (sums.frac < 2**52)).all()
+    monkeypatch.setattr(moments, "ordered_imap", lambda fn, tasks, workers: zip([None] * chunks, hi, lo))
+    lam, _ = moments._fold_chunks(None, lambda values, counts, lam: lam, TWIN, _params(10**6), 1)
     total_hi = [sum(col) for col in zip(*hi.tolist())]
     total_lo = [sum(col) for col in zip(*lo.tolist())]
     assert min(total_hi) >= 2**63
     exact = [float(Fraction(a, 2**26) + Fraction(b, 2**52)) for a, b in zip(total_hi, total_lo)]
-    assert [x.hex() for x in sums.logs().tolist()] == [x.hex() for x in exact]
+    assert [x.hex() for x in lam.tolist()] == [x.hex() for x in exact]
 
 
 def test_pure_moment_worker_invariance():
@@ -600,10 +601,12 @@ _PIPELINE_N = 1_200_000  # five chunks of 2^18
 
 @pytest.mark.parametrize("driver", ["pure", "twisted", "detector"])
 def test_chunk_tasks_carry_the_signature_state(driver, monkeypatch):
+    # the state stays in the calling process: a task is (tuple, weight
+    # params, span, extras) and pickles small, and its chunk finds the table
+    # and signature state built before any chunk ran, in divisor_table's memo
     params = _params(_PIPELINE_N, span=10)
     monkeypatch.setattr(moments, "CHUNK", 1 << 18)
     tasks = []
-    shipped = []
     alive = []
 
     def watched(result):
@@ -611,40 +614,55 @@ def test_chunk_tasks_carry_the_signature_state(driver, monkeypatch):
         alive.append(weakref.ref(next(a for a in stats if a is not None)))
         return result
 
+    def no_rebuild(*args):
+        raise AssertionError("table, signature state or patterns rebuilt by a chunk")
+
     def recording_imap(fn, task_list, workers=None):
-        # pickled as a pool would send them, before any chunk runs
         tasks.extend(task_list)
-        shipped.extend(pickle.dumps(task) for task in task_list)
-        for task in task_list:
-            # streaming fold: by the time a chunk runs, every earlier result
-            # has been folded and dropped
-            assert not alive or alive[-1]() is None
-            yield watched(fn(task))
+        builds = weights._build_table.cache_info().misses
+        with monkeypatch.context() as m:
+            m.setattr(weights, "_weight_value", no_rebuild)
+            m.setattr(weights, "_signature_tiles", no_rebuild)
+            for task in task_list:
+                # streaming fold: by the time a chunk runs, every earlier
+                # result has been folded and dropped
+                assert not alive or alive[-1]() is None
+                yield watched(fn(task))
+        assert weights._build_table.cache_info().misses == builds
 
     monkeypatch.setattr(moments, "ordered_imap", recording_imap)
-    run = {
-        "pure": lambda: pure_moment(TWIN, params),
-        "twisted": lambda: twisted_moment(TWIN, 7, params),
-        "detector": lambda: two_primes_detector(params, [TWIN], h_mode="tuple"),
+    run, extra = {
+        "pure": (lambda: pure_moment(TWIN, params), ()),
+        "twisted": (lambda: twisted_moment(TWIN, 7, params), (7,)),
+        "detector": (lambda: two_primes_detector(params, [TWIN], h_mode="tuple"),
+                     (10, math.log(3 * _PIPELINE_N), "tuple", 1000, False)),
     }[driver]
     assert run().diagnostics["chunks"] == len(tasks) == 5
     assert [task[2:4] for task in tasks] == block_spans(_PIPELINE_N + 1, 2 * _PIPELINE_N + 1, 1 << 18)
-    assert not any(isinstance(field, bool) for task in tasks for field in task)
+    # exactly these fields ride in a task: no table, and no force flag
+    wp = WeightParams(params.R, params.a)
+    assert [task[:2] + task[4:] for task in tasks] == [(TWIN, wp, *extra)] * 5
+    assert all(len(pickle.dumps(task)) < 1024 for task in tasks)
 
-    def no_rebuild(*args):
-        raise AssertionError("signature state or patterns rebuilt in a worker")
 
-    monkeypatch.setattr(weights, "_weight_value", no_rebuild)
-    monkeypatch.setattr(weights, "_signature_tiles", no_rebuild)
-    for (_, wp, lo, hi, table, *_), sent in zip(tasks, shipped):
-        copy = pickle.loads(sent)[4]
-        state = table.prefix_state(wp)
-        got = copy.prefix_state(wp)
-        assert all(np.array_equal(a.view(np.int64), b.view(np.int64)) for a, b in zip(got, state))
-        # the patterns travel too: at R = 33.1, the periods of 2..13, 17..23, 29..31
-        assert [len(p) for p in copy._tiles] == [30030, 7429, 899]
-        assert all(np.array_equal(a, b) for a, b in zip(copy._tiles, table._tiles))
-        assert np.array_equal(copy.signatures(lo, hi), table.signatures(lo, hi))
+@pytest.mark.parametrize("R", [56.2, 100.0], ids=["no-tail", "tail"])
+def test_spawned_workers_give_the_same_bits(R, monkeypatch):
+    # a spawned worker inherits no memo, so it builds the table and its
+    # signature state itself; every run is bit for bit the one at workers 1
+    params = SieveParams(N=20_000, R=R, k=2, l=1, span_bound=10)
+    monkeypatch.setattr(moments, "CHUNK", 1 << 12)  # five chunks
+
+    def run(workers):
+        return (
+            pure_moment(TWIN, params, workers=workers, force=True).empirical,
+            twisted_moment(TWIN, 7, params, workers=workers, force=True).empirical,
+            two_primes_detector(params, [TWIN], workers=workers, force=True).empirical,
+        )
+
+    base = run(1)
+    spawn = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", spawn)
+    assert [x.hex() for x in run(2)] == [x.hex() for x in base]
 
 
 def test_tuple_size_error_comes_before_the_regime_check():

@@ -1,7 +1,7 @@
 import pytest
 
 from gapsieve import parallel
-from gapsieve.parallel import ordered_map, tree_fold
+from gapsieve.parallel import ordered_map
 
 
 @pytest.fixture
@@ -40,11 +40,3 @@ def test_pool_cap_on_this_machine(pool_sizes):
     ordered_map(abs, range(64), workers=10**6)
     assert all(size <= (parallel.os.cpu_count() or 1) for size in pool_sizes)
 
-
-def test_tree_fold_is_a_fixed_pairwise_sum():
-    assert tree_fold([1.0]) == 1.0
-    # ((a + b) + (c + d)) + e, not a left fold
-    values = [1e16, 1.0, -1e16, 1.0, 3.0]
-    assert tree_fold(values) == ((1e16 + 1.0) + (-1e16 + 1.0)) + 3.0
-    with pytest.raises(ValueError):
-        tree_fold([])

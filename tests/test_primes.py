@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from gapsieve.primes import (
     SUPPORTED_SIEVE_BOUND,
     PrimeSegment,
     ThetaStarQuery,
-    EXACT_SUM_BOUND,
     FACTORING_BUDGET,
     base_primes,
     chebyshev_theta,
+    LogSum,
     log_parts,
     log_sum,
     min_gap_in,
@@ -250,12 +251,13 @@ def test_log_sum_ignores_order_and_grouping(seed, groups):
     whole = log_sum(hi_part.sum(), lo_part.sum())
     order = rng.permutation(len(ps))
     cuts = np.sort(rng.integers(0, len(ps), groups - 1))
-    # per-group sums, as float64 bincounts and as int64, then summed again
+    # per-group sums, by float64 bincounts (exact here) taken to int64, then
+    # summed again
     label = np.zeros(len(ps), dtype=np.int64)
     label[order] = np.searchsorted(cuts, np.arange(len(ps)), side="right")
-    group_hi = np.bincount(label, weights=hi_part, minlength=groups)
-    group_lo = np.bincount(label, weights=lo_part, minlength=groups)
-    regrouped = log_sum(int(group_hi.astype(np.int64)[::-1].sum()), int(group_lo.astype(np.int64).sum()))
+    group_hi = np.bincount(label, weights=hi_part, minlength=groups).astype(np.int64)
+    group_lo = np.bincount(label, weights=lo_part, minlength=groups).astype(np.int64)
+    regrouped = log_sum(int(group_hi[::-1].sum()), int(group_lo.sum()))
     assert float(regrouped).hex() == float(whole).hex()
     # and elementwise, each group is its own correctly rounded sum
     logs = np.log(ps.astype(np.float64))
@@ -269,10 +271,34 @@ def test_log_parts_and_sum_refusals():
         with pytest.raises(ValueError, match="3 <= p"):
             log_parts(np.array(bad))
     log_parts(np.array([3, SUPPORTED_SIEVE_BOUND]))  # both ends are accepted
-    log_sum(EXACT_SUM_BOUND - 1, EXACT_SUM_BOUND - 1)
-    for hi_sum, lo_sum in ((EXACT_SUM_BOUND, 0), (0, EXACT_SUM_BOUND), (np.array([1, EXACT_SUM_BOUND]), np.array([0, 0]))):
-        with pytest.raises(ValueError, match="2\\^53"):
+    # a float sum of parts may already have rounded, so floats are refused
+    for hi_sum, lo_sum in ((2.0**40, 0), (0, np.array([1.0])), (np.array([1, 2], dtype=np.float64), np.array([0, 0]))):
+        with pytest.raises(TypeError, match="integers"):
             log_sum(hi_sum, lo_sum)
+        with pytest.raises(TypeError, match="integers"):
+            LogSum().add(hi_sum, lo_sum)
+
+
+def test_log_sum_is_exact_for_any_int64_part_sums():
+    # part sums past 2^53, hi ones up to the int64 limit and lo ones up to
+    # 2^62, nine of them added into one LogSum, against exact rationals
+    # rounded once
+    rng = np.random.default_rng(5)
+    top = np.iinfo(np.int64).max
+    adds = [(rng.integers(2**53, top, 500, endpoint=True), rng.integers(2**53, 2**62, 500))
+            for _ in range(8)]
+    adds.append((np.full(500, top), np.full(500, 2**62 - 1)))
+    total = LogSum()
+    for hi_sum, lo_sum in adds:
+        total.add(hi_sum, lo_sum)
+    assert ((0 <= total.frac) & (total.frac < 2**52)).all()
+    exact = [sum(Fraction(int(h[i]), 2**26) + Fraction(int(l[i]), 2**52) for h, l in adds) for i in range(500)]
+    assert [Fraction(w) + Fraction(f, 2**52) for w, f in zip(total.whole.tolist(), total.frac.tolist())] == exact
+    assert [x.hex() for x in total.value().tolist()] == [float(x).hex() for x in exact]
+    # log_sum is one such add, from zero
+    h, l = adds[0]
+    one = [float(Fraction(a, 2**26) + Fraction(b, 2**52)).hex() for a, b in zip(h.tolist(), l.tolist())]
+    assert [x.hex() for x in log_sum(h, l).tolist()] == one
 
 
 def _old_squarefree_factors(d):

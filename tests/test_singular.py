@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gapsieve import singular
+from gapsieve import singular, tuples
 from gapsieve.errors import BudgetError, ToleranceError
 from gapsieve.singular import (
     SingularSeriesValue,
@@ -127,11 +127,11 @@ def test_gallagher_k2_trend_small():
 
 
 def test_gallagher_budget(monkeypatch):
-    monkeypatch.setattr(singular, "ENUMERATION_BUDGET", 1000)
+    monkeypatch.setattr(tuples, "ENUMERATION_BUDGET", 1000)
     with pytest.raises(BudgetError, match="budget 1000;"):
         gallagher_average(200, 5)
     # stride sampling brings it under budget; cost scales with the sample
-    monkeypatch.setattr(singular, "ENUMERATION_BUDGET", 10**5)
+    monkeypatch.setattr(tuples, "ENUMERATION_BUDGET", 10**5)
     rep = gallagher_average(200, 5, stride=10**5)
     assert 0 < rep.tuple_count <= math.comb(200, 5) // 10**5 + 1
     assert 0.3 <= rep.normalized <= 2.0
@@ -141,7 +141,7 @@ def test_gallagher_budget_refuses_before_the_binomial(monkeypatch):
     def no_comb(*args):
         raise AssertionError("math.comb called before the budget refusal")
 
-    monkeypatch.setattr(singular.math, "comb", no_comb)
+    monkeypatch.setattr(tuples.math, "comb", no_comb)
     with pytest.raises(BudgetError, match="budget 2000000;"):
         gallagher_average(10**6, 5 * 10**5)
     with pytest.raises(BudgetError, match="budget 2000000;"):
@@ -150,11 +150,11 @@ def test_gallagher_budget_refuses_before_the_binomial(monkeypatch):
 
 def test_gallagher_budget_counts_the_sample_exactly(monkeypatch):
     # C(5, 2) = 10 at stride 3 samples the indices 0, 3, 6, 9: four tuples
-    monkeypatch.setattr(singular, "ENUMERATION_BUDGET", 3)
+    monkeypatch.setattr(tuples, "ENUMERATION_BUDGET", 3)
     with pytest.raises(BudgetError, match="= 4 exceeds budget 3;"):
         gallagher_average(5, 2, stride=3)
     assert gallagher_average(5, 2, stride=3, phase=1).tuple_count == 3
-    monkeypatch.setattr(singular, "ENUMERATION_BUDGET", 4)
+    monkeypatch.setattr(tuples, "ENUMERATION_BUDGET", 4)
     assert gallagher_average(5, 2, stride=3).tuple_count == 4
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapsieve import tuples
 from gapsieve.errors import BudgetError, NotSquarefreeError
 from gapsieve.tuples import (
     SEPTUPLE_OFFSETS,
@@ -12,6 +13,7 @@ from gapsieve.tuples import (
     UNCHANGED,
     OffsetTuple,
     enumerate_tuples,
+    enumeration_size,
     extend,
     extended_omega_size,
     first_obstruction,
@@ -20,7 +22,6 @@ from gapsieve.tuples import (
     normalize_offsets,
     omega_profile,
     omega_size,
-    tuple_count,
     unrank_combination,
 )
 
@@ -144,7 +145,7 @@ def test_extended_omega_growth(t, h, p):
 def test_enumeration():
     got = [t.offsets for t in enumerate_tuples(3, 2)]
     assert got == [(1, 2), (1, 3), (2, 3)]
-    assert tuple_count(20, 3) == 1140
+    assert enumeration_size(20, 3) == 1140
     assert sum(1 for _ in enumerate_tuples(20, 3)) == 1140
 
 
@@ -174,3 +175,18 @@ def test_enumeration_stride_sampling():
     assert sampled == full[1::3]
     with pytest.raises(ValueError):
         list(enumerate_tuples(3, 4))
+
+
+def test_enumeration_budget_is_checked_at_the_call(monkeypatch):
+    # refused when called, before anything is iterated; C(1000, 500) is
+    # refused by its 2^500 lower bound, before the binomial is formed
+    with pytest.raises(BudgetError, match="= 17310309456440 exceeds budget 2000000;"):
+        enumerate_tuples(100, 10, admissible_only=True)
+    with pytest.raises(BudgetError, match="C\\(1000,500\\)/1 >= 2\\^500/1 exceeds budget"):
+        enumerate_tuples(1000, 500)
+    # C(5, 2) = 10 at stride 3 samples the indices 0, 3, 6, 9: four tuples
+    monkeypatch.setattr(tuples, "ENUMERATION_BUDGET", 4)
+    assert enumeration_size(5, 2, stride=3) == len(list(enumerate_tuples(5, 2, stride=3))) == 4
+    assert enumeration_size(5, 2, stride=3, phase=1) == 3
+    with pytest.raises(BudgetError, match="= 10 exceeds budget 4;"):
+        enumerate_tuples(5, 2)

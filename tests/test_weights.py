@@ -32,6 +32,17 @@ def test_params_validation():
             WeightParams(R, 1)
 
 
+def test_params_refuse_weights_past_the_float_range():
+    # 170! is the last factorial below the float maximum; (log R)^a can leave
+    # the range first, and a huge a is refused without forming a!
+    assert lambda_weight(1, WeightParams(1000.0, 170)) == pytest.approx(6.7e-165, rel=1e-2)
+    for R, a in ((1000.0, 171), (10.0, 10**9), (1e300, 120)):
+        with pytest.raises(ValueError, match="float range"):
+            WeightParams(R, a)
+    WeightParams(1e300, 100)  # (log 1e300)^100 is about 8.6e283
+    WeightParams(1.0, 170)  # log R = 0: every weight is 0
+
+
 def test_lambda_weight_examples():
     assert lambda_weight(1, WeightParams(10, 1)) == math.log(10)
     assert lambda_weight(6, WeightParams(10, 1)) == pytest.approx(math.log(10 / 6), rel=1e-15)
@@ -124,7 +135,7 @@ def test_block_is_bitwise_bruteforce(t, R, lo, a):
     table = divisor_table(t, R)
     assert bool(table.tail) == (R >= 59)
     assert len(table.prefix_state(wp)[0]) <= 1 << 16
-    blk = lambda_block(t, wp, lo, lo + 48, table=table)
+    blk = lambda_block(t, wp, lo, lo + 48)
     oracle = np.array([lambda_bruteforce(t, wp, n) for n in range(lo, lo + 48)])
     assert np.array_equal(blk.values.view(np.int64), oracle.view(np.int64))
 
