@@ -43,7 +43,6 @@ from .tuples import (
     extend,
     is_admissible,
     member_of_omega,
-    omega_profile,
 )
 from .weights import WeightBlock, WeightParams, lambda_block, lambda_bruteforce, lambda_weight
 
@@ -78,7 +77,6 @@ __all__ = [
     "lambda_weight",
     "member_of_omega",
     "min_gap_in",
-    "omega_profile",
     "primes_in",
     "pure_moment",
     "sieve_segment",

@@ -28,10 +28,14 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetError, TrendError
+from .moments import _as_fraction
 from .parallel import ordered_map
 from .primes import prime_divisors, primes_in
 
 MODULUS_BUDGET = 100_000
+# the exact floor of x^theta compares q^den with x^num, whose size grows with
+# theta's denominator: at this one and q near MODULUS_BUDGET, about 10 ms
+MAX_THETA_DENOMINATOR = 10_000
 
 
 @dataclass(frozen=True)
@@ -55,10 +59,14 @@ class GridSpec:
 
 
 def rational_power_floor(x: int, theta: Fraction) -> int:
-    """floor(x^theta) for rational theta in (0, 1), exact integer arithmetic."""
+    """floor(x^theta) for rational theta in (0, 1), exact integer arithmetic.
+
+    A float seed, then exact steps of one: the seed is within a step or two
+    while x^theta stays far below 2^52, and each step forms q^den.
+    """
     num, den = theta.numerator, theta.denominator
     target = x**num
-    q = int(round(x ** (num / den)))  # float seed, then exact adjustment
+    q = round(math.exp(math.log(x) * num / den))  # math.log takes any int x
     while q > 1 and q**den > target:
         q -= 1
     while (q + 1) ** den <= target:
@@ -148,12 +156,18 @@ def bv_deviation(
     """Worst progression deviations for all moduli q <= floor(x^theta)."""
     if x < 10**3:
         raise ValueError(f"need x >= 1000, got {x}")
-    th = Fraction(theta)
+    th = _as_fraction(theta, "theta")
     if not (0 < th < 1):
         raise ValueError(f"theta must lie in (0, 1), got {th}")
+    if th.denominator > MAX_THETA_DENOMINATOR:
+        raise ValueError(f"theta = {th}: denominator above {MAX_THETA_DENOMINATOR}")
     ys = grid.points(x)
     if len(ys) < 4:
         raise ValueError(f"grid has {len(ys)} points, need >= 4; lower y_min")
+    log_q = float(th) * math.log(x)
+    if log_q > math.log(2 * MODULUS_BUDGET):
+        # refused by the estimate, before a far-off seed forms any power
+        raise BudgetError(f"x^theta = e^{log_q:.6g} exceeds modulus budget {MODULUS_BUDGET}")
     q_max = rational_power_floor(x, th)
     if q_max > MODULUS_BUDGET:
         raise BudgetError(f"x^theta = {q_max} exceeds modulus budget {MODULUS_BUDGET}")

@@ -1,11 +1,11 @@
 """Command-line front end.
 
-Subcommands: primes, tuple, singular-series, gallagher, weights, moment,
-threshold, bv, trend, replay.  Each command's output (its text or CSV lines,
-or with --json the canonical machine document, byte-stable across runs and
-worker counts) goes to the --out file when one is given, else to stdout.
---manifest records the run; replay re-executes a manifest and verifies the
-fingerprint.
+Subcommands: primes, tuple, singular-series, gallagher, weights, pure-moment,
+twisted-moment, detector, threshold, bv, trend, replay.  Each command's output
+(its text or CSV lines, or with --json the canonical machine document,
+byte-stable across runs and worker counts) goes to the --out file when one is
+given, else to stdout.  --manifest records the run; replay re-executes a
+manifest and verifies the fingerprint.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="gapsieve", allow_abbrev=False)
     subs = p.add_subparsers(dest="command", required=True)
 
-    def command(name: str, summary: str, workers=False, force=False, seed=False) -> argparse.ArgumentParser:
+    def command(name: str, summary: str, workers=False, force=False) -> argparse.ArgumentParser:
         s = subs.add_parser(name, help=summary, allow_abbrev=False)
         s.add_argument("--json", action="store_true", help="emit the canonical JSON document")
         s.add_argument("--out", type=str, default=None, help="write the output here instead of to stdout")
@@ -89,8 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
             s.add_argument("--workers", type=int, default=None, help="worker processes (env GAPSIEVE_WORKERS)")
         if force:
             s.add_argument("--force", action="store_true", help="run despite regime violations")
-        if seed:
-            s.add_argument("--seed", type=int, default=0, help="phase offset for stride sampling (no other RNG)")
         return s
 
     s = command("primes", "emit primes in a range, one per line")
@@ -106,10 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tol", type=float, default=1e-12)
     s.add_argument("--truncation-prime", type=_int_arg, default=None)
 
-    s = command("gallagher", "normalized tuple-density average", seed=True)
+    s = command("gallagher", "normalized tuple-density average")
     s.add_argument("--span", type=_int_arg, required=True)
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--stride", type=int, default=1)
+    s.add_argument("--seed", type=int, default=0, help="phase offset for stride sampling (no other RNG)")
 
     s = command("weights", "divisor-sum weights over a block", force=True)
     s.add_argument("--tuple", dest="offsets", type=str, required=True)
@@ -118,21 +117,35 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--from", dest="lo", type=_int_arg, required=True)
     s.add_argument("--to", dest="hi", type=_int_arg, required=True)
 
-    s = command("moment", "moment sums and the detector", workers=True, force=True, seed=True)
-    s.add_argument("--mode", choices=["pure", "twisted", "detector"], required=True)
-    s.add_argument("--tuple", dest="offsets", type=str, action="append", default=None,
-                   help="explicit tuple (repeatable for the detector)")
-    s.add_argument("--tuple-source", choices=["explicit", "all", "admissible", "sample"],
-                   default="explicit")
-    s.add_argument("--stride", type=int, default=1, help="sampling stride for --tuple-source sample")
-    s.add_argument("--k", type=int, default=None, help="tuple size for enumerated sources")
-    s.add_argument("--N", type=_int_arg, required=True)
-    s.add_argument("--R", type=float, default=None)
-    s.add_argument("--R-exponent", dest="r_exponent", type=float, default=None)
-    s.add_argument("--l", type=int, required=True)
-    s.add_argument("--span", type=_int_arg, default=None)
+    def moment(name: str, summary: str) -> argparse.ArgumentParser:
+        """The flags every sum over (N, 2N] reads."""
+        s = command(name, summary, workers=True, force=True)
+        s.add_argument("--N", type=_int_arg, required=True)
+        r = s.add_mutually_exclusive_group(required=True)
+        r.add_argument("--R", type=float)
+        r.add_argument("--R-exponent", dest="r_exponent", type=float, help="R = N^x")
+        s.add_argument("--l", type=int, required=True)
+        s.add_argument("--span", type=_int_arg, default=None)
+        return s
+
+    s = moment("pure-moment", "sum of W(n)^2")
+    s.add_argument("--tuple", dest="offsets", type=str, required=True)
+
+    s = moment("twisted-moment", "sum of varpi(n+h) W(n)^2")
+    s.add_argument("--tuple", dest="offsets", type=str, required=True)
+    s.add_argument("--h", type=int, required=True)
     s.add_argument("--theta", type=_fraction_arg, default=Fraction(1, 2))
-    s.add_argument("--h", type=int, default=None, help="shift for twisted mode")
+
+    s = moment("detector", "two-primes detector over explicit or enumerated tuples")
+    s.add_argument("--theta", type=_fraction_arg, default=Fraction(1, 2))
+    source = s.add_mutually_exclusive_group(required=True)
+    source.add_argument("--tuple", dest="offsets", type=str, action="append",
+                        help="explicit tuple (repeatable)")
+    source.add_argument("--tuple-source", choices=["all", "admissible"],
+                        help="the k-subsets of [1, span], or only the admissible ones")
+    s.add_argument("--k", type=int, default=None, help="tuple size for --tuple-source")
+    s.add_argument("--stride", type=int, default=None, help="keep every stride-th tuple of --tuple-source")
+    s.add_argument("--seed", type=int, default=None, help="phase offset for --stride (no other RNG)")
     s.add_argument("--h-mode", choices=["window", "tuple"], default="window")
     s.add_argument("--witness-cap", type=int, default=1000)
 
@@ -256,76 +269,63 @@ def _run_weights(args):
     return doc, csv_lines, notes, {}
 
 
-def _moment_params(args, k: int, span: int) -> SieveParams:
-    if (args.R is None) == (args.r_exponent is None):
-        raise GapsieveError("give exactly one of --R and --R-exponent")
-    r = args.R if args.R is not None else float(args.N) ** args.r_exponent
-    return SieveParams(N=args.N, R=r, k=k, l=args.l, span_bound=span, theta=args.theta)
+def _moment_params(args, k: int, span: int, **theta) -> SieveParams:
+    try:
+        r = args.R if args.R is not None else float(args.N) ** args.r_exponent
+    except OverflowError:
+        raise ValueError(f"R = N^{args.r_exponent} leaves the float range") from None
+    return SieveParams(N=args.N, R=r, k=k, l=args.l, span_bound=span, **theta)
 
 
-def _run_moment(args):
+def _run_pure(args):
+    t, notes = _parse_tuple(args.offsets)
+    params = _moment_params(args, t.k, t.span_bound if args.span is None else args.span)
+    doc = pure_moment(t, params, workers=args.workers, force=args.force).doc()
+    return doc, _moment_text(doc), notes, {}
+
+
+def _run_twisted(args):
+    t, notes = _parse_tuple(args.offsets)
+    span = max(t.span_bound, args.h) if args.span is None else args.span
+    params = _moment_params(args, t.k, span, theta=args.theta)
+    doc = twisted_moment(t, args.h, params, workers=args.workers, force=args.force).doc()
+    return doc, _moment_text(doc), notes, {}
+
+
+def _run_detector(args):
     notes: list[str] = []
-    sampling: dict = {"tuple_source": args.tuple_source}
-    explicit: list[OffsetTuple] = []
     if args.offsets:
+        unused = [flag for flag, value in (("--k", args.k), ("--stride", args.stride), ("--seed", args.seed))
+                  if value is not None]
+        if unused:
+            raise GapsieveError(f"{', '.join(unused)}: only with --tuple-source, not with --tuple")
+        explicit = []
         for text in args.offsets:
             t, n = _parse_tuple(text)
             explicit.append(t)
             notes.extend(n)
-
-    if args.mode == "pure":
-        if len(explicit) != 1:
-            raise GapsieveError("pure mode needs exactly one --tuple")
-        t = explicit[0]
-        params = _moment_params(args, t.k, args.span or t.span_bound)
-        rep = pure_moment(t, params, workers=args.workers, force=args.force)
-        doc = rep.doc()
-        return doc, _moment_text(doc), notes, sampling
-
-    if args.mode == "twisted":
-        if len(explicit) != 1 or args.h is None:
-            raise GapsieveError("twisted mode needs exactly one --tuple and --h")
-        t = explicit[0]
-        span = args.span or max(t.span_bound, args.h)
-        params = _moment_params(args, t.k, span)
-        rep = twisted_moment(t, args.h, params, workers=args.workers, force=args.force)
-        doc = rep.doc()
-        return doc, _moment_text(doc), notes, sampling
-
-    # detector
-    span = args.span or (explicit[0].span_bound if explicit else None)
-    if span is None:
-        raise GapsieveError("detector mode needs --span or an explicit --tuple")
-    if args.tuple_source == "explicit":
-        if not explicit:
-            raise GapsieveError("explicit tuple source needs at least one --tuple")
+        span = max(t.span_bound for t in explicit) if args.span is None else args.span
         tuples = [OffsetTuple(t.offsets, span) for t in explicit]
-        k = tuples[0].k
-        params = _moment_params(args, k, span)
-        source_iter = tuples
+        params = _moment_params(args, tuples[0].k, span, theta=args.theta)
+        sampling = {"tuple_source": "explicit"}
     else:
-        if args.k is None:
-            raise GapsieveError(f"tuple source {args.tuple_source!r} needs --k")
-        k = args.k
-        params = _moment_params(args, k, span)
-        stride = args.stride if args.tuple_source == "sample" else 1
-        phase = args.seed % stride if stride > 1 else 0
-        sampling.update({"stride": stride, "phase": phase})
-        source_iter = enumerate_tuples(
-            span, k,
-            admissible_only=args.tuple_source == "admissible",
-            stride=stride, phase=phase,
-        )
-    rep = two_primes_detector(params, source_iter, h_mode=args.h_mode, workers=args.workers,
-                       force=args.force, witness_cap=args.witness_cap)
-    doc = rep.doc()
+        if args.k is None or args.span is None:
+            raise GapsieveError("--tuple-source needs --k and --span")
+        stride = 1 if args.stride is None else args.stride
+        phase = (args.seed or 0) % stride if stride > 1 else 0
+        params = _moment_params(args, args.k, args.span, theta=args.theta)
+        tuples = enumerate_tuples(args.span, args.k, admissible_only=args.tuple_source == "admissible",
+                                  stride=stride, phase=phase)
+        sampling = {"tuple_source": args.tuple_source, "stride": stride, "phase": phase}
+    rep = two_primes_detector(params, tuples, h_mode=args.h_mode, workers=args.workers,
+                              force=args.force, witness_cap=args.witness_cap)
     lines = [
         f"detector ({rep.mode} mode, {rep.tuple_count} tuples)",
         f"empirical {fmt_float(rep.empirical)}",
         f"predicted {fmt_float(rep.predicted)}  bracket {fmt_float(rep.bracket)}",
         f"positive windows {rep.positive_count}",
     ]
-    return doc, lines, notes, sampling
+    return rep.doc(), lines, notes, sampling
 
 
 def _moment_text(doc: dict) -> list[str]:
@@ -384,7 +384,9 @@ _RUNNERS = {
     "singular-series": _run_singular,
     "gallagher": _run_gallagher,
     "weights": _run_weights,
-    "moment": _run_moment,
+    "pure-moment": _run_pure,
+    "twisted-moment": _run_twisted,
+    "detector": _run_detector,
     "threshold": _run_threshold,
     "bv": _run_bv,
     "trend": _run_trend,

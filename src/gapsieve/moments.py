@@ -62,7 +62,7 @@ import numpy as np
 
 from .errors import BudgetError, RegimeError
 from .parallel import block_spans, ordered_imap
-from .primes import SEGMENT_FLAGS, LogSum, base_primes, log_parts, log_sum, prime_flags
+from .primes import SEGMENT_FLAGS, SUPPORTED_SIEVE_BOUND, LogSum, base_primes, log_parts, log_sum, prime_flags
 from .singular import DEFAULT_TOL, singular_series
 from .tuples import UNCHANGED, OffsetTuple, extend, omega_residues, omega_size
 from .weights import WeightParams, _crt_merge, _weight_value, divisor_table, lambda_block
@@ -180,6 +180,15 @@ class SieveParams:
             "span_bound": self.span_bound,
             "theta": str(self.theta),
         }
+
+
+def _check_sieve_reach(params: SieveParams, reach: int) -> None:
+    """Refuse up front a run whose last chunk sieves past the sieve's bound:
+    the chunks of (N, 2N] sieve up to 2N + 1 + reach."""
+    top = 2 * params.N + 1 + reach
+    if top > SUPPORTED_SIEVE_BOUND:
+        raise ValueError(f"N = {params.N} sieves up to {top}, "
+                         f"past the supported sieve bound {SUPPORTED_SIEVE_BOUND}")
 
 
 def _enforce_regime(violations: list[str], force: bool) -> list[str]:
@@ -549,7 +558,8 @@ def twisted_moment(
     force: bool = False,
 ) -> MomentReport:
     """Empirical sum of varpi(n+h) W(n)^2 over (N, 2N] with the main term
-    picked by membership of h in the tuple."""
+    picked by membership of h in the tuple.  An N whose chunks would sieve
+    past SUPPORTED_SIEVE_BOUND is refused before any chunk is formed."""
     start = time.perf_counter()
     if t.k != params.k:
         raise ValueError(f"tuple size {t.k} does not match params.k = {params.k}")
@@ -559,6 +569,7 @@ def twisted_moment(
         raise ValueError(
             f"params.span_bound {params.span_bound} below tuple span {t.span_bound}"
         )
+    _check_sieve_reach(params, h)
     violations = _enforce_regime(params.twisted_regime_violations(), force)
     empirical, chunks = _fold_chunks(
         _twisted_chunk, lambda values, _, lam: _twisted_total(values, lam), t, params, workers, h
@@ -686,8 +697,9 @@ def two_primes_detector(
     parenthesis is positive is counted, and for the first witness_cap such n
     the two witnessing primes in (n, n + span_bound] are reported.  Refuses
     span_bound >= N (positivity is then no longer "two primes"), span_bound
-    >= MAX_DETECTOR_SPAN, a negative witness_cap, and in window mode a
-    span_bound^k past the float range.
+    >= MAX_DETECTOR_SPAN, a negative witness_cap, an N whose chunks would
+    sieve past SUPPORTED_SIEVE_BOUND, and in window mode a span_bound^k past
+    the float range.
     """
     start = time.perf_counter()
     if h_mode not in ("window", "tuple"):
@@ -703,6 +715,7 @@ def two_primes_detector(
             f"span_bound {params.span_bound} must be below {MAX_DETECTOR_SPAN}, "
             "where a chunk's log-part sums could pass int64"
         )
+    _check_sieve_reach(params, params.span_bound)
     if h_mode == "window":
         try:
             float(params.span_bound) ** params.k  # the window prediction's power

@@ -11,7 +11,7 @@ never by forming that product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
@@ -52,15 +52,6 @@ class OffsetTuple:
     def k(self) -> int:
         return len(self.offsets)
 
-    @classmethod
-    def parse(cls, text: str, span_bound: int = 0) -> "OffsetTuple":
-        """Parse the comma-separated text form, e.g. "1,3"."""
-        try:
-            offs = tuple(int(part) for part in text.split(","))
-        except ValueError as exc:
-            raise ValueError(f"invalid tuple text {text!r}") from exc
-        return cls(offs, span_bound)
-
     def text(self) -> str:
         return ",".join(str(h) for h in self.offsets)
 
@@ -90,37 +81,6 @@ def omega_size(t: OffsetTuple, p: int) -> int:
     if p > t.span_bound:
         return t.k
     return len({(-h) % p for h in t.offsets})
-
-
-@dataclass(frozen=True)
-class OmegaProfile:
-    """Per-prime covered-class counts up to a cutoff.
-
-    The table stores every prime p <= span_bound explicitly; all larger
-    primes up to (and beyond) the cutoff have exactly k covered classes, so
-    they are represented by the constant rather than materialized.
-    """
-
-    tuple_: OffsetTuple
-    cutoff: int
-    table: dict[int, int] = field(default_factory=dict)
-
-    def size(self, p: int) -> int:
-        return self.table.get(p, self.tuple_.k)
-
-    def items(self) -> list[tuple[int, int]]:
-        return sorted(self.table.items())
-
-
-def omega_profile(t: OffsetTuple, cutoff: int) -> OmegaProfile:
-    """Exact covered-class counts for all primes p <= cutoff."""
-    if cutoff < t.span_bound:
-        raise ValueError(
-            f"cutoff {cutoff} below span bound {t.span_bound}: "
-            "the non-generic primes would be silently truncated"
-        )
-    table = {int(p): omega_size(t, int(p)) for p in base_primes(min(cutoff, t.span_bound))}
-    return OmegaProfile(t, cutoff, table)
 
 
 def is_admissible(t: OffsetTuple) -> bool:

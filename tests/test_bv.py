@@ -80,6 +80,14 @@ def test_bv_validation(monkeypatch):
     with pytest.raises(ValueError):
         # grid too short
         bv_deviation(10**4, Fraction(1, 3), grid=GridSpec(y_min=5000))
+    # theta's size bounds the exact powers: a float or a large denominator is
+    # refused, and x^theta far over budget is refused before any power forms
+    with pytest.raises(TypeError, match="not float"):
+        bv_deviation(10**4, 0.45)
+    with pytest.raises(ValueError, match="denominator above 10000"):
+        bv_deviation(10**4, Fraction(1, 10**12))
+    with pytest.raises(BudgetError, match="modulus budget"):
+        bv_deviation(10**30, Fraction(9, 10))
     monkeypatch.setattr(bv, "MODULUS_BUDGET", 1000)
     with pytest.raises(BudgetError, match="modulus budget 1000"):
         bv_deviation(10**6, Fraction(9, 10))

@@ -2,8 +2,11 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +16,11 @@ from hypothesis import strategies as st
 import gapsieve
 from gapsieve.cli import EXIT_ERROR, EXIT_OK, EXIT_REGIME, _int_arg, build_parser, main, run_argv
 from gapsieve.manifest import emit_trend, load_manifest, manifest_spec
+from gapsieve.moments import SieveParams, pure_moment, twisted_moment, two_primes_detector
 from gapsieve.serialize import canonical_json, fmt_float
+from gapsieve.tuples import OffsetTuple, enumerate_tuples
+
+TWIN = OffsetTuple((1, 3))
 
 
 def run_cli(capsys, *argv):
@@ -69,18 +76,18 @@ def test_weights_csv(capsys, tmp_path):
 
 
 def test_regime_violation_exit_code(capsys):
-    code, _, err = run_cli(capsys, "moment", "--mode", "pure", "--tuple", "1,3",
+    code, _, err = run_cli(capsys, "pure-moment", "--tuple", "1,3",
                            "--N", "1e4", "--R", "5000", "--l", "1", "--json")
     assert code == EXIT_REGIME
     assert "regime" in err.lower()
-    code, out, _ = run_cli(capsys, "moment", "--mode", "pure", "--tuple", "1,3",
+    code, out, _ = run_cli(capsys, "pure-moment", "--tuple", "1,3",
                            "--N", "1e4", "--R", "5000", "--l", "1", "--json", "--force")
     assert code == EXIT_OK
     assert json.loads(out)["diagnostics"]["regime_violations"]
 
 
 def test_r_equal_one_is_a_regime_exit(capsys):
-    code, _, err = run_cli(capsys, "moment", "--mode", "pure", "--tuple", "1,3",
+    code, _, err = run_cli(capsys, "pure-moment", "--tuple", "1,3",
                            "--N", "100", "--R", "1", "--l", "1")
     assert code == EXIT_REGIME
     assert "log N / log R = inf" in err
@@ -90,7 +97,7 @@ def test_moment_json_and_trend(capsys, tmp_path):
     p5 = tmp_path / "n5.json"
     p6 = tmp_path / "n6.json"
     for N, path in (("1e5", p5), ("2e5", p6)):
-        code, _, _ = run_cli(capsys, "moment", "--mode", "pure", "--tuple", "1,3",
+        code, _, _ = run_cli(capsys, "pure-moment", "--tuple", "1,3",
                              "--N", N, "--R-exponent", "0.25", "--l", "1",
                              "--json", "--out", str(path))
         assert code == EXIT_OK
@@ -110,7 +117,7 @@ def test_moment_json_and_trend(capsys, tmp_path):
 
 def test_manifest_roundtrip_and_replay(capsys, tmp_path):
     man = tmp_path / "run.manifest.json"
-    argv = ["moment", "--mode", "pure", "--tuple", "1,3", "--N", "1e4",
+    argv = ["pure-moment", "--tuple", "1,3", "--N", "1e4",
             "--R-exponent", "0.25", "--l", "1", "--json", "--manifest", str(man)]
     code, out1, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
@@ -152,6 +159,20 @@ def test_bv_csv_footer(capsys, tmp_path):
     assert lines[-1].startswith("bound x/(log x)^1,")
     total = float(lines[-2].split(",")[-1])
     assert total > 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--x", "1e5", "--theta", "1/1000000000000"], "denominator above 10000"),
+    (["--x", "1e30", "--theta", "9/10"], "exceeds modulus budget"),
+], ids=["denominator", "far-over-budget"])
+def test_bv_theta_past_its_bounds_is_refused_at_once(argv, message, capsys):
+    # the exact powers of x^theta grow with theta's denominator, and a float
+    # seed far over budget would take the exact steps without bound
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "bv", *argv)
+    assert time.perf_counter() - start < 1
+    _assert_one_line_error(code, err)
+    assert message in err and out == ""
 
 
 def test_canonical_json_floats():
@@ -207,11 +228,11 @@ def test_gallagher_over_budget_is_an_error_exit(capsys):
     assert "exceeds budget" in err
 
 
-@pytest.mark.parametrize("source", [["all"], ["admissible"], ["sample", "--stride", "1000"]])
+@pytest.mark.parametrize("source", [["all"], ["admissible"], ["all", "--stride", "1000"]])
 def test_detector_over_budget_source_is_an_error_exit(capsys, source):
     # C(100, 10) is about 1.7e13 tuples, and a thousandth of that is still
     # over budget: refused before the first tuple is formed
-    code, out, err = run_cli(capsys, "moment", "--mode", "detector", "--tuple-source", *source,
+    code, out, err = run_cli(capsys, "detector", "--tuple-source", *source,
                              "--k", "10", "--span", "100", "--N", "1e6", "--R-exponent", "0.25", "--l", "1")
     _assert_one_line_error(code, err)
     assert "exceeds budget" in err and out == ""
@@ -222,12 +243,13 @@ def test_exponents_past_the_float_range_are_error_exits(capsys):
     code, out, _ = run_cli(capsys, *weights, "--a", "170")
     assert code == EXIT_OK
     assert all(0 < float(line.split(",")[1]) < 1e-164 for line in out.splitlines()[1:])
-    # a! at a = 171, (log R)^(k + 2l + 1) in the main term and span^k in the
-    # window prediction leave the float range: refused before any chunk runs
+    # a! at a = 171, R = N^x, (log R)^(k + 2l + 1) in the main term and span^k
+    # in the window prediction leave the float range: refused before any chunk runs
     hundred = ",".join(str(h) for h in range(1, 101))
     for argv in ([*weights, "--a", "171"],
-                 ["moment", "--mode", "pure", "--tuple", "1,3", "--N", "1e5", "--R", "2e5", "--l", "150", "--force"],
-                 ["moment", "--mode", "detector", "--tuple", hundred, "--span", "2000", "--N", "3000", "--R", "10",
+                 ["pure-moment", "--tuple", "1,3", "--N", "1e30", "--R-exponent", "20", "--l", "1"],
+                 ["pure-moment", "--tuple", "1,3", "--N", "1e5", "--R", "2e5", "--l", "150", "--force"],
+                 ["detector", "--tuple", hundred, "--span", "2000", "--N", "3000", "--R", "10",
                   "--l", "1", "--force"]):
         code, out, err = run_cli(capsys, *argv)
         _assert_one_line_error(code, err)
@@ -235,7 +257,7 @@ def test_exponents_past_the_float_range_are_error_exits(capsys):
 
 
 def test_detector_cli_sampled_source_and_seed(capsys):
-    base = ["moment", "--mode", "detector", "--tuple-source", "sample", "--stride", "7",
+    base = ["detector", "--tuple-source", "all", "--stride", "7",
             "--k", "2", "--span", "20", "--N", "2e4", "--R-exponent", "0.25", "--l", "1",
             "--json"]
     code, out0, _ = run_cli(capsys, *base, "--seed", "0")
@@ -248,10 +270,51 @@ def test_detector_cli_sampled_source_and_seed(capsys):
     assert d0["empirical"] != d3["empirical"]  # seed shifts the sampling phase
 
 
+_DETECTOR = ["detector", "--N", "1e4", "--R-exponent", "0.25", "--l", "1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--tuple", "1,3", "--k", "2"], "--k: only with --tuple-source"),
+    (["--tuple", "1,3", "--stride", "1", "--seed", "0"], "--stride, --seed: only with --tuple-source"),
+    (["--tuple-source", "all", "--span", "10"], "--tuple-source needs --k and --span"),
+    (["--tuple-source", "all", "--k", "2"], "--tuple-source needs --k and --span"),
+], ids=["k", "stride-seed", "no-k", "no-span"])
+def test_detector_source_flags_act_only_with_a_source(argv, message, capsys):
+    code, out, err = run_cli(capsys, *_DETECTOR, *argv)
+    _assert_one_line_error(code, err)
+    assert message in err and out == ""
+
+
+_SUM_PARAMS = {"N": 10**4, "R": float(10**4) ** 0.25, "l": 1}
+
+
+@pytest.mark.parametrize("argv, report", [
+    (["pure-moment", "--tuple", "0,2"],
+     lambda: pure_moment(TWIN, SieveParams(k=2, span_bound=3, **_SUM_PARAMS))),
+    (["twisted-moment", "--tuple", "1,3", "--h", "7", "--theta", "3/5"],
+     lambda: twisted_moment(TWIN, 7, SieveParams(k=2, span_bound=7, theta=Fraction(3, 5), **_SUM_PARAMS))),
+    (["detector", "--tuple", "1,3", "--tuple", "1,7", "--h-mode", "tuple", "--witness-cap", "3"],
+     lambda: two_primes_detector(SieveParams(k=2, span_bound=7, **_SUM_PARAMS),
+                                 [OffsetTuple((1, 3), 7), OffsetTuple((1, 7))], h_mode="tuple", witness_cap=3)),
+    (["detector", "--tuple-source", "all", "--k", "2", "--span", "10"],
+     lambda: two_primes_detector(SieveParams(k=2, span_bound=10, **_SUM_PARAMS), enumerate_tuples(10, 2))),
+    (["detector", "--tuple-source", "admissible", "--k", "3", "--span", "10", "--theta", "3/4"],
+     lambda: two_primes_detector(SieveParams(k=3, span_bound=10, theta=Fraction(3, 4), **_SUM_PARAMS),
+                                 enumerate_tuples(10, 3, admissible_only=True))),
+    (["detector", "--tuple-source", "all", "--k", "2", "--span", "20", "--stride", "7", "--seed", "10"],
+     lambda: two_primes_detector(SieveParams(k=2, span_bound=20, **_SUM_PARAMS),
+                                 enumerate_tuples(20, 2, stride=7, phase=3))),
+], ids=["pure", "twisted", "detector-explicit", "detector-all", "detector-admissible", "detector-strided"])
+def test_each_sum_prints_its_library_report(argv, report, capsys):
+    code, out, _ = run_cli(capsys, *argv, "--N", "1e4", "--R-exponent", "0.25", "--l", "1", "--json")
+    assert code == EXIT_OK
+    assert out == canonical_json(report().doc()) + "\n"
+
+
 def test_twisted_cli_and_schema_stability(capsys):
-    code, out_p, _ = run_cli(capsys, "moment", "--mode", "pure", "--tuple", "1,3",
+    code, out_p, _ = run_cli(capsys, "pure-moment", "--tuple", "1,3",
                              "--N", "1e4", "--R-exponent", "0.25", "--l", "1", "--json")
-    code, out_t, _ = run_cli(capsys, "moment", "--mode", "twisted", "--tuple", "1,3",
+    code, out_t, _ = run_cli(capsys, "twisted-moment", "--tuple", "1,3",
                              "--h", "7", "--span", "10",
                              "--N", "1e4", "--R-exponent", "0.25", "--l", "1", "--json")
     assert code == EXIT_OK
@@ -279,7 +342,7 @@ def test_tuple_check_non_integer_offset_is_an_error_exit(capsys):
 
 
 def test_zero_workers_is_an_error_exit(capsys):
-    code, _, err = run_cli(capsys, "moment", "--mode", "pure", "--tuple", "1,3", "--N", "1e4",
+    code, _, err = run_cli(capsys, "pure-moment", "--tuple", "1,3", "--N", "1e4",
                            "--R-exponent", "0.25", "--l", "1", "--workers", "0")
     _assert_one_line_error(code, err)
     assert "worker count" in err
@@ -287,7 +350,7 @@ def test_zero_workers_is_an_error_exit(capsys):
 
 def test_bad_worker_env_var_is_an_error_exit(capsys, monkeypatch):
     monkeypatch.setenv("GAPSIEVE_WORKERS", "abc")
-    code, _, err = run_cli(capsys, "moment", "--mode", "pure", "--tuple", "1,3", "--N", "1e4",
+    code, _, err = run_cli(capsys, "pure-moment", "--tuple", "1,3", "--N", "1e4",
                            "--R-exponent", "0.25", "--l", "1")
     _assert_one_line_error(code, err)
     assert "GAPSIEVE_WORKERS must be an integer, got 'abc'" in err
@@ -345,7 +408,7 @@ def test_malformed_manifest_is_an_error_exit(capsys, tmp_path, text):
 
 
 def test_negative_witness_cap_is_an_error_exit(capsys):
-    code, _, err = run_cli(capsys, "moment", "--mode", "detector", "--tuple", "1,3", "--span", "10",
+    code, _, err = run_cli(capsys, "detector", "--tuple", "1,3", "--span", "10",
                            "--N", "1e4", "--R-exponent", "0.25", "--l", "1", "--witness-cap", "-1")
     assert code == EXIT_ERROR
     assert err == "error: witness_cap must be >= 0, got -1\n"
@@ -353,7 +416,7 @@ def test_negative_witness_cap_is_an_error_exit(capsys):
 
 def test_span_from_n_on_is_an_error_exit(capsys):
     # refused as an input error before the regime check, so no --force needed
-    code, _, err = run_cli(capsys, "moment", "--mode", "detector", "--tuple", "1,3", "--span", "16",
+    code, _, err = run_cli(capsys, "detector", "--tuple", "1,3", "--span", "16",
                            "--N", "16", "--R", "2", "--l", "1")
     assert code == EXIT_ERROR
     assert err == "error: span_bound 16 must be below N = 16\n"
@@ -361,15 +424,15 @@ def test_span_from_n_on_is_an_error_exit(capsys):
 
 def test_span_from_4096_on_is_an_error_exit(capsys):
     # a chunk's int64 log-part sums are bounded through the span
-    code, _, err = run_cli(capsys, "moment", "--mode", "detector", "--tuple", "1,3", "--span", "4096",
+    code, _, err = run_cli(capsys, "detector", "--tuple", "1,3", "--span", "4096",
                            "--N", "1e5", "--R", "2", "--l", "1")
     assert code == EXIT_ERROR
     assert err.startswith("error: span_bound 4096 must be below 4096")
 
 
 @pytest.mark.parametrize("argv", [
-    ["moment", "--mode", "pure", "--tuple", "1,3", "--N", "1e4", "--R", "nan", "--l", "1"],
-    ["moment", "--mode", "detector", "--tuple", "1,3", "--N", "1e4", "--R-exponent", "inf", "--l", "1"],
+    ["pure-moment", "--tuple", "1,3", "--N", "1e4", "--R", "nan", "--l", "1"],
+    ["detector", "--tuple", "1,3", "--N", "1e4", "--R-exponent", "inf", "--l", "1"],
     ["singular-series", "--tuple", "1,3", "--tol", "nan"],
     ["bv", "--x", "1e3", "--theta", "1/2", "--A", "inf"],
     ["bv", "--x", "1e3", "--theta", "1/2", "--A=-inf"],
@@ -393,20 +456,25 @@ def test_non_finite_floats_are_error_exits_before_any_work(argv, capsys, monkeyp
 _IO = {"--json", "--out", "--manifest", "--config"}
 # the flags that were once on every subcommand
 _SHARED = _IO | {"--workers", "--force", "--seed"}
+_SUM = {"--N", "--R", "--R-exponent", "--l", "--span", "--workers", "--force"} | _IO
 _OPTIONS = {
     "primes": {"--from", "--to"} | _IO,
     "tuple": _IO,
     "singular-series": {"--tuple", "--tol", "--truncation-prime"} | _IO,
     "gallagher": {"--span", "--k", "--stride", "--seed"} | _IO,
     "weights": {"--tuple", "--R", "--a", "--from", "--to", "--force"} | _IO,
-    "moment": {"--mode", "--tuple", "--tuple-source", "--stride", "--k", "--N", "--R", "--R-exponent",
-               "--l", "--span", "--theta", "--h", "--h-mode", "--witness-cap",
-               "--workers", "--force", "--seed"} | _IO,
+    "pure-moment": {"--tuple"} | _SUM,
+    "twisted-moment": {"--tuple", "--h", "--theta"} | _SUM,
+    "detector": {"--tuple", "--tuple-source", "--k", "--stride", "--seed", "--theta", "--h-mode",
+                 "--witness-cap"} | _SUM,
     "threshold": {"--k", "--l", "--theta", "--eps"} | _IO,
     "bv": {"--x", "--theta", "--A", "--y-min", "--grid-factor", "--workers"} | _IO,
     "trend": _IO,
     "replay": {"--manifest-in"},
 }
+# the flags of the one moment subcommand that once served all three sums
+_MOMENT = _OPTIONS["twisted-moment"] | _OPTIONS["detector"]
+_SUMS = ("pure-moment", "twisted-moment", "detector")
 # a cheap argv that runs, per subcommand (trend reads a.json and b.json)
 _MINIMAL = {
     "primes": ["primes", "--from", "90", "--to", "100"],
@@ -414,23 +482,43 @@ _MINIMAL = {
     "singular-series": ["singular-series", "--tuple", "1,3"],
     "gallagher": ["gallagher", "--span", "10", "--k", "2"],
     "weights": ["weights", "--tuple", "1,3", "--R", "10", "--a", "2", "--from", "100", "--to", "110"],
-    "moment": ["moment", "--mode", "pure", "--tuple", "1,3", "--N", "1e4", "--R-exponent", "0.25", "--l", "1"],
+    "pure-moment": ["pure-moment", "--tuple", "1,3", "--N", "1e4", "--R-exponent", "0.25", "--l", "1"],
+    "twisted-moment": ["twisted-moment", "--tuple", "1,3", "--h", "2", "--N", "1e4", "--R-exponent", "0.25",
+                       "--l", "1"],
+    "detector": ["detector", "--tuple", "1,3", "--N", "1e4", "--R-exponent", "0.25", "--l", "1"],
     "threshold": ["threshold", "--k", "2", "--l", "1", "--theta", "1/2"],
     "bv": ["bv", "--x", "1e3", "--theta", "1/2"],
     "trend": ["trend", "a.json", "b.json"],
     "replay": ["replay", "--manifest-in", "m.json"],
 }
-_REMOVED = [(command, flag) for command in sorted(_OPTIONS) for flag in sorted(_SHARED - _OPTIONS[command])]
+_REMOVED = [(command, flag) for command in sorted(_OPTIONS)
+            for flag in sorted((_SHARED | (_MOMENT if command in _SUMS else set())) - _OPTIONS[command])]
+
+
+def _parser_options() -> dict[str, set[str]]:
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    return {command: {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+            for command, sub in subparsers.items()}
 
 
 def test_each_subcommand_takes_exactly_its_options():
-    parser = build_parser()
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
-    assert set(subparsers) == set(_OPTIONS)
-    for command, sub in subparsers.items():
-        assert {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"} == _OPTIONS[command]
-    assert sum(len(_SHARED & options) for options in _OPTIONS.values()) == 42
-    assert len(_REMOVED) == 28
+    assert _parser_options() == _OPTIONS
+    assert sum(len(_SHARED & options) for options in _OPTIONS.values()) == 54
+    # 30 flags once on every subcommand, and 13 of the one moment subcommand
+    # (pure: --h --theta --tuple-source --k --stride --h-mode --witness-cap;
+    # twisted: the last five; detector: --h)
+    assert len(_REMOVED) == 30 + 13
+
+
+def test_readme_flag_table_is_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = {}
+    for line in readme.partition("\n## CLI\n")[2].splitlines():
+        row = re.fullmatch(r"\| `([a-z-]+)` \| (yes)? ?\| (.*) \|", line)
+        if row:
+            table[row[1]] = set(re.findall(r"`(--[\w-]+)`", row[3])) | (_IO if row[2] else set())
+    assert table == _parser_options()
 
 
 @pytest.mark.parametrize("command, flag", _REMOVED, ids=[f"{c}{f}" for c, f in _REMOVED])
@@ -449,7 +537,7 @@ def test_out_writes_the_bytes_stdout_shows(command, as_json, capsys, tmp_path, m
     monkeypatch.chdir(tmp_path)
     if command == "trend":
         for N, name in (("1e4", "a.json"), ("2e4", "b.json")):
-            assert main(["moment", "--mode", "pure", "--tuple", "1,3", "--N", N, "--R-exponent", "0.25",
+            assert main(["pure-moment", "--tuple", "1,3", "--N", N, "--R-exponent", "0.25",
                          "--l", "1", "--json", "--out", name]) == EXIT_OK
     argv = _MINIMAL[command] + ["--json"] * as_json
     code, shown, _ = run_cli(capsys, *argv)
@@ -475,9 +563,9 @@ def test_io_flag_spellings_store_one_argv(capsys, tmp_path, monkeypatch):
 
 def test_telemetry_workers_is_the_runs_own_count(monkeypatch):
     monkeypatch.delenv("GAPSIEVE_WORKERS", raising=False)
-    assert run_argv([*_MINIMAL["moment"], "--workers", "2"])[2]["telemetry"]["workers"] == 2
+    assert run_argv([*_MINIMAL["pure-moment"], "--workers", "2"])[2]["telemetry"]["workers"] == 2
     monkeypatch.setenv("GAPSIEVE_WORKERS", "3")
-    assert run_argv(_MINIMAL["moment"])[2]["telemetry"]["workers"] == 3
+    assert run_argv(_MINIMAL["detector"])[2]["telemetry"]["workers"] == 3
     # a subcommand without --workers runs in one process, whatever the environment
     assert run_argv(_MINIMAL["threshold"])[2]["telemetry"]["workers"] == 1
 
@@ -488,9 +576,28 @@ def test_telemetry_workers_is_the_runs_own_count(monkeypatch):
 
 # (good values, bad values) per subcommand and flag; every run stays small
 # (N <= 1e4, span <= 30, x <= 1e4, truncation prime <= 1e3).  The flags in
-# _REQUIRED are always given, so that most argv get past argparse.
-_REQUIRED = {"--from", "--to", "--span", "--k", "--l", "--mode", "--N", "--a", "--theta", "--x"}
+# _REQUIRED are always given, so that most argv get past argparse; the
+# detector also gets one of its two tuple sources.
+_REQUIRED = {
+    "primes": {"--from", "--to"},
+    "singular-series": {"--tuple"},
+    "gallagher": {"--span", "--k"},
+    "weights": {"--tuple", "--R", "--a", "--from", "--to"},
+    "pure-moment": {"--tuple", "--N", "--R-exponent", "--l"},
+    "twisted-moment": {"--tuple", "--h", "--N", "--R-exponent", "--l"},
+    "detector": {"--N", "--R-exponent", "--l", "--span"},
+    "threshold": {"--k", "--l", "--theta"},
+    "bv": {"--x", "--theta"},
+}
 _TUPLES = (["1,3", "1,3,7", "0,2", "1,3,5"], ["1,1", "1,x", "-1,3"])
+_SUM_VALUES = {
+    "--N": (["1e4", "100", "16"], ["10", "-5", "x"]),
+    "--R": (["2", "10"], ["0", "x", "nan", "inf"]),
+    "--R-exponent": (["0.25", "0.5"], ["2", "-1", "nan", "inf"]),
+    "--l": (["1"], ["0", "x"]),
+    "--span": (["3", "10"], ["0", "x"]),
+}
+_THETA = (["1/2"], ["0", "2", "1/0", "x"])
 _VOCABULARY = {
     "primes": {"--from": (["1", "2", "1e3"], ["-5", "1.5", "x"]), "--to": (["10", "1e4"], ["1", "x"])},
     "tuple": {},
@@ -511,21 +618,17 @@ _VOCABULARY = {
         "--from": (["100", "0"], ["-5", "x"]),
         "--to": (["130"], ["100", "50"]),
     },
-    "moment": {
-        "--mode": (["pure", "twisted", "detector"], ["x"]),
+    "pure-moment": {"--tuple": _TUPLES, **_SUM_VALUES},
+    "twisted-moment": {"--tuple": _TUPLES, "--h": (["1", "3"], ["99", "-1"]), "--theta": _THETA, **_SUM_VALUES},
+    "detector": {
         "--tuple": _TUPLES,
-        "--tuple-source": (["explicit", "all", "admissible", "sample"], ["x"]),
-        "--stride": (["1", "5"], ["0"]),
+        "--tuple-source": (["all", "admissible"], ["x", "sample"]),
         "--k": (["1", "2"], ["0", "x"]),
-        "--N": (["1e4", "100", "16"], ["10", "-5", "x"]),
-        "--R": (["2", "10"], ["0", "x", "nan", "inf"]),
-        "--R-exponent": (["0.25", "0.5"], ["2", "-1", "nan", "inf"]),
-        "--l": (["1"], ["0", "x"]),
-        "--span": (["3", "10"], ["0", "x"]),
-        "--theta": (["1/2"], ["0", "2", "1/0", "x"]),
-        "--h": (["1", "3"], ["99", "-1"]),
+        "--stride": (["1", "5"], ["0"]),
+        "--theta": _THETA,
         "--h-mode": (["window", "tuple"], ["x"]),
         "--witness-cap": (["5", "0"], ["-1"]),
+        **_SUM_VALUES,
     },
     "threshold": {
         "--k": (["2", "7"], ["0", "x"]),
@@ -573,8 +676,11 @@ def _argvs(draw):
     elif command == "replay":
         argv += ["--manifest-in", draw(st.sampled_from(_INPUTS))]
     flags = _VOCABULARY[command]
-    optional = sorted(set(flags) - _REQUIRED)
-    chosen = [flag for flag in flags if flag in _REQUIRED]
+    required = _REQUIRED.get(command, set())
+    if command == "detector":
+        required = required | set(draw(st.sampled_from([("--tuple",), ("--tuple-source", "--k")])))
+    optional = sorted(set(flags) - required)
+    chosen = [flag for flag in flags if flag in required]
     if optional:
         chosen += draw(st.lists(st.sampled_from(optional), unique=True))
     for flag in chosen:

@@ -677,3 +677,30 @@ def test_tuple_size_error_comes_before_the_regime_check():
         with pytest.raises(ValueError, match="tuple size 3") as info:
             run()
         assert not isinstance(info.value, RegimeError)
+
+
+def test_runs_past_the_sieve_bound_are_refused_before_any_chunk(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("spans or a table were built")
+
+    # N = 1e10 at R = N^(1/4) passes every other check; its chunks would
+    # sieve up to 2N + 1 + reach > 2^34
+    params = _params(10**10, span=10)
+    with monkeypatch.context() as m:
+        m.setattr(moments, "block_spans", no_work)
+        m.setattr(moments, "divisor_table", no_work)
+        for run in (lambda: twisted_moment(TWIN, 5, params), lambda: two_primes_detector(params, [TWIN])):
+            with pytest.raises(ValueError, match="past the supported sieve bound"):
+                run()
+    # the refusal sits exactly where the last chunk's sieve would fail
+    small = _params(10**4, span=10)
+    for run, reach in ((lambda: twisted_moment(TWIN, 5, small), 5),
+                       (lambda: two_primes_detector(small, [TWIN]), 10)):
+        for bound, ok in ((2 * 10**4 + 1 + reach, True), (2 * 10**4 + reach, False)):
+            monkeypatch.setattr(moments, "SUPPORTED_SIEVE_BOUND", bound)
+            monkeypatch.setattr("gapsieve.primes.SUPPORTED_SIEVE_BOUND", bound)
+            if ok:
+                run()
+            else:
+                with pytest.raises(ValueError, match="past the supported sieve bound"):
+                    run()

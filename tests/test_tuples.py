@@ -20,7 +20,6 @@ from gapsieve.tuples import (
     is_admissible,
     member_of_omega,
     normalize_offsets,
-    omega_profile,
     omega_size,
     unrank_combination,
 )
@@ -36,6 +35,7 @@ offset_tuples = st.builds(
 
 def test_construction_rules():
     assert OffsetTuple((3, 1)).offsets == (1, 3)  # sorted on construction
+    assert TWIN.text() == "1,3" and str(TWIN) == "{1,3}"
     with pytest.raises(ValueError):
         OffsetTuple((1, 1, 3))  # duplicates are an error
     with pytest.raises(ValueError):
@@ -44,14 +44,6 @@ def test_construction_rules():
         OffsetTuple((1, 9), span_bound=6)
     with pytest.raises(ValueError):
         OffsetTuple(())
-
-
-def test_parse_and_text():
-    t = OffsetTuple.parse("1,3")
-    assert t == TWIN
-    assert t.text() == "1,3"
-    with pytest.raises(ValueError):
-        OffsetTuple.parse("1,x")
 
 
 def test_normalize_pattern():
@@ -64,16 +56,6 @@ def test_omega_examples():
     assert omega_size(TWIN, 2) == 1  # -1 and -3 are both odd
     assert omega_size(SEPTUPLE, 7) == 6  # one class escapes
     assert omega_size(OffsetTuple((1, 3, 5)), 3) == 3  # all classes covered
-
-
-def test_omega_profile():
-    prof = omega_profile(SEPTUPLE, 100)
-    assert prof.size(2) == 1
-    assert prof.size(7) == 6
-    assert prof.size(23) == 7  # beyond the span: always k
-    assert all(1 <= w <= min(SEPTUPLE.k, p) for p, w in prof.items())
-    with pytest.raises(ValueError):
-        omega_profile(SEPTUPLE, 10)  # cutoff below span
 
 
 def test_admissibility():
