@@ -8,9 +8,14 @@ where theta*(y; a, q) sums log p over primes p in (y, 2y] with p = a (mod q),
 and report the per-q worst rows plus their total.  One shared prime pass per
 grid point feeds every modulus: the primes of (y, 2y] are materialized once
 and bucketed per q by residue.  The residues p - q*(p // q) take one scalar
-floor-divide per q, in the narrowest unsigned dtype that holds 2y and every
-q.  Each class sum is still a sequential float sum in prime order
-(np.bincount), so the bytes do not depend on the residue kernel.  The classes
+floor-divide per q and block of PRIME_BLOCK primes, in the narrowest unsigned
+dtype that holds 2y and every q; a group of MODULUS_GROUP moduli runs over
+each block while it is in cache, and each block's np.bincount starts from the
+class sums of the blocks before it.  So each class sum is still a sequential
+float sum in prime order, the sum of one np.bincount over the whole window,
+and the bytes do not depend on the blocking.  The primes are odd, so a q = 2m
+with odd m >= 3 is not bucketed: its classes that hold primes are the odd
+lifts of those mod m, with the same sums and phi(q) = phi(m).  The classes
 that share a prime with q are struck by one strided slice per such prime;
 each q is factored once per probe, and every grid point reads that list.
 
@@ -27,12 +32,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetError, TrendError
+from .errors import BudgetError, SieveRangeError, TrendError
 from .moments import _as_fraction
 from .parallel import ordered_map
-from .primes import prime_divisors, primes_in
+from .primes import MAX_MATERIALIZED_FLAGS, prime_divisors, primes_in
 
 MODULUS_BUDGET = 100_000
+# primes per block of a grid point's class sums: a block's primes, logs and
+# residues stay in cache while each modulus of a group runs over it
+PRIME_BLOCK = 1 << 15
+# moduli whose class sums are carried over the blocks together
+MODULUS_GROUP = 64
 # the exact floor of x^theta compares q^den with x^num, whose size grows with
 # theta's denominator: at this one and q near MODULUS_BUDGET, about 10 ms
 MAX_THETA_DENOMINATOR = 10_000
@@ -114,8 +124,8 @@ class BvDeviationTable:
 
 
 def _grid_point_devs(args) -> tuple[np.ndarray, np.ndarray]:
-    """Per-q (deviation, worst a) for one grid point y, all q < len(phi) at once;
-    divisors[q] lists the primes of q."""
+    """Per-q (deviation, worst a) for one grid point y >= 2, all q < len(phi)
+    at once; divisors[q] lists the primes of q."""
     y, phi, divisors = args
     q_max = len(phi) - 1
     ps = primes_in(y + 1, 2 * y + 1)
@@ -126,24 +136,47 @@ def _grid_point_devs(args) -> tuple[np.ndarray, np.ndarray]:
     best_a = np.zeros(q_max + 1, dtype=np.int64)
     devs[1] = abs(total - y)  # q = 1: single class, exactly the fsum total
     # p mod q = p - q * (p // q) in the narrowest unsigned type holding every
-    # p and q: one scalar floor-divide per q, into buffers reused across q.
-    # Rebinding frees the int64 primes, so the buffers fit under the sieve's
-    # peak memory.
+    # p and q: one scalar floor-divide per q and block.  Rebinding frees the
+    # int64 primes, so the buffers fit under the sieve's peak memory.
     ps = ps.astype(np.min_scalar_type(max(2 * y, q_max)))
-    quot = np.empty_like(ps)
-    res = np.empty(len(ps), dtype=np.intp)
-    for q in range(2, q_max + 1):
-        np.floor_divide(ps, q, out=quot)
-        np.multiply(quot, q, out=quot)
-        np.subtract(ps, quot, out=res)
-        cls = np.bincount(res, weights=logs, minlength=q)
-        cls -= y / phi[q]
-        np.abs(cls, out=cls)
-        for r in divisors[q]:
-            cls[::r] = -1.0  # only coprime classes compete
-        a = int(np.argmax(cls))
-        devs[q] = cls[a]
-        best_a[q] = a
+    n = len(ps)
+    quot = np.empty(min(PRIME_BLOCK, n), dtype=ps.dtype)
+    # A block's residues and logs sit after q_max slots.  Modulus q carries
+    # its class sums in over the last q of them, whose indices run q-1 down
+    # to 0: 0.0 + acc[a] is acc[a], so each class adds its primes in prime
+    # order, the sums of one np.bincount over the whole window.
+    idx = np.empty(q_max + len(quot), dtype=np.intp)
+    idx[:q_max] = np.arange(q_max - 1, -1, -1)
+    wts = np.empty(q_max + len(quot))
+    # the primes are odd, so for odd q >= 3 the classes mod 2q that hold
+    # primes are the odd lifts of those mod q, with phi(2q) = phi(q)
+    qs = [q for q in range(2, q_max + 1) if q % 4 != 2 or q == 2]
+    for g in range(0, len(qs), MODULUS_GROUP):
+        group = qs[g : g + MODULUS_GROUP]
+        acc = [np.zeros(q) for q in group]
+        for s in range(0, n, PRIME_BLOCK):
+            m = min(PRIME_BLOCK, n - s)
+            block, qb, res = ps[s : s + m], quot[:m], idx[q_max : q_max + m]
+            wts[q_max : q_max + m] = logs[s : s + m]
+            for i, q in enumerate(group):
+                np.floor_divide(block, q, out=qb)
+                np.multiply(qb, q, out=qb)
+                np.subtract(block, qb, out=res)
+                wts[q_max - q : q_max] = acc[i][::-1]
+                acc[i] = np.bincount(idx[q_max - q : q_max + m], weights=wts[q_max - q : q_max + m])
+        for q, cls in zip(group, acc):
+            cls -= y / phi[q]
+            np.abs(cls, out=cls)
+            for r in divisors[q]:
+                cls[::r] = -1.0  # only coprime classes compete
+            a = int(np.argmax(cls))
+            devs[q] = cls[a]
+            best_a[q] = a
+            if q % 2 and 2 * q <= q_max:  # q = 1 is not in qs
+                # the first class mod 2q at the maximum: the least odd lift
+                ties = np.flatnonzero(cls == cls[a])
+                devs[2 * q] = cls[a]
+                best_a[2 * q] = np.where(ties % 2, ties, ties + q).min()
     return devs, best_a
 
 
@@ -171,6 +204,9 @@ def bv_deviation(
     q_max = rational_power_floor(x, th)
     if q_max > MODULUS_BUDGET:
         raise BudgetError(f"x^theta = {q_max} exceeds modulus budget {MODULUS_BUDGET}")
+    if x > MAX_MATERIALIZED_FLAGS:
+        # the top grid point sieves (x, 2x] as one window: refuse before any runs
+        raise SieveRangeError(f"x = {x} exceeds the largest x the probe sieves, {MAX_MATERIALIZED_FLAGS}")
 
     phi = totients_upto(q_max)
     divisors = [[]] + [prime_divisors(q) for q in range(1, q_max + 1)]

@@ -394,11 +394,15 @@ _RUNNERS = {
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        args = parser.parse_args([argv[0], *_read_config(args.config), *argv[1:]])
-    return args
+    """One parse, with the --config file's flags before argv's: the file may
+    give required flags, and argv overrides it."""
+    if argv and argv[0] in _RUNNERS:
+        pre = argparse.ArgumentParser(prog=f"gapsieve {argv[0]}", add_help=False, allow_abbrev=False)
+        pre.add_argument("--config")
+        config = pre.parse_known_args(argv[1:])[0].config
+        if config:
+            argv = [argv[0], *_read_config(config), *argv[1:]]
+    return build_parser().parse_args(argv)
 
 
 def run_argv(argv: list[str], args: argparse.Namespace | None = None,

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gapsieve import bv
+from gapsieve import bv, primes
 from gapsieve.bv import (
     GridSpec,
     bv_deviation,
@@ -14,7 +16,7 @@ from gapsieve.bv import (
     BvDeviationTable,
     DeviationRow,
 )
-from gapsieve.errors import BudgetError, TrendError
+from gapsieve.errors import BudgetError, SieveRangeError, TrendError
 from gapsieve.primes import ThetaStarQuery, chebyshev_theta, prime_divisors, primes_in, theta_star
 
 
@@ -169,14 +171,67 @@ def test_grid_point_kernel_grid_covers_every_narrow_dtype():
     assert routes == {np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.uint32)}
 
 
+def _window_with(count, limit=1 << 14):
+    """The least y whose window (y, 2y] holds exactly count primes."""
+    pi = np.searchsorted(primes_in(2, 2 * limit + 1), np.arange(2 * limit + 1), side="right")
+    ys = np.arange(2, limit)
+    return int(ys[pi[2 * ys] - pi[ys] == count][0])
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1], ids=["below", "at", "above"])
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_grid_point_kernel_carries_class_sums_across_blocks(blocks, extra, monkeypatch):
+    # windows of a whole number of blocks, one prime short and one over; 200
+    # moduli span several groups
+    monkeypatch.setattr(bv, "PRIME_BLOCK", 16)
+    y = _window_with(16 * blocks + extra)
+    assert len(primes_in(y + 1, 2 * y + 1)) == 16 * blocks + extra
+    _assert_kernel_is_oracle(y, totients_upto(200))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    y=st.integers(2, 3000),
+    q_max=st.integers(2, 250),
+    block=st.integers(1, 80),
+    group=st.integers(1, 70),
+)
+def test_grid_point_kernel_is_the_old_loop_for_any_blocking(y, q_max, block, group):
+    # small y leaves many classes empty, so the maxima mod q tie and the
+    # moduli 2q (q odd) must take the least odd lift among the tied classes
+    saved = bv.PRIME_BLOCK, bv.MODULUS_GROUP
+    bv.PRIME_BLOCK, bv.MODULUS_GROUP = block, group
+    try:
+        _assert_kernel_is_oracle(y, totients_upto(q_max))
+    finally:
+        bv.PRIME_BLOCK, bv.MODULUS_GROUP = saved
+
+
 def test_grid_point_kernel_uint64_route(monkeypatch):
     # synthetic odd "primes" just above 2^32: nothing is sieved, and 2y > 2^32
-    # sends the residues through uint64
+    # sends the residues through uint64.  Being odd, they also take the odd
+    # lifts from q to 2q, as real primes above 2 do.
     y = 2**31 + 10**4
     fake = 2**32 + 1 + 2 * np.arange(20_000, dtype=np.int64)
     monkeypatch.setattr(bv, "primes_in", lambda lo, hi: fake.copy())
     assert np.min_scalar_type(2 * y) == np.uint64
     _assert_kernel_is_oracle(y, totients_upto(700))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_over_cap_x_is_refused_before_any_grid_point(workers, monkeypatch):
+    # the top window (x, 2x] is sieved as one: x past the sieve's cap is
+    # refused up front, not after the grid points already in flight
+    monkeypatch.setattr(primes, "MAX_MATERIALIZED_FLAGS", 1 << 14)
+    monkeypatch.setattr(bv, "MAX_MATERIALIZED_FLAGS", 1 << 14)
+    assert bv_deviation(1 << 14, Fraction(9, 20), workers=1).x == 1 << 14
+
+    def no_sieve(lo, hi):
+        raise AssertionError("a grid point ran")
+
+    monkeypatch.setattr(bv, "primes_in", no_sieve)
+    with pytest.raises(SieveRangeError, match="exceeds the largest x the probe sieves, 16384"):
+        bv_deviation((1 << 14) + 1, Fraction(9, 20), workers=workers)
 
 
 def test_probe_factors_each_modulus_once_whatever_the_grid(monkeypatch):

@@ -148,6 +148,20 @@ def test_config_file_defaults(capsys, tmp_path):
     assert json.loads(out)["tail_bound"] < 1e-12
 
 
+def test_config_file_may_give_required_flags(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("N=1e4\nl=1\nR-exponent=0.25\n")
+    flags = ["--N", "1e4", "--l", "1", "--R-exponent", "0.25"]
+    code, out, err = run_cli(capsys, "pure-moment", "--tuple", "1,3", "--config", str(cfg), "--json")
+    assert code == EXIT_OK, err
+    assert run_cli(capsys, "pure-moment", "--tuple", "1,3", *flags, "--json") == (code, out, err)
+    # argv overrides the file
+    code, out, err = run_cli(capsys, "pure-moment", "--tuple", "1,3", "--config", str(cfg), "--N", "2e4", "--json")
+    assert code == EXIT_OK, err
+    assert json.loads(out)["params"]["N"] == 20000
+    assert run_cli(capsys, "pure-moment", "--tuple", "1,3", *flags[2:], "--N", "2e4", "--json") == (code, out, err)
+
+
 def test_bv_csv_footer(capsys, tmp_path):
     out_path = tmp_path / "bv.csv"
     code, _, _ = run_cli(capsys, "bv", "--x", "1e4", "--theta", "0.45", "--A", "1",
@@ -164,10 +178,13 @@ def test_bv_csv_footer(capsys, tmp_path):
 @pytest.mark.parametrize("argv, message", [
     (["--x", "1e5", "--theta", "1/1000000000000"], "denominator above 10000"),
     (["--x", "1e30", "--theta", "9/10"], "exceeds modulus budget"),
-], ids=["denominator", "far-over-budget"])
+    (["--x", "3e8", "--theta", "9/20", "--workers", "2"], "exceeds the largest x the probe sieves, 268435456"),
+], ids=["denominator", "far-over-budget", "x-over-sieve-cap"])
 def test_bv_theta_past_its_bounds_is_refused_at_once(argv, message, capsys):
     # the exact powers of x^theta grow with theta's denominator, and a float
-    # seed far over budget would take the exact steps without bound
+    # seed far over budget would take the exact steps without bound; an x
+    # past the sieve's window cap is refused before the pool starts any of
+    # its grid points
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "bv", *argv)
     assert time.perf_counter() - start < 1
