@@ -23,16 +23,7 @@ from .moments import (
     threshold,
     twisted_moment,
 )
-from .primes import (
-    PrimeSegment,
-    ThetaStarQuery,
-    chebyshev_theta,
-    min_gap_in,
-    primes_in,
-    sieve_segment,
-    theta_star,
-    varpi,
-)
+from .primes import ThetaStarQuery, primes_in, sieve_segment, theta_star
 from .singular import SingularSeriesValue, gallagher_average, singular_series
 from .tuples import (
     SEPTUPLE_OFFSETS,
@@ -52,7 +43,6 @@ __all__ = [
     "GridSpec",
     "MomentReport",
     "OffsetTuple",
-    "PrimeSegment",
     "SEPTUPLE_OFFSETS",
     "SieveParams",
     "SingularSeriesValue",
@@ -63,7 +53,6 @@ __all__ = [
     "WeightBlock",
     "WeightParams",
     "bv_deviation",
-    "chebyshev_theta",
     "double_sum_T",
     "double_sum_exact_counts",
     "enumerate_tuples",
@@ -76,7 +65,6 @@ __all__ = [
     "lambda_bruteforce",
     "lambda_weight",
     "member_of_omega",
-    "min_gap_in",
     "primes_in",
     "pure_moment",
     "sieve_segment",
@@ -85,5 +73,4 @@ __all__ = [
     "theta_star",
     "threshold",
     "twisted_moment",
-    "varpi",
 ]

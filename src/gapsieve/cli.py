@@ -171,9 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _read_config(path: str) -> list[str]:
-    """key=value lines -> synthetic argv (real flags override by coming later)."""
-    extra: list[str] = []
+def _read_config(path: str) -> list[list[str]]:
+    """key=value lines -> one synthetic argv entry per line."""
+    entries: list[list[str]] = []
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -183,10 +183,10 @@ def _read_config(path: str) -> list[str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if value.lower() in ("true", "false"):
             if value.lower() == "true":
-                extra.append(f"--{key}")
+                entries.append([f"--{key}"])
         else:
-            extra.extend([f"--{key}", value])
-    return extra
+            entries.append([f"--{key}", value])
+    return entries
 
 
 def _parse_tuple(text: str) -> tuple[OffsetTuple, list[str]]:
@@ -395,14 +395,24 @@ _RUNNERS = {
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """One parse, with the --config file's flags before argv's: the file may
-    give required flags, and argv overrides it."""
+    give required flags.  A flag on argv replaces the file's entries for it
+    and for the other flags of its mutually exclusive groups."""
+    parser = build_parser()
     if argv and argv[0] in _RUNNERS:
         pre = argparse.ArgumentParser(prog=f"gapsieve {argv[0]}", add_help=False, allow_abbrev=False)
         pre.add_argument("--config")
         config = pre.parse_known_args(argv[1:])[0].config
         if config:
-            argv = [argv[0], *_read_config(config), *argv[1:]]
-    return build_parser().parse_args(argv)
+            subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            sub = subs.choices[argv[0]]
+            action_of = sub._option_string_actions.get
+            given = {action_of(tok.split("=", 1)[0]) for tok in argv[1:] if tok.startswith("--")} - {None}
+            for group in sub._mutually_exclusive_groups:
+                if given & set(group._group_actions):
+                    given |= set(group._group_actions)
+            kept = [tok for entry in _read_config(config) if action_of(entry[0]) not in given for tok in entry]
+            argv = [argv[0], *kept, *argv[1:]]
+    return parser.parse_args(argv)
 
 
 def run_argv(argv: list[str], args: argparse.Namespace | None = None,

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -62,7 +61,7 @@ import numpy as np
 
 from .errors import BudgetError, RegimeError
 from .parallel import block_spans, ordered_imap
-from .primes import SEGMENT_FLAGS, SUPPORTED_SIEVE_BOUND, LogSum, base_primes, log_parts, log_sum, prime_flags
+from .primes import SEGMENT_FLAGS, SUPPORTED_SIEVE_BOUND, LogSum, base_primes, log_parts, log_sum, sieve_segment
 from .singular import DEFAULT_TOL, singular_series
 from .tuples import UNCHANGED, OffsetTuple, extend, omega_residues, omega_size
 from .weights import WeightParams, _crt_merge, _weight_value, divisor_table, lambda_block
@@ -294,7 +293,6 @@ class MomentReport:
     params: SieveParams
     offsets: tuple[int, ...]
     diagnostics: dict = field(default_factory=dict)
-    wall_time: float = 0.0
 
     def doc(self) -> dict:
         """Canonical (worker-count- and timing-free) document."""
@@ -321,7 +319,6 @@ class DetectorReport:
     params: SieveParams
     diagnostics: dict = field(default_factory=dict)
     positives: list[np.ndarray] = field(default_factory=list)  # per tuple, optional
-    wall_time: float = 0.0
 
     def doc(self) -> dict:
         return {
@@ -420,7 +417,6 @@ def pure_moment(
     force: bool = False,
 ) -> MomentReport:
     """Empirical sum of W(n)^2 over (N, 2N] against its predicted main term."""
-    start = time.perf_counter()
     if t.k != params.k:
         raise ValueError(f"tuple size {t.k} does not match params.k = {params.k}")
     violations = _enforce_regime(params.pure_regime_violations(), force)
@@ -431,7 +427,7 @@ def pure_moment(
     dens = singular_series(t, DEFAULT_TOL)
     main = float(pure_main_prefactor(params.k, params.l)) * dens.value
     main *= params.N * params.log_r ** (params.k + 2 * params.l)
-    report = MomentReport(
+    return MomentReport(
         kind="pure",
         empirical=empirical,
         main_term=main,
@@ -444,8 +440,6 @@ def pure_moment(
             "singular_series": dens.value,
         },
     )
-    report.wall_time = time.perf_counter() - start
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +526,7 @@ def _twisted_chunk(args):
     where used)."""
     t, wp, lo, hi, h = args
     table = divisor_table(t, wp.R)
-    idx = np.flatnonzero(prime_flags(lo + h, hi + h))  # n = lo + idx has n + h prime
+    idx = np.flatnonzero(sieve_segment(lo + h, hi + h))  # n = lo + idx has n + h prime
     if table.tail:
         logs = np.log((lo + h + idx).astype(np.float64))
         vals = lambda_block(t, wp, lo, hi, force=True).values[idx]
@@ -560,7 +554,6 @@ def twisted_moment(
     """Empirical sum of varpi(n+h) W(n)^2 over (N, 2N] with the main term
     picked by membership of h in the tuple.  An N whose chunks would sieve
     past SUPPORTED_SIEVE_BOUND is refused before any chunk is formed."""
-    start = time.perf_counter()
     if t.k != params.k:
         raise ValueError(f"tuple size {t.k} does not match params.k = {params.k}")
     if not (1 <= h <= params.span_bound):
@@ -582,7 +575,7 @@ def twisted_moment(
     prefactor, power = twisted_main_prefactor(params.k, params.l, member)
     dens = singular_series(spanned if member else extended, DEFAULT_TOL)
     main = float(prefactor) * dens.value * params.N * params.log_r ** power
-    report = MomentReport(
+    return MomentReport(
         kind="twisted",
         empirical=empirical,
         main_term=main,
@@ -598,8 +591,6 @@ def twisted_moment(
             "log_r_power": power,
         },
     )
-    report.wall_time = time.perf_counter() - start
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +613,7 @@ def _detector_chunk(args):
     t, wp, lo, hi, span, log3n, mode, cap, collect = args
     table = divisor_table(t, wp.R)
     size = hi - lo
-    flags = prime_flags(lo + 1, hi + span)  # flags[j]: is lo + 1 + j prime
+    flags = sieve_segment(lo + 1, hi + span)  # flags[j]: is lo + 1 + j prime
     pos = np.flatnonzero(flags)
     part_hi, part_lo = log_parts(lo + 1 + pos)
     key = np.arange(size) if table.tail else table.signatures(lo, hi)
@@ -701,7 +692,6 @@ def two_primes_detector(
     sieve past SUPPORTED_SIEVE_BOUND, and in window mode a span_bound^k past
     the float range.
     """
-    start = time.perf_counter()
     if h_mode not in ("window", "tuple"):
         raise ValueError(f"unknown h_mode {h_mode!r}")
     if witness_cap < 0:
@@ -774,7 +764,7 @@ def two_primes_detector(
             singular_series(t, DEFAULT_TOL).value * scale * bracket for t in tuple_list
         )
 
-    report = DetectorReport(
+    return DetectorReport(
         mode=h_mode,
         empirical=empirical,
         predicted=predicted,
@@ -794,5 +784,3 @@ def two_primes_detector(
         },
         positives=positives,
     )
-    report.wall_time = time.perf_counter() - start
-    return report

@@ -4,8 +4,9 @@ The contract every caller relies on: the partition of a range depends only on
 (lo, hi, block size), and results arrive in task order, whatever a caller
 then does with them (the moment sums add exact integers or take one
 math.fsum).  Worker count changes scheduling, never arithmetic, so outputs
-are bit-identical for 1 or 16 workers.  ordered_imap hands results over one at a time, so a caller that
-folds them as they arrive need not hold one per task.
+are bit-identical for 1 or 16 workers.  ordered_imap hands results over one
+at a time, so a caller that folds them as they arrive need not hold one per
+task.
 """
 
 from __future__ import annotations

@@ -1,22 +1,19 @@
-"""Segmented prime generation, the log-weighted prime indicator,
-progression-restricted prime sums, and the package's one base-prime cache and
-one trial factorer (prime_divisors; squarefree_factors adds the squarefree
+"""Segmented prime generation, exact sums of logs of primes, the dyadic
+progression sum theta_star, and the package's one base-prime cache and one
+trial factorer (prime_divisors; squarefree_factors adds the squarefree
 refusal).
 
 Primality over a window is produced by one segmented sieve of Eratosthenes
-(sieve_segment): one flag array per window, presieved by tiling the
+(sieve_segment): one read-only flag array per window, presieved by tiling the
 30030-wheel of the primes 2..13 over it, then marked by numpy strided slices
-for the primes from 17 on, one SEGMENT_FLAGS block at a time; prime_flags
-and primes_in read that array.  The tiler (_tile_periodic) is private so
-that its time counts toward its caller; it also builds the weights'
-small-prime signatures.
+for the primes from 17 on, one SEGMENT_FLAGS block at a time; primes_in reads
+that array.  The tiler (_tile_periodic) is private so that its time counts
+toward its caller; it also builds the weights' small-prime signatures.
 
-All log-weight accumulations go through math.fsum (exactly rounded, hence
-order-independent and bit-stable) unless a caller explicitly asks for the
-streaming bucket pass in the distribution-level probe, or sums the integer
-parts of log_parts in int64, which LogSum carries and rounds once (log_sum
-for one sum): the same exactly rounded result, from integer sums that can be
-grouped at will, and carried so they never pass int64.
+The sums of log p here are exactly rounded, hence order-independent and
+bit-stable: either by math.fsum, or from the integer parts of log_parts
+summed in int64, which LogSum carries and rounds once (log_sum for one sum),
+so the integer sums can be grouped at will and never pass int64.
 """
 
 from __future__ import annotations
@@ -132,43 +129,9 @@ def squarefree_factors(d: int) -> list[int]:
     return factors
 
 
-@dataclass(frozen=True)
-class PrimeSegment:
-    """Immutable primality flags for the window [lo, hi).
-
+def sieve_segment(lo: int, hi: int) -> np.ndarray:
+    """Read-only primality flags for [lo, hi) by segmented Eratosthenes:
     flags[i] is True exactly when lo + i is prime.
-    """
-
-    lo: int
-    hi: int
-    flags: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not (2 <= self.lo < self.hi):
-            raise SieveRangeError(f"need 2 <= lo < hi, got [{self.lo}, {self.hi})")
-        if len(self.flags) != self.hi - self.lo:
-            raise SieveRangeError("flag array length does not match range")
-        self.flags.setflags(write=False)
-
-    def __len__(self) -> int:
-        return self.hi - self.lo
-
-    def primes(self) -> np.ndarray:
-        ps = np.flatnonzero(self.flags)
-        ps += self.lo
-        return ps
-
-    def count(self) -> int:
-        return int(np.count_nonzero(self.flags))
-
-    def is_prime(self, n: int) -> bool:
-        if not (self.lo <= n < self.hi):
-            raise SieveRangeError(f"{n} outside segment [{self.lo}, {self.hi})")
-        return bool(self.flags[n - self.lo])
-
-
-def sieve_segment(lo: int, hi: int) -> PrimeSegment:
-    """Exact primality flags for [lo, hi) by segmented Eratosthenes.
 
     The window's flags are allocated once and presieved by the wheel of the
     primes 2..13, which are then marked prime again where the window holds
@@ -197,17 +160,15 @@ def sieve_segment(lo: int, hi: int) -> PrimeSegment:
             start = max(p * p, ((s + p - 1) // p) * p)
             if start < e:
                 block[start - s :: p] = False
-    return PrimeSegment(lo, hi, flags)
-
-
-def prime_flags(lo: int, hi: int) -> np.ndarray:
-    """Read-only primality flags for [lo, hi): the sieve_segment array."""
-    return sieve_segment(lo, hi).flags
+    flags.setflags(write=False)
+    return flags
 
 
 def primes_in(lo: int, hi: int) -> np.ndarray:
     """Sorted primes in [lo, hi) as int64."""
-    return sieve_segment(lo, hi).primes()
+    ps = np.flatnonzero(sieve_segment(lo, hi))
+    ps += lo  # in place: no second int64 copy
+    return ps
 
 
 # log p for p >= 3 is at least 1, so as a float64 it is a whole multiple of
@@ -270,26 +231,6 @@ def log_sum(hi_sum, lo_sum):
     return total.value()
 
 
-def is_prime(n: int) -> bool:
-    """Trial division against cached base primes; exact for n within bound."""
-    if n < 2:
-        return False
-    if n > SUPPORTED_SIEVE_BOUND:
-        raise SieveRangeError(f"{n} exceeds supported bound {SUPPORTED_SIEVE_BOUND}")
-    root = math.isqrt(n)
-    for p in base_primes(root):
-        if n % int(p) == 0:
-            return False
-    return True
-
-
-def varpi(n: int) -> float:
-    """log n when n is prime, else 0 (natural log)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return math.log(n) if is_prime(n) else 0.0
-
-
 @dataclass(frozen=True)
 class ThetaStarQuery:
     """Dyadic progression query: primes p in (y, 2y] with p = a (mod q).
@@ -327,29 +268,3 @@ def theta_star(query: ThetaStarQuery) -> float:
     if query.q > 1:
         ps = ps[ps % query.q == query.a]
     return math.fsum(np.log(ps.astype(np.float64)))
-
-
-def chebyshev_theta(x: int) -> float:
-    """Sum of log p over primes p <= x."""
-    if x < 2:
-        return 0.0
-    # one exactly rounded sum per SEGMENT_FLAGS block from 2, then their sum
-    parts = [
-        math.fsum(np.log(primes_in(s, min(s + SEGMENT_FLAGS, x + 1)).astype(np.float64)))
-        for s in range(2, x + 1, SEGMENT_FLAGS)
-    ]
-    return math.fsum(parts)
-
-
-def min_gap_in(lo: int, hi: int) -> tuple[int, int]:
-    """Smallest gap between consecutive primes inside [lo, hi], inclusive.
-
-    Returns (gap, p) where p is the smaller prime of the first pair attaining
-    the minimum.  Raises when the interval holds fewer than two primes.
-    """
-    ps = primes_in(max(lo, 2), hi + 1)
-    if len(ps) < 2:
-        raise SieveRangeError(f"fewer than two primes in [{lo}, {hi}]")
-    gaps = np.diff(ps)
-    i = int(np.argmin(gaps))  # first occurrence = smallest witness
-    return int(gaps[i]), int(ps[i])

@@ -250,14 +250,6 @@ class WeightBlock:
     def __post_init__(self) -> None:
         self.values.setflags(write=False)
 
-    def __len__(self) -> int:
-        return self.hi - self.lo
-
-    def value_at(self, n: int) -> float:
-        if not (self.lo <= n < self.hi):
-            raise IndexError(f"{n} outside block [{self.lo}, {self.hi})")
-        return float(self.values[n - self.lo])
-
 
 def lambda_block(
     t: OffsetTuple,

@@ -31,7 +31,7 @@ from gapsieve.moments import (
     threshold,
     twisted_moment,
 )
-from gapsieve.primes import prime_flags
+from gapsieve.primes import sieve_segment
 from gapsieve.serialize import canonical_json
 from gapsieve.singular import gallagher_average, singular_series
 from gapsieve.tuples import SEPTUPLE_OFFSETS, TWIN_OFFSETS, OffsetTuple, enumerate_tuples, is_admissible
@@ -322,7 +322,7 @@ def test_criterion_08_detector_semantics():
     rep = _c08_report(1)
     _doc("08", 1)
     N, span = 10**6, 100
-    flags = prime_flags(N + 1, 2 * N + span + 1)
+    flags = sieve_segment(N + 1, 2 * N + span + 1)
     counts = np.concatenate([[0], np.cumsum(flags.astype(np.int64))])
     # counts[j] = primes in [N+1, N+1+j); window (n, n+span] spans flag
     # indices [n-N, n+span-N)

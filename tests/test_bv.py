@@ -17,7 +17,7 @@ from gapsieve.bv import (
     DeviationRow,
 )
 from gapsieve.errors import BudgetError, SieveRangeError, TrendError
-from gapsieve.primes import ThetaStarQuery, chebyshev_theta, prime_divisors, primes_in, theta_star
+from gapsieve.primes import SEGMENT_FLAGS, ThetaStarQuery, prime_divisors, primes_in, theta_star
 
 
 def test_rational_power_floor():
@@ -41,6 +41,23 @@ def test_row_against_direct_enumeration():
         dev = abs(theta_star(ThetaStarQuery(y, 1, 2)) - y)
         best = max(best, dev)
     assert row2.deviation == pytest.approx(best, rel=1e-12)
+
+
+def chebyshev_theta(x: int) -> float:
+    """Sum of log p over primes p <= x: one exactly rounded sum per
+    SEGMENT_FLAGS block from 2, then their sum.  theta(2y) - theta(y) is a
+    route to the q = 1 row independent of the probe's one fsum over (y, 2y]."""
+    if x < 2:
+        return 0.0
+    parts = [
+        math.fsum(np.log(primes_in(s, min(s + SEGMENT_FLAGS, x + 1)).astype(np.float64)))
+        for s in range(2, x + 1, SEGMENT_FLAGS)
+    ]
+    return math.fsum(parts)
+
+
+def test_chebyshev_theta_mertens_window():
+    assert 0.9 <= chebyshev_theta(10**6) / 10**6 <= 1.1
 
 
 def test_q1_matches_prime_engine_exactly():

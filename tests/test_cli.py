@@ -162,6 +162,31 @@ def test_config_file_may_give_required_flags(capsys, tmp_path):
     assert run_cli(capsys, "pure-moment", "--tuple", "1,3", *flags[2:], "--N", "2e4", "--json") == (code, out, err)
 
 
+_MOMENT_CFG = "N=1e4\nl=1\nR-exponent=0.25\nspan=10\n"
+_DETECTOR_CFG = "N=1e5\nl=1\nR-exponent=0.25\nspan=10\ntuple=1,3\n"
+
+
+@pytest.mark.parametrize("command, cfg_text, argv, alone", [
+    # --R on argv replaces the file's --R-exponent, its exclusive partner
+    ("pure-moment", _MOMENT_CFG, ["--tuple", "1,3", "--R", "10"],
+     ["--N", "1e4", "--l", "1", "--span", "10", "--tuple", "1,3", "--R", "10"]),
+    ("pure-moment", _MOMENT_CFG, ["--tuple", "1,3", "--R=10"],
+     ["--N", "1e4", "--l", "1", "--span", "10", "--tuple", "1,3", "--R", "10"]),
+    # argv's --tuple replaces the file's instead of adding a second tuple
+    ("detector", _DETECTOR_CFG, ["--tuple", "1,5"],
+     ["--N", "1e5", "--l", "1", "--R-exponent", "0.25", "--span", "10", "--tuple", "1,5"]),
+    # --tuple-source on argv replaces the file's --tuple, its exclusive partner
+    ("detector", _DETECTOR_CFG, ["--tuple-source", "all", "--k", "2"],
+     ["--N", "1e5", "--l", "1", "--R-exponent", "0.25", "--span", "10", "--tuple-source", "all", "--k", "2"]),
+], ids=["R", "R=", "tuple", "tuple-source"])
+def test_argv_replaces_config_flag_and_its_exclusive_group(capsys, tmp_path, command, cfg_text, argv, alone):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(cfg_text)
+    code, out, err = run_cli(capsys, command, "--config", str(cfg), *argv, "--json")
+    assert code == EXIT_OK, err
+    assert run_cli(capsys, command, *alone, "--json") == (code, out, err)
+
+
 def test_bv_csv_footer(capsys, tmp_path):
     out_path = tmp_path / "bv.csv"
     code, _, _ = run_cli(capsys, "bv", "--x", "1e4", "--theta", "0.45", "--A", "1",
@@ -731,3 +756,11 @@ def test_every_argv_ends_in_a_documented_exit(argv, tmp_path, capsys, monkeypatc
     assert code in (0, 1, 2, 3, 4)
     if code in (EXIT_REGIME, EXIT_ERROR):
         assert err.count("\n") == 1 and err.startswith(("regime violation: ", "error: ")), err
+
+
+def test_package_exports_exactly_its_public_names():
+    # a deleted name left in __all__, or a public name never exported, fails
+    public = {name for name, value in vars(gapsieve).items()
+              if not name.startswith("_") and not isinstance(value, type(gapsieve))}
+    assert set(gapsieve.__all__) == public
+    assert len(gapsieve.__all__) == len(public)

@@ -36,7 +36,7 @@ from gapsieve.moments import (
     twisted_moment,
 )
 from gapsieve.parallel import block_spans
-from gapsieve.primes import log_sum, prime_flags, sieve_segment
+from gapsieve.primes import log_sum, sieve_segment
 from gapsieve.tuples import SEPTUPLE_OFFSETS, TWIN_OFFSETS, OffsetTuple, omega_residues
 from gapsieve.weights import WeightParams, divisor_table, lambda_block
 
@@ -313,7 +313,7 @@ def test_detector_chunk_is_the_per_n_sum(mode, t, R):
     wp = WeightParams(R, t.k + 1)
     vals = lambda_block(t, wp, lo, hi).values
     n = np.arange(lo, hi)
-    flags = sieve_segment(lo + 1, hi + span).flags
+    flags = sieve_segment(lo + 1, hi + span)
     w = np.full(hi - lo, -log3n)
     for h in range(1, span + 1) if mode == "window" else t.offsets:
         w += np.where(flags[h - 1 : h - 1 + hi - lo], np.log((n + h).astype(np.float64)), 0.0)
@@ -335,7 +335,7 @@ def test_detector_chunk_is_the_per_n_sum(mode, t, R):
 
 def _loop_witnesses(t, lo, hi, span, mode, cap):
     """The first cap flagged n with their first two primes, one n at a time."""
-    flags = prime_flags(lo + 1, hi + span)
+    flags = sieve_segment(lo + 1, hi + span)
     seen_by = range(1, span + 1) if mode == "window" else t.offsets
     out = []
     for i in range(hi - lo):
@@ -419,7 +419,7 @@ def test_detector_witnesses_are_real_primes():
                        collect_positives=True, witness_cap=200)
     assert det.positive_count > 0
     assert det.witnesses
-    flags = prime_flags(N + 1, 2 * N + span + 1)
+    flags = sieve_segment(N + 1, 2 * N + span + 1)
     for w in det.witnesses:
         n, p1, p2 = w["n"], w["p1"], w["p2"]
         assert n < p1 < p2 <= n + span
@@ -479,7 +479,7 @@ def test_twisted_chunk_is_bitwise_the_block_formula(t, R, h):
     wp = WeightParams(R, t.k + 1)
     table = divisor_table(t, R)
     lo, hi = 10**6 + 17, 10**6 + 17 + 300_000
-    flags = prime_flags(lo + h, hi + h)
+    flags = sieve_segment(lo + h, hi + h)
     logs = np.log((lo + h + np.flatnonzero(flags)).astype(np.float64))
     vals = lambda_block(t, wp, lo, hi).values[flags]
     got = moments._twisted_chunk((t, wp, lo, hi, h))
@@ -524,7 +524,7 @@ def _per_n_sums(t, params, h, span, log3n):
     lo, hi = params.N + 1, 2 * params.N + 1
     vals = lambda_block(t, wp, lo, hi).values
     n = np.arange(lo, hi)
-    flags = sieve_segment(lo + 1, hi + span).flags
+    flags = sieve_segment(lo + 1, hi + span)
     seen = [(flags[g - 1 : g - 1 + hi - lo], np.log((n + g).astype(np.float64))) for g in range(1, span + 1)]
     twisted = math.fsum((vals * vals * seen[h - 1][1])[seen[h - 1][0]])
     w = np.full(hi - lo, -log3n)

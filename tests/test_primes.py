@@ -10,37 +10,32 @@ from gapsieve import primes
 from gapsieve.errors import BudgetError, CoprimalityError, NotSquarefreeError, SieveRangeError
 from gapsieve.primes import (
     SUPPORTED_SIEVE_BOUND,
-    PrimeSegment,
     ThetaStarQuery,
     FACTORING_BUDGET,
     base_primes,
-    chebyshev_theta,
     LogSum,
     log_parts,
     log_sum,
-    min_gap_in,
     prime_divisors,
     primes_in,
     sieve_segment,
     squarefree_factors,
     theta_star,
-    varpi,
 )
 
 
 def test_first_primes():
-    assert list(sieve_segment(2, 12).primes()) == [2, 3, 5, 7, 11]
+    assert list(primes_in(2, 12)) == [2, 3, 5, 7, 11]
 
 
 def test_known_decade():
-    assert list(sieve_segment(90, 100).primes()) == [97]
+    assert list(primes_in(90, 100)) == [97]
 
 
 def test_million_window_against_trial_division(trial_division_is_prime):
-    seg = sieve_segment(10**6, 10**6 + 10**3)
     expected = [n for n in range(10**6, 10**6 + 10**3) if trial_division_is_prime(n)]
-    assert list(seg.primes()) == expected
-    assert seg.count() == 75
+    assert list(primes_in(10**6, 10**6 + 10**3)) == expected
+    assert np.count_nonzero(sieve_segment(10**6, 10**6 + 10**3)) == 75
 
 
 def test_range_errors():
@@ -53,9 +48,10 @@ def test_range_errors():
 
 
 def test_segment_immutable():
-    seg = sieve_segment(2, 50)
+    flags = sieve_segment(2, 50)
+    assert flags.dtype == bool and len(flags) == 48
     with pytest.raises(ValueError):
-        seg.flags[0] = False
+        flags[0] = False
 
 
 @given(
@@ -67,8 +63,8 @@ def test_segment_immutable():
 def test_segment_concatenation(lo, width1, width2):
     mid = lo + width1
     hi = mid + width2
-    joined = np.concatenate([sieve_segment(lo, mid).flags, sieve_segment(mid, hi).flags])
-    assert np.array_equal(joined, sieve_segment(lo, hi).flags)
+    joined = np.concatenate([sieve_segment(lo, mid), sieve_segment(mid, hi)])
+    assert np.array_equal(joined, sieve_segment(lo, hi))
 
 
 def _eratosthenes(hi):
@@ -99,8 +95,7 @@ def test_window_oracle_is_the_plain_sieve():
 
 def _assert_window_is_oracle(lo, hi):
     expected = _window_oracle(lo, hi)
-    assert np.array_equal(sieve_segment(lo, hi).flags, expected)
-    assert np.array_equal(primes.prime_flags(lo, hi), expected)
+    assert np.array_equal(sieve_segment(lo, hi), expected)
     assert np.array_equal(primes_in(lo, hi), lo + np.flatnonzero(expected))
 
 
@@ -139,27 +134,13 @@ def test_materialization_cap_refuses_before_allocating(monkeypatch):
 
     monkeypatch.setattr(primes, "MAX_MATERIALIZED_FLAGS", 100)
     monkeypatch.setattr(primes.np, "ones", no_allocation)
-    for fn in (sieve_segment, primes.prime_flags, primes_in):
+    for fn in (sieve_segment, primes_in):
         with pytest.raises(SieveRangeError, match="exceeds materialization cap 100") as err:
             fn(10, 111)
         assert "segments" not in str(err.value)
     # a window at the cap is accepted and reaches the allocation
     with pytest.raises(AssertionError, match="flag array allocated"):
         sieve_segment(10, 110)
-
-
-def test_varpi_examples():
-    assert varpi(7) == math.log(7)
-    assert varpi(8) == 0.0
-    assert varpi(1) == 0.0
-    with pytest.raises(ValueError):
-        varpi(0)
-
-
-def test_varpi_matches_segment_flags():
-    seg = sieve_segment(500, 1500)
-    for n in range(500, 1500, 7):
-        assert (varpi(n) > 0) == seg.is_prime(n)
 
 
 def test_theta_star_examples():
@@ -187,31 +168,6 @@ def test_theta_star_additivity():
     # primes dividing q account for the remainder
     rest = [int(p) for p in all_primes if math.gcd(int(p) % q, q) != 1]
     assert all(q % p == 0 for p in rest)
-
-
-def test_chebyshev_theta_mertens_window():
-    assert 0.9 <= chebyshev_theta(10**6) / 10**6 <= 1.1
-
-
-def test_min_gap_examples():
-    gap, at = min_gap_in(2, 10)
-    assert (gap, at) == (1, 2)
-    with pytest.raises(SieveRangeError):
-        min_gap_in(24, 28)
-
-
-def test_min_gap_finds_twin_above_million(trial_division_is_prime):
-    gap, at = min_gap_in(10**6, 2 * 10**6)
-    assert gap == 2
-    assert at > 10**6
-    assert trial_division_is_prime(at) and trial_division_is_prime(at + 2)
-
-
-def test_prime_segment_validation():
-    with pytest.raises(SieveRangeError):
-        PrimeSegment(5, 4, np.array([], dtype=bool))
-    with pytest.raises(SieveRangeError):
-        PrimeSegment(2, 4, np.ones(5, dtype=bool))
 
 
 def test_base_primes_one_growing_cache(monkeypatch):

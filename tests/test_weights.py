@@ -84,7 +84,7 @@ def test_divisor_sum_example():
     expected = math.log(10) - math.log(10 / 3) - math.log(10 / 5)
     assert expected == pytest.approx(math.log(1.5), rel=1e-15)
     blk = lambda_block(TWIN, wp, 2, 3, force=True)
-    assert blk.value_at(2) == pytest.approx(expected, rel=1e-14)
+    assert blk.values[2 - blk.lo] == pytest.approx(expected, rel=1e-14)
     assert lambda_bruteforce(TWIN, wp, 2) == pytest.approx(expected, rel=1e-14)
 
 
@@ -98,12 +98,12 @@ def test_block_requires_r_below_lo():
 def test_prime_window_value_is_exact():
     wp = WeightParams(50.0, 2)
     blk = lambda_block(TWIN, wp, 10**4, 2 * 10**4)
-    seg = sieve_segment(10**4, 2 * 10**4 + 4)
+    flags = sieve_segment(10**4, 2 * 10**4 + 4)  # flags[i]: is 10^4 + i prime
     expected = math.log(50.0) ** 2 / 2
     hits = 0
     for n in range(10**4, 2 * 10**4):
-        if seg.is_prime(n + 1) and seg.is_prime(n + 3):
-            assert blk.value_at(n) == expected  # only d = 1 contributes
+        if flags[n + 1 - 10**4] and flags[n + 3 - 10**4]:
+            assert blk.values[n - blk.lo] == expected  # only d = 1 contributes
             hits += 1
     assert hits > 50
 
@@ -112,7 +112,7 @@ def test_block_matches_bruteforce_window():
     wp = WeightParams(50.0, 2)
     blk = lambda_block(TWIN, wp, 100, 200)
     for n in range(100, 200):
-        assert blk.value_at(n) == pytest.approx(lambda_bruteforce(TWIN, wp, n), abs=1e-12)
+        assert blk.values[n - blk.lo] == pytest.approx(lambda_bruteforce(TWIN, wp, n), abs=1e-12)
 
 
 @pytest.mark.parametrize("t", [TWIN, SEPTUPLE], ids=["twin", "septuple"])
@@ -122,7 +122,7 @@ def test_block_matches_bruteforce_spotchecks(t, a):
     blk = lambda_block(t, wp, 10**4, 10**4 + 512)
     for n in range(10**4, 10**4 + 512, 13):
         b = lambda_bruteforce(t, wp, n)
-        assert blk.value_at(n) == pytest.approx(b, rel=1e-12, abs=1e-12)
+        assert blk.values[n - blk.lo] == pytest.approx(b, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("t", [TWIN, SEPTUPLE], ids=["twin", "septuple"])
@@ -145,11 +145,11 @@ def test_membership_reduction_identity():
     wp = WeightParams(80.0, 3)
     with_h = lambda_block(TWIN, wp, 10**4, 10**4 + 2000)
     without_h = lambda_block(OffsetTuple((1,)), wp, 10**4, 10**4 + 2000)
-    seg = sieve_segment(10**4, 10**4 + 2004)
+    flags = sieve_segment(10**4, 10**4 + 2004)  # flags[i]: is 10^4 + i prime
     checked = 0
     for n in range(10**4, 10**4 + 2000):
-        if seg.is_prime(n + 3):
-            assert with_h.value_at(n) == without_h.value_at(n)  # bit-identical
+        if flags[n + 3 - 10**4]:
+            assert with_h.values[n - with_h.lo] == without_h.values[n - without_h.lo]  # bit-identical
             checked += 1
     assert checked > 100
 
