@@ -61,7 +61,8 @@ import numpy as np
 
 from .errors import BudgetError, RegimeError
 from .parallel import block_spans, ordered_imap
-from .primes import SEGMENT_FLAGS, SUPPORTED_SIEVE_BOUND, LogSum, base_primes, log_parts, log_sum, sieve_segment
+from .primes import (SEGMENT_FLAGS, SUPPORTED_SIEVE_BOUND, LogSum, _repeated_fsum, base_primes, log_parts,
+                     log_sum, sieve_segment)
 from .singular import DEFAULT_TOL, singular_series
 from .tuples import UNCHANGED, OffsetTuple, extend, omega_residues, omega_size
 from .weights import WeightParams, _crt_merge, _weight_value, divisor_table, lambda_block
@@ -377,28 +378,6 @@ def _fold_chunks(chunk, finish, t: OffsetTuple, params: SieveParams, workers: in
     return finish(values, counts, lam.value()), len(spans)
 
 
-def _grouped_square_sum(values: np.ndarray, counts: np.ndarray) -> float:
-    """math.fsum of values[s]**2 repeated counts[s] times, bit for bit.
-
-    Each square is split (Veltkamp) into two halves of at most 26 bits, and
-    each count below 2^48 into two 24-bit limbs, so every limb * half is
-    exact.  The terms then add up to exactly the real sum of the repeated
-    squares, and fsum rounds that sum correctly either way.
-    """
-    seen = np.flatnonzero(counts)
-    squares = values[seen] * values[seen]
-    scaled = squares * 134217729.0  # 2**27 + 1
-    high = scaled - (scaled - squares)
-    low = squares - high
-    c = counts[seen]
-    small = (c & 0xFFFFFF).astype(np.float64)
-    big = np.ldexp((c >> 24).astype(np.float64), 24)
-    terms = [small * high, small * low]
-    if big.any():
-        terms += [big * high, big * low]
-    return math.fsum(memoryview(np.concatenate(terms)))
-
-
 def _pure_chunk(args):
     """The chunk's rounded sum of W^2 with a tail, else its count per
     signature."""
@@ -421,7 +400,7 @@ def pure_moment(
         raise ValueError(f"tuple size {t.k} does not match params.k = {params.k}")
     violations = _enforce_regime(params.pure_regime_violations(), force)
     empirical, chunks = _fold_chunks(
-        _pure_chunk, lambda values, counts, _: _grouped_square_sum(values, counts), t, params, workers
+        _pure_chunk, lambda values, counts, _: _repeated_fsum(values * values, counts), t, params, workers
     )
 
     dens = singular_series(t, DEFAULT_TOL)

@@ -1,19 +1,23 @@
-"""Segmented prime generation, exact sums of logs of primes, the dyadic
-progression sum theta_star, and the package's one base-prime cache and one
-trial factorer (prime_divisors; squarefree_factors adds the squarefree
-refusal).
+"""Segmented prime generation, exact sums of logs of primes and of repeated
+floats, the dyadic progression sum theta_star, and the package's one
+base-prime cache and one trial factorer (prime_divisors; squarefree_factors
+adds the squarefree refusal).
 
 Primality over a window is produced by one segmented sieve of Eratosthenes
 (sieve_segment): one read-only flag array per window, presieved by tiling the
 30030-wheel of the primes 2..13 over it, then marked by numpy strided slices
 for the primes from 17 on, one SEGMENT_FLAGS block at a time; primes_in reads
-that array.  The tiler (_tile_periodic) is private so that its time counts
-toward its caller; it also builds the weights' small-prime signatures.
+that array.  The base-prime cache starts at the wheel primes and grows by the
+same marking (_mark_segment), over the new range only.  The tiler
+(_tile_periodic) is private so that its time counts toward its caller; it
+also builds the weights' small-prime signatures.
 
 The sums of log p here are exactly rounded, hence order-independent and
 bit-stable: either by math.fsum, or from the integer parts of log_parts
 summed in int64, which LogSum carries and rounds once (log_sum for one sum),
 so the integer sums can be grouped at will and never pass int64.
+_repeated_fsum is the one exact grouped sum: the fsum of values repeated by
+integer counts, without repeating them.
 """
 
 from __future__ import annotations
@@ -49,28 +53,34 @@ WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
 _WHEEL = np.gcd(np.arange(math.prod(WHEEL_PRIMES)), math.prod(WHEEL_PRIMES)) == 1
 _WHEEL.setflags(write=False)
 
-# the one base-prime cache: every prime <= _BASE_LIMIT, sorted, read-only
-_BASE_PRIMES: np.ndarray = np.zeros(0, dtype=np.int64)
-_BASE_LIMIT = 1
+# the one base-prime cache: every prime <= _BASE_LIMIT, sorted, read-only;
+# seeded with the wheel primes, which are all the primes <= 16
+_BASE_PRIMES: np.ndarray = np.array(WHEEL_PRIMES, dtype=np.int64)
+_BASE_PRIMES.setflags(write=False)
+_BASE_LIMIT = 16
 
 
 def base_primes(limit: int) -> np.ndarray:
     """Sorted primes <= limit as a read-only int64 view of the shared cache.
 
     The cache grows geometrically, so rising limits cost a constant number of
-    sieves per doubling.
+    sieves per doubling.  Each growth sieves only the new range, by the
+    private marker behind sieve_segment, in steps that end by the square of
+    the first number past the cache, so the marking needs only cached primes.
     """
     global _BASE_PRIMES, _BASE_LIMIT
-    if limit > _BASE_LIMIT:
-        size = max(limit + 1, 2 * (_BASE_LIMIT + 1), 1 << 10)
-        flags = np.ones(size, dtype=bool)
-        flags[:2] = False
-        for p in range(2, math.isqrt(size - 1) + 1):
-            if flags[p]:
-                flags[p * p :: p] = False
-        primes = np.flatnonzero(flags).astype(np.int64)
+    while limit > _BASE_LIMIT:
+        lo = _BASE_LIMIT + 1
+        hi = min(max(limit + 1, 2 * lo, 1 << 10), lo * lo)
+        # flags lives until the concatenation is made; freed earlier, its
+        # pages go to the new cache, which then stays resident (+0.5 MiB of
+        # peak RSS at 1e7)
+        flags = _mark_segment(lo, hi)
+        new = np.flatnonzero(flags)
+        new += lo
+        primes = np.concatenate((_BASE_PRIMES, new))
         primes.setflags(write=False)
-        _BASE_PRIMES, _BASE_LIMIT = primes, size - 1
+        _BASE_PRIMES, _BASE_LIMIT = primes, hi - 1
     return _BASE_PRIMES[: int(np.searchsorted(_BASE_PRIMES, limit, side="right"))]
 
 
@@ -131,13 +141,9 @@ def squarefree_factors(d: int) -> list[int]:
 
 def sieve_segment(lo: int, hi: int) -> np.ndarray:
     """Read-only primality flags for [lo, hi) by segmented Eratosthenes:
-    flags[i] is True exactly when lo + i is prime.
-
-    The window's flags are allocated once and presieved by the wheel of the
-    primes 2..13, which are then marked prime again where the window holds
-    them.  Each SEGMENT_FLAGS block is marked in place by the other base
-    primes up to the root of the block's end.
-    """
+    flags[i] is True exactly when lo + i is prime.  The range, the sieve
+    bound and the materialization cap are checked before anything is
+    allocated."""
     if not (2 <= lo < hi):
         raise SieveRangeError(f"need 2 <= lo < hi, got [{lo}, {hi})")
     if hi > SUPPORTED_SIEVE_BOUND:
@@ -147,6 +153,20 @@ def sieve_segment(lo: int, hi: int) -> np.ndarray:
             f"window of {hi - lo} flags exceeds materialization cap "
             f"{MAX_MATERIALIZED_FLAGS}; sieve it as smaller windows"
         )
+    flags = _mark_segment(lo, hi)
+    flags.setflags(write=False)
+    return flags
+
+
+def _mark_segment(lo: int, hi: int) -> np.ndarray:
+    """The flags of sieve_segment, writable and unchecked.
+
+    The window's flags are allocated once and presieved by the wheel of the
+    primes 2..13, which are then marked prime again where the window holds
+    them.  Each SEGMENT_FLAGS block is marked in place by the other base
+    primes up to the root of the block's end.  Private, so that base_primes
+    grows the cache without counting as a public sieve call.
+    """
     flags = _tile_periodic(_WHEEL, lo, np.ones(hi - lo, dtype=bool), np.logical_and)
     for p in WHEEL_PRIMES:
         if lo <= p < hi:
@@ -160,7 +180,6 @@ def sieve_segment(lo: int, hi: int) -> np.ndarray:
             start = max(p * p, ((s + p - 1) // p) * p)
             if start < e:
                 block[start - s :: p] = False
-    flags.setflags(write=False)
     return flags
 
 
@@ -229,6 +248,33 @@ def log_sum(hi_sum, lo_sum):
     total = LogSum()
     total.add(hi_sum, lo_sum)
     return total.value()
+
+
+# keeps a float64's sign, exponent and top 25 stored significand bits
+_HIGH_HALF = np.uint64((1 << 64) - (1 << 27))
+
+
+def _repeated_fsum(values: np.ndarray, counts: np.ndarray) -> float:
+    """math.fsum of each values[i] repeated counts[i] times, bit for bit.
+
+    Each value is split into a high half (its low 27 significand bits
+    cleared) and the exact low remainder, of at most 26 and 27 bits, and
+    each count below 2^48 into two 24-bit limbs, so every limb * half is
+    exact.  The terms add up to exactly the real sum of the repeated values,
+    which fsum rounds correctly, as it would the repeated values themselves.
+    Private, so that its time counts toward its caller.
+    """
+    seen = np.flatnonzero(counts)
+    v = np.asarray(values, dtype=np.float64)[seen]
+    high = (v.view(np.uint64) & _HIGH_HALF).view(np.float64)
+    low = v - high
+    c = np.asarray(counts, dtype=np.int64)[seen]
+    small = (c & 0xFFFFFF).astype(np.float64)
+    big = np.ldexp((c >> 24).astype(np.float64), 24)
+    terms = [small * high, small * low]
+    if big.any():
+        terms += [big * high, big * low]
+    return math.fsum(memoryview(np.concatenate(terms)))
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,13 @@ from fractions import Fraction
 
 
 def fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise ValueError(f"non-finite float {x} has no canonical form")
     return format(x, ".17g")
+
+
+# one encoder for every string: what json.dumps(s, ensure_ascii=False) gives
+_encode_str = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def canonical_json(obj) -> str:
@@ -27,20 +31,17 @@ def canonical_json(obj) -> str:
 
 
 def _emit(obj, parts: list[str]) -> None:
-    if obj is None:
-        parts.append("null")
+    # the commonest types first; bool before int, of which it is a subclass
+    if isinstance(obj, float):
+        parts.append(fmt_float(obj))
+    elif isinstance(obj, str):
+        parts.append(_encode_str(obj))
     elif obj is True:
         parts.append("true")
     elif obj is False:
         parts.append("false")
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, int):
         parts.append(str(obj))
-    elif isinstance(obj, float):
-        parts.append(fmt_float(obj))
-    elif isinstance(obj, Fraction):
-        parts.append(json.dumps(str(obj)))
     elif isinstance(obj, dict):
         parts.append("{")
         for i, key in enumerate(sorted(obj)):
@@ -48,7 +49,7 @@ def _emit(obj, parts: list[str]) -> None:
                 raise TypeError(f"canonical JSON keys must be strings, got {key!r}")
             if i:
                 parts.append(",")
-            parts.append(json.dumps(key, ensure_ascii=False))
+            parts.append(_encode_str(key))
             parts.append(":")
             _emit(obj[key], parts)
         parts.append("}")
@@ -59,6 +60,10 @@ def _emit(obj, parts: list[str]) -> None:
                 parts.append(",")
             _emit(item, parts)
         parts.append("]")
+    elif obj is None:
+        parts.append("null")
+    elif isinstance(obj, Fraction):
+        parts.append(json.dumps(str(obj)))
     else:
         raise TypeError(f"no canonical JSON form for {type(obj).__name__}")
 

@@ -29,12 +29,22 @@ allowance is the certified tail_bound.  Extended precision (longdouble) is
 used for the cumulative tables and the tail series because the j-series
 suffers cancellation when P_j is formed by subtraction.
 
-At a fixed span bound H the series depends only on w(p) for p <= H, which is
-the same for t and any translate t + c inside [1, H]; every other input is
-shared, so the two values are bit-identical.  gallagher_average therefore
-evaluates one series per translation class (the class of offsets
-(1, h_2, ..., h_k) holds H - h_k + 1 tuples) and fsums each value repeated by
-its class size: the same multiset, so the same correctly rounded sum.
+At a fixed span bound H the series depends on a tuple only through its
+residue profile, its w(p) for the primes p <= H: every other input is shared,
+so tuples with one profile get bit-identical values.  The profile of t is
+that of any translate t + c inside [1, H], and many translation classes share
+one profile.  A profile ends at the first fully covered prime (w(p) = p),
+where the series vanishes, so tuples that agree up to that prime share one.
+gallagher_average therefore profiles its tuples in numpy blocks (one tuple
+(1, h_2, ..., h_k) per translation class, standing for its H - h_k + 1
+members, or each tuple of a stride sample), evaluates one series per
+distinct profile of a block, and adds each value repeated by the number
+of tuples it stands for in one exact grouped sum: the same multiset, so the
+same correctly rounded sum as a per-tuple fsum.  singular_series and
+singular_series_extended feed their own profiles to the same evaluator,
+_profile_series.  The primes <= H, the generic part and the tail come from
+small memos keyed by (H) and (k, H, P0, tol); nothing is memoised by tuple
+or profile.
 """
 
 from __future__ import annotations
@@ -43,20 +53,25 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, islice, repeat
 
 import mpmath
 import numpy as np
 
 from .errors import ToleranceError
 from .parallel import resolve_workers
-from .primes import base_primes
+from .primes import _repeated_fsum, base_primes
 from .tuples import OffsetTuple, enumerate_tuples, enumeration_size, extended_omega_size, omega_size
 
 DEFAULT_TOL = 1e-12
 TRUNCATION_FLOOR = 1000
 MAX_TRUNCATION_PRIME = 10**8
 _SERIES_CAP = 80
+# residues (offsets times primes) per block when gallagher_average profiles
+# its tuples
+PROFILE_BLOCK = 1 << 17
+# entries kept by each memo of per-call constants
+_MEMO = 16
 
 _EPS = float(np.finfo(np.float64).eps)
 _EPS_LD = float(np.finfo(np.longdouble).eps)
@@ -91,18 +106,24 @@ def _generic_tables(k: int, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     order, so a prefix is the same whatever prefix built the table.
     """
     if k not in _GENERIC or len(_GENERIC[k][0]) <= len(primes):
-        p = primes.astype(np.longdouble)
-        g = np.zeros_like(p)
-        mask = primes > k
-        pm = p[mask]
-        g[mask] = np.log1p(-k / pm) - k * np.log1p(-1.0 / pm)
-        cum = np.concatenate([[np.longdouble(0)], np.cumsum(g)])
-        cumabs = np.concatenate([[np.longdouble(0)], np.cumsum(np.abs(g))])
+        # in place where it can be, so that at most three longdouble arrays
+        # of the table's length are live at once
+        g = np.zeros(len(primes), dtype=np.longdouble)
+        head = int(np.searchsorted(primes, k, side="right"))
+        pm = primes[head:].astype(np.longdouble)
+        gm = g[head:]
+        np.log1p(np.divide(-k, pm, out=gm), out=gm)
+        np.multiply(k, np.log1p(np.divide(-1.0, pm, out=pm), out=pm), out=pm)
+        gm -= pm
+        del pm
+        cum = np.zeros(len(primes) + 1, dtype=np.longdouble)
+        np.cumsum(g, out=cum[1:])
+        cumabs = np.zeros_like(cum)
+        np.cumsum(np.abs(g, out=g), out=cumabs[1:])
         _GENERIC[k] = (cum, cumabs)
     return _GENERIC[k]
 
 
-@lru_cache(maxsize=None)
 def _tail_correction(k: int, p0: int, target: float) -> tuple[float, float]:
     """(correction, certified bound) for the log-tail over primes > p0.
 
@@ -140,9 +161,9 @@ def singular_series(
     truncation_prime: int | None = None,
 ) -> SingularSeriesValue:
     """Density constant of the tuple with a certified tail bound < tol."""
-    return _singular_series_from_sizes(
-        lambda p: omega_size(t, p), t.k, t.span_bound, tol, truncation_prime
-    )
+    p0 = _truncation_prime(t.span_bound, tol, truncation_prime)
+    profile = (omega_size(t, p) for p in _exact_primes(t.span_bound))
+    return _profile_series(profile, t.k, t.span_bound, p0, tol)
 
 
 def singular_series_extended(
@@ -157,14 +178,13 @@ def singular_series_extended(
         raise ValueError(f"{h} is already an offset of {t}")
     if not (1 <= h <= t.span_bound):
         raise ValueError(f"extension offset {h} outside [1, {t.span_bound}]")
-    return _singular_series_from_sizes(
-        lambda p: extended_omega_size(t, h, p), t.k + 1, t.span_bound, tol, truncation_prime
-    )
+    p0 = _truncation_prime(t.span_bound, tol, truncation_prime)
+    profile = (extended_omega_size(t, h, p) for p in _exact_primes(t.span_bound))
+    return _profile_series(profile, t.k + 1, t.span_bound, p0, tol)
 
 
-def _singular_series_from_sizes(
-    size_of, k: int, span_bound: int, tol: float, truncation_prime: int | None
-) -> SingularSeriesValue:
+def _truncation_prime(span_bound: int, tol: float, truncation_prime: int | None) -> int:
+    """The truncation prime P0, after checking it and tol."""
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if tol < 1e-14:
@@ -177,14 +197,38 @@ def _singular_series_from_sizes(
         )
     if p0 > MAX_TRUNCATION_PRIME:
         raise ToleranceError(f"truncation prime {p0} exceeds cap {MAX_TRUNCATION_PRIME}")
+    return p0
 
+
+@lru_cache(maxsize=_MEMO)
+def _exact_primes(span_bound: int) -> tuple[int, ...]:
+    """The primes <= span_bound, whose factors take the actual w(p)."""
+    return tuple(base_primes(span_bound).tolist())
+
+
+@lru_cache(maxsize=_MEMO)
+def _generic_part(k: int, span_bound: int, p0: int, tol: float) -> tuple[float, float, int, float, float]:
+    """(log sum, absolute log sum, prime count) of the generic factors over
+    span_bound < p <= p0, then the tail's (correction, certified bound)."""
+    primes = base_primes(p0)
+    cum, cumabs = _generic_tables(k, primes)
+    # the primes <= span_bound are a prefix of primes, so the two lengths
+    # are the prime counts that bound the generic range
+    i1, i2 = len(_exact_primes(span_bound)), len(primes)
+    corr, tail_neglect = _tail_correction(k, p0, tol / 4.0)
+    return float(cum[i2] - cum[i1]), float(cumabs[i2] - cumabs[i1]), i2 - i1, corr, tail_neglect
+
+
+def _profile_series(profile, k: int, span_bound: int, p0: int, tol: float) -> SingularSeriesValue:
+    """The density constant of any k-tuple in [1, span_bound] whose residue
+    profile is `profile`: its w(p) for the primes p <= span_bound, in order
+    (an iterable of ints, read only up to the first fully covered prime).
+    p0 and tol are already checked."""
     # exact factors at p <= span_bound, compensated accumulation
     log_small = 0.0
     comp = 0.0
     abs_small = 0.0
-    for p in base_primes(span_bound):
-        p = int(p)
-        w = size_of(p)
+    for p, w in zip(_exact_primes(span_bound), profile):
         if w == p:
             return SingularSeriesValue(0.0, p0, 0.0)
         term = math.log1p(-w / p) - k * math.log1p(-1.0 / p)
@@ -194,22 +238,13 @@ def _singular_series_from_sizes(
         comp = (s - log_small) - y
         log_small = s
 
-    primes = base_primes(p0)
-    cum, cumabs = _generic_tables(k, primes)
-    # base_primes(span_bound) is a prefix of primes, so the two lengths are
-    # the prime counts that bound the generic range
-    i1, i2 = len(base_primes(span_bound)), len(primes)
-    log_generic = float(cum[i2] - cum[i1])
-    generic_abs = float(cumabs[i2] - cumabs[i1])
-
-    corr, tail_neglect = _tail_correction(k, p0, tol / 4.0)
-
+    log_generic, generic_abs, generic_count, corr, tail_neglect = _generic_part(k, span_bound, p0, tol)
     log_total = log_small + log_generic + corr
     # float allowance: Kahan small part, longdouble cumulative difference,
     # and the final three-term combination
     fp_slack = (
         4.0 * _EPS * (abs_small + abs(corr) + abs(log_total) + 1.0)
-        + (i2 - i1) * _EPS_LD * (generic_abs + 1.0)
+        + generic_count * _EPS_LD * (generic_abs + 1.0)
     )
     tail_bound = tail_neglect + fp_slack
     if tail_bound >= tol:
@@ -249,23 +284,31 @@ def gallagher_average(
     """Average the density constant over all k-subsets of [1, span_bound].
 
     Enumeration cost is C(span_bound, k) / stride; exceeding the budget of
-    tuples.enumeration_size is an error rather than a silent long run.  The full
-    average evaluates one series per translation class and repeats its
-    value once per member; a stride sample evaluates each sampled tuple.
+    tuples.enumeration_size is an error rather than a silent long run.  The
+    full average profiles one tuple per translation class, standing for its
+    members; a stride sample profiles each sampled tuple.  Either way one
+    series is evaluated per distinct residue profile, and each value is
+    summed exactly as often as the tuples that share its profile.
+
+    Memory: one block of at most PROFILE_BLOCK residues, plus one
+    (value, count) pair, about 110 bytes, per distinct value.  There are at
+    most as many distinct values as distinct profiles, so at most one per
+    translation class or sampled tuple: about 220 MB for a sample of
+    ENUMERATION_BUDGET tuples with no two values equal.
     """
     sample = enumeration_size(span_bound, k, stride, phase)
     resolve_workers(workers)  # validated; the sum itself is one fixed-order pass
+    p0 = _truncation_prime(span_bound, tol, None)
     if stride == 1:
-        classes = ((1,) + rest for rest in combinations(range(2, span_bound + 1), k - 1))
-        values = chain.from_iterable(
-            repeat(singular_series(OffsetTuple(offs, span_bound), tol).value,
-                   span_bound - offs[-1] + 1)
-            for offs in classes
-        )
+        source = ((1,) + rest for rest in combinations(range(2, span_bound + 1), k - 1))
     else:
-        values = (singular_series(t, tol).value
-                  for t in enumerate_tuples(span_bound, k, stride=stride, phase=phase))
-    tuple_sum = math.fsum(values)
+        source = (t.offsets for t in enumerate_tuples(span_bound, k, stride=stride, phase=phase))
+    totals: dict[float, int] = {}
+    for profile, count in _profile_counts(source, k, span_bound, classes=stride == 1):
+        value = _profile_series(profile, k, span_bound, p0, tol).value
+        totals[value] = totals.get(value, 0) + count
+    tuple_sum = _repeated_fsum(np.fromiter(totals, np.float64, len(totals)),
+                               np.fromiter(totals.values(), np.int64, len(totals)))
     try:
         normalized = math.factorial(k) * tuple_sum * stride / float(span_bound) ** k
     except OverflowError:  # k! or H^k is beyond the float range
@@ -274,3 +317,61 @@ def gallagher_average(
         # a factor or partial product overflowed: round the exact ratio once
         normalized = float(math.factorial(k) * stride * Fraction(tuple_sum) / span_bound**k)
     return TupleAverageReport(span_bound, k, normalized, tuple_sum, sample, stride, phase)
+
+
+def _profile_counts(source, k: int, span_bound: int, classes: bool):
+    """Yield each distinct residue profile of a block of the offset tuples
+    from source, with how many tuples it stands for: a translation class
+    (1, h_2, ..., h_k) for its span_bound - h_k + 1 members, else each tuple
+    for itself.
+
+    A block holds at most PROFILE_BLOCK residues, one per offset and prime
+    (but at least one row), so the blocks' memory does not grow with the
+    tuple count.
+    """
+    rows = max(1, PROFILE_BLOCK // (k * max(1, len(_exact_primes(span_bound)))))
+    while True:
+        # offsets are below P0 <= MAX_TRUNCATION_PRIME < 2^31: int32 halves the sort's traffic
+        block = np.fromiter(chain.from_iterable(islice(source, rows)), dtype=np.int32).reshape(-1, k)
+        if not len(block):
+            return
+        weights = (span_bound + 1 - block[:, -1]).tolist() if classes else repeat(1)
+        found: dict[tuple[int, ...], int] = {}
+        for profile, weight in zip(_block_profiles(block, span_bound), weights):
+            found[profile] = found.get(profile, 0) + weight
+        yield from found.items()
+
+
+def _block_profiles(block: np.ndarray, span_bound: int) -> list[tuple[int, ...]]:
+    """Each row's residue profile: w(p) for the primes p <= span_bound, the
+    number of distinct -h mod p along the row, counted on the sorted row.
+
+    A profile ends at its first fully covered prime (w(p) = p), where the
+    series vanishes and _profile_series stops reading, so rows that agree
+    up to that prime share one profile.  The primes therefore go in ascending
+    groups, each profiling only the rows still open: one prime, then doubling
+    while a prime p <= k could still be fully covered, then groups of at
+    most PROFILE_BLOCK residues.
+    """
+    primes = base_primes(span_bound).astype(block.dtype)
+    rows, k = block.shape
+    out = np.empty((rows, len(primes)), dtype=np.int64)
+    ends = np.full(rows, len(primes))
+    open_rows = np.arange(rows)
+    start = 0
+    while start < len(primes) and len(open_rows):
+        if primes[start] <= k:
+            stop = start + max(1, start)
+        else:
+            stop = start + max(1, PROFILE_BLOCK // (len(open_rows) * k))
+        group = primes[start:stop]
+        residues = -block[open_rows][:, None, :] % group[:, None]
+        residues.sort(axis=2)
+        w = 1 + np.count_nonzero(np.diff(residues, axis=2), axis=2)
+        out[open_rows, start : start + len(group)] = w
+        full = w == group
+        closed = full.any(axis=1)
+        ends[open_rows[closed]] = start + 1 + full[closed].argmax(axis=1)
+        open_rows = open_rows[~closed]
+        start = stop
+    return [tuple(row[:end]) for row, end in zip(out.tolist(), ends.tolist())]

@@ -20,7 +20,6 @@ from gapsieve.moments import (
     SieveParams,
     _detector_chunk,
     _detector_total,
-    _grouped_square_sum,
     _pure_chunk,
     _twisted_total,
     binomial_step_ratio,
@@ -36,7 +35,7 @@ from gapsieve.moments import (
     twisted_moment,
 )
 from gapsieve.parallel import block_spans
-from gapsieve.primes import log_sum, sieve_segment
+from gapsieve.primes import _repeated_fsum, log_sum, sieve_segment
 from gapsieve.tuples import SEPTUPLE_OFFSETS, TWIN_OFFSETS, OffsetTuple, omega_residues
 from gapsieve.weights import WeightParams, divisor_table, lambda_block
 
@@ -467,7 +466,8 @@ def test_pure_chunk_is_bitwise_fsum_of_squares(t, R):
     if not table.tail:
         counts, _, _ = got
         assert counts.sum() == hi - lo
-        got = _grouped_square_sum(table.prefix_state(wp)[0], counts)
+        values = table.prefix_state(wp)[0]
+        got = _repeated_fsum(values * values, counts)
     assert got.hex() == math.fsum(vals * vals).hex()
 
 
@@ -564,7 +564,7 @@ def test_grouped_square_sum_is_exact_past_2_24_counts():
     values = rng.uniform(-40.0, 40.0, 300)
     for counts in (rng.integers(2**33, 2**34, 300), rng.integers(0, 2**34, 300) >> rng.integers(0, 34, 300)):
         exact = sum(Fraction(v * v) * int(c) for v, c in zip(values.tolist(), counts.tolist()))
-        assert _grouped_square_sum(values, counts).hex() == float(exact).hex()
+        assert _repeated_fsum(values * values, counts).hex() == float(exact).hex()
 
 
 def test_key_sums_stay_exact_past_2_53(monkeypatch):

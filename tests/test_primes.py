@@ -183,6 +183,41 @@ def test_base_primes_one_growing_cache(monkeypatch):
         assert not got.flags.writeable
 
 
+def _seed_cache(monkeypatch):
+    # the cache as the module starts it: the wheel primes, all primes <= 16
+    seed = np.array(primes.WHEEL_PRIMES, dtype=np.int64)
+    seed.setflags(write=False)
+    monkeypatch.setattr(primes, "_BASE_PRIMES", seed)
+    monkeypatch.setattr(primes, "_BASE_LIMIT", 16)
+
+
+def test_base_primes_growth_makes_no_public_sieve_call(monkeypatch):
+    # the bench counts the flags of every public sieve_segment call, so a
+    # growing cache must not add to them
+    def counted(lo, hi):
+        raise AssertionError(f"base_primes called sieve_segment({lo}, {hi})")
+
+    _seed_cache(monkeypatch)
+    monkeypatch.setattr(primes, "sieve_segment", counted)
+    limit = 3 * 10**6
+    assert np.array_equal(base_primes(limit), np.flatnonzero(_eratosthenes(limit + 1)))
+
+
+def test_base_primes_extension_across_doublings_is_the_plain_sieve(monkeypatch):
+    _seed_cache(monkeypatch)
+    plain = np.flatnonzero(_eratosthenes(2 * 10**6 + 1))
+    limits = []
+    for limit in (16, 17, 288, 289, 1000, 2047, 5000, 70_001, 2 * 10**6):
+        got = base_primes(limit)
+        limits.append(primes._BASE_LIMIT)
+        assert not got.flags.writeable
+        assert np.array_equal(got, plain[: np.searchsorted(plain, limit, side="right")])
+    # the cache grew in several steps, each sieving only the new range
+    assert len(set(limits)) >= 5
+    cache = primes._BASE_PRIMES
+    assert np.array_equal(cache, np.flatnonzero(_eratosthenes(primes._BASE_LIMIT + 1)))
+
+
 # ---------------------------------------------------------------------------
 # exact log sums
 # ---------------------------------------------------------------------------
@@ -312,3 +347,31 @@ def test_factorer_edges():
         prime_divisors(0)
     with pytest.raises(BudgetError, match="exceeds factoring budget"):
         prime_divisors(FACTORING_BUDGET + 1)
+
+
+# ---------------------------------------------------------------------------
+# exact grouped sums
+# ---------------------------------------------------------------------------
+
+@given(
+    pairs=st.lists(
+        st.tuples(st.floats(min_value=-1e280, max_value=1e280), st.integers(min_value=0, max_value=2**47)),
+        max_size=30,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_repeated_fsum_is_the_exact_sum_rounded_once(pairs):
+    values = np.array([v for v, _ in pairs], dtype=np.float64)
+    counts = np.array([c for _, c in pairs], dtype=np.int64)
+    exact = sum((Fraction(v) * c for v, c in pairs), Fraction(0))
+    assert primes._repeated_fsum(values, counts).hex() == float(exact).hex()
+
+
+def test_repeated_fsum_splits_without_overflow():
+    # values past 2^996, where a Veltkamp split by 2^27 + 1 would overflow,
+    # and subnormals, where the low half is all there is
+    values = np.array([1.5e308, -1.25e305, 5e-324, 3e-310])
+    counts = np.array([1, 1000, 2**40 + 3, 7])
+    exact = sum((Fraction(v) * int(c) for v, c in zip(values.tolist(), counts.tolist())), Fraction(0))
+    assert primes._repeated_fsum(values, counts).hex() == float(exact).hex()
+    assert primes._repeated_fsum(np.zeros(0), np.zeros(0, dtype=np.int64)) == 0.0

@@ -2,12 +2,14 @@ import math
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapsieve import singular, tuples
 from gapsieve.errors import BudgetError, ToleranceError
+from gapsieve.primes import base_primes
 from gapsieve.singular import (
     SingularSeriesValue,
     gallagher_average,
@@ -21,6 +23,7 @@ from gapsieve.tuples import (
     enumerate_tuples,
     extend,
     is_admissible,
+    omega_size,
 )
 
 TWIN = OffsetTuple(TWIN_OFFSETS)
@@ -202,18 +205,68 @@ def test_series_is_bitwise_translation_invariant_at_a_fixed_span_bound(offs, c):
     assert (a.truncation_prime, a.tail_bound.hex()) == (b.truncation_prime, b.tail_bound.hex())
 
 
-def test_gallagher_evaluates_one_series_per_translation_class(monkeypatch):
-    calls = []
+@pytest.mark.parametrize("span_bound, k, profiles", [(60, 3, 46), (100, 2, 21), (200, 2, 42)])
+def test_gallagher_evaluates_one_series_per_distinct_profile(monkeypatch, span_bound, k, profiles):
+    # the C(H-1, k-1) translation classes share far fewer residue profiles,
+    # and no public series call is made
+    seen = []
+    evaluate = singular._profile_series
 
-    def counted(t, tol=singular.DEFAULT_TOL):
-        calls.append(t.offsets)
-        return singular_series(t, tol)
+    def counted(profile, *args):
+        seen.append(tuple(profile))
+        return evaluate(profile, *args)
 
-    monkeypatch.setattr(singular, "singular_series", counted)
-    rep = gallagher_average(60, 3)
-    assert len(calls) == math.comb(59, 2) == 1711
-    assert all(offs[0] == 1 for offs in calls)
-    assert rep.tuple_count == math.comb(60, 3)
+    monkeypatch.setattr(singular, "_profile_series", counted)
+    monkeypatch.setattr(singular, "singular_series", None)
+    rep = gallagher_average(span_bound, k)
+    assert len(seen) == len(set(seen)) == profiles < math.comb(span_bound - 1, k - 1)
+    assert rep.tuple_count == math.comb(span_bound, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    span_bound=st.integers(min_value=1, max_value=60),
+    data=st.data(),
+)
+def test_block_profiles_are_the_omega_sizes(span_bound, data):
+    k = data.draw(st.integers(min_value=1, max_value=min(span_bound, 6)))
+    rows = data.draw(st.lists(st.sets(st.integers(1, span_bound), min_size=k, max_size=k),
+                              min_size=1, max_size=5))
+    tuples_ = [OffsetTuple(tuple(offs), span_bound) for offs in rows]
+    got = singular._block_profiles(np.array([t.offsets for t in tuples_], dtype=np.int32), span_bound)
+    primes = base_primes(span_bound).tolist()
+    want = []
+    for t in tuples_:
+        # every w(p) up to and including the first fully covered prime
+        sizes = [omega_size(t, p) for p in primes]
+        ends = [i + 1 for i, (w, p) in enumerate(zip(sizes, primes)) if w == p]
+        want.append(tuple(sizes[: min(ends, default=len(primes))]))
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "offsets, span_bound, profile",
+    [
+        ((1, 3, 7), 10, (1, 2, 3, 3)),  # admissible: every prime <= H
+        ((1, 2), 10, (2,)),  # vanishes at 2
+        # covers every class mod 5 but not mod 7, which shares 5's group
+        ((1, 7, 13, 19, 25), 30, (1, 1, 5)),
+    ],
+)
+def test_block_profiles_end_at_the_first_fully_covered_prime(offsets, span_bound, profile):
+    block = np.array([offsets, offsets], dtype=np.int32)
+    assert singular._block_profiles(block, span_bound) == [profile, profile]
+
+
+@pytest.mark.parametrize("span_bound, k, stride, phase", [(40, 3, 1, 0), (20, 4, 1, 0), (60, 2, 1, 0), (40, 3, 7, 2)])
+@pytest.mark.parametrize("block", [1, 60, 500])
+def test_gallagher_in_small_blocks_is_bitwise_the_same(monkeypatch, span_bound, k, stride, phase, block):
+    whole = gallagher_average(span_bound, k, stride=stride, phase=phase)
+    # a few rows per block (at least one), and the primes in groups
+    monkeypatch.setattr(singular, "PROFILE_BLOCK", block)
+    rep = gallagher_average(span_bound, k, stride=stride, phase=phase)
+    assert (rep.tuple_sum.hex(), rep.normalized.hex()) == (whole.tuple_sum.hex(), whole.normalized.hex())
+    assert rep.tuple_count == whole.tuple_count
 
 
 @pytest.mark.parametrize(
@@ -228,7 +281,7 @@ def test_gallagher_normalizes_past_the_float_range(monkeypatch, span_bound, k, s
     assert rep.tuple_sum == 0.0  # every sampled tuple is inadmissible
     assert rep.normalized == 0.0
     # with every series 1, the sum is the sample size; the ratio is rounded once
-    monkeypatch.setattr(singular, "singular_series", lambda t, tol: SimpleNamespace(value=1.0))
+    monkeypatch.setattr(singular, "_profile_series", lambda profile, *args: SimpleNamespace(value=1.0))
     rep = gallagher_average(span_bound, k, stride=stride)
     assert rep.tuple_sum == rep.tuple_count > 0
     exact = Fraction(math.factorial(k) * stride * rep.tuple_count, span_bound**k)
