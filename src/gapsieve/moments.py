@@ -613,7 +613,7 @@ def _detector_chunk(args):
         np.add.at(lam_hi, key, prefix_hi[end] - prefix_hi[start])
         np.add.at(lam_lo, key, prefix_lo[end] - prefix_lo[start])
     else:  # n sees lo + 1 + j for j = i + h - 1, h in the tuple
-        seen = np.zeros(size, dtype=np.int8)
+        seen = np.zeros(size, dtype=np.uint8)
         for h in t.offsets:
             a, b = np.searchsorted(pos, (h - 1, h - 1 + size))
             at = key[pos[a:b] - (h - 1)]

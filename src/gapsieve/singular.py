@@ -9,9 +9,9 @@ with w(p) the number of residue classes the tuple covers mod p.  Since
 w(p) = k for every prime beyond the tuple's span, the product splits into
 
   * an exact part over p <= span_bound (actual w(p), may vanish),
-  * a generic part over span_bound < p <= P0 with w(p) = k: a difference of
-    one per-k prefix-sum table over the shared base primes, taken between
-    the prime counts pi(span_bound) and pi(P0),
+  * a generic part over span_bound < p <= P0 with w(p) = k: one running
+    sum of the generic log factors over the primes <= P0, read at the prime
+    counts pi(span_bound) and pi(P0),
   * an analytic tail for p > P0.
 
 The tail comes from expanding the log of each generic factor:
@@ -25,9 +25,10 @@ sum over the base primes <= P0.  The series is cut at J once the integral bound
     sum_{j>J} (k^j - k)/j * P_j(P0)  <=  P0 * (k/P0)^(J+1) / (1 - k/P0)
 
 drops below the target; that bound plus an explicit float-accumulation
-allowance is the certified tail_bound.  Extended precision (longdouble) is
-used for the cumulative tables and the tail series because the j-series
-suffers cancellation when P_j is formed by subtraction.
+allowance is the certified tail_bound.  The generic part and the tail are
+formed together in extended precision, on one cast of the primes <= P0 that
+is freed when they are done: the j-series suffers cancellation when P_j is
+formed by subtraction.
 
 At a fixed span bound H the series depends on a tuple only through its
 residue profile, its w(p) for the primes p <= H: every other input is shared,
@@ -42,9 +43,9 @@ distinct profile of a block, and adds each value repeated by the number
 of tuples it stands for in one exact grouped sum: the same multiset, so the
 same correctly rounded sum as a per-tuple fsum.  singular_series and
 singular_series_extended feed their own profiles to the same evaluator,
-_profile_series.  The primes <= H, the generic part and the tail come from
-small memos keyed by (H) and (k, H, P0, tol); nothing is memoised by tuple
-or profile.
+_profile_series.  The primes <= H and the four floats of the generic part
+and the tail come from small memos keyed by (H) and (k, H, P0, tol); no
+array outlives its call, and nothing is memoised by tuple or profile.
 """
 
 from __future__ import annotations
@@ -91,68 +92,6 @@ def _prime_zeta_ld(j: int) -> np.longdouble:
     """sum over all primes of p^(-j), at longdouble precision."""
     with mpmath.workdps(30):
         return np.longdouble(mpmath.nstr(mpmath.primezeta(j), 25))
-
-
-# per k: the (cum, cumabs) tables of _generic_tables, rebuilt when outgrown
-_GENERIC: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _generic_tables(k: int, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cum, cumabs) covering at least the base-prime prefix `primes`.
-
-    cum[i] = sum over the first i primes > k of the generic log factor;
-    primes <= k contribute 0 (the generic form is invalid there and such
-    primes are always handled by the exact part).  The sums run in prime
-    order, so a prefix is the same whatever prefix built the table.
-    """
-    if k not in _GENERIC or len(_GENERIC[k][0]) <= len(primes):
-        # in place where it can be, so that at most three longdouble arrays
-        # of the table's length are live at once
-        g = np.zeros(len(primes), dtype=np.longdouble)
-        head = int(np.searchsorted(primes, k, side="right"))
-        pm = primes[head:].astype(np.longdouble)
-        gm = g[head:]
-        np.log1p(np.divide(-k, pm, out=gm), out=gm)
-        np.multiply(k, np.log1p(np.divide(-1.0, pm, out=pm), out=pm), out=pm)
-        gm -= pm
-        del pm
-        cum = np.zeros(len(primes) + 1, dtype=np.longdouble)
-        np.cumsum(g, out=cum[1:])
-        cumabs = np.zeros_like(cum)
-        np.cumsum(np.abs(g, out=g), out=cumabs[1:])
-        _GENERIC[k] = (cum, cumabs)
-    return _GENERIC[k]
-
-
-def _tail_correction(k: int, p0: int, target: float) -> tuple[float, float]:
-    """(correction, certified bound) for the log-tail over primes > p0.
-
-    The bound covers both the dropped j > J terms and the cancellation noise
-    of forming P_j by subtraction at extended precision.
-    """
-    if p0 < 2 * k:
-        raise ToleranceError(f"truncation prime {p0} must exceed 2k = {2 * k}")
-    ratio = k / p0
-    ps = base_primes(p0).astype(np.longdouble)
-    corr = np.longdouble(0)
-    noise = 0.0
-    j = 1
-    while True:
-        j += 1
-        if j > _SERIES_CAP:
-            raise ToleranceError(f"tail series did not reach target {target} by j={_SERIES_CAP}")
-        # remaining terms after j-1, bounded via P_i(p0) <= p0^(1-i)
-        remaining = p0 * ratio**j / (1.0 - ratio)
-        if remaining < target:
-            break
-        pz = _prime_zeta_ld(j)
-        tail_j = pz - (ps ** np.longdouble(-j)).sum()
-        if tail_j < 0:  # pure cancellation noise; the true tail is >= 0
-            tail_j = np.longdouble(0)
-        coeff = np.longdouble(k**j - k) / j
-        corr -= coeff * tail_j
-        noise += 2.0 * _EPS_LD * float(coeff * pz)
-    return float(corr), remaining + noise
 
 
 def singular_series(
@@ -207,16 +146,54 @@ def _exact_primes(span_bound: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=_MEMO)
-def _generic_part(k: int, span_bound: int, p0: int, tol: float) -> tuple[float, float, int, float, float]:
-    """(log sum, absolute log sum, prime count) of the generic factors over
-    span_bound < p <= p0, then the tail's (correction, certified bound)."""
-    primes = base_primes(p0)
-    cum, cumabs = _generic_tables(k, primes)
-    # the primes <= span_bound are a prefix of primes, so the two lengths
-    # are the prime counts that bound the generic range
-    i1, i2 = len(_exact_primes(span_bound)), len(primes)
-    corr, tail_neglect = _tail_correction(k, p0, tol / 4.0)
-    return float(cum[i2] - cum[i1]), float(cumabs[i2] - cumabs[i1]), i2 - i1, corr, tail_neglect
+def _generic_part(k: int, span_bound: int, p0: int, tol: float) -> tuple[float, float, float, float]:
+    """(log sum, rounding allowance) of the generic factors over
+    span_bound < p <= p0, then the tail's (correction, certified bound), the
+    bound covering the dropped j > J terms and the cancellation noise of
+    forming P_j by subtraction.
+
+    With _prime_zeta_ld, the one place that works in longdouble: the primes
+    <= p0 are cast once, the running sums and the tail series are formed on
+    that cast, and no array outlives the call.
+    """
+    if p0 < 2 * k:
+        raise ToleranceError(f"truncation prime {p0} must exceed 2k = {2 * k}")
+    ps = base_primes(p0).astype(np.longdouble)
+    # i1 = pi(span_bound), as the primes <= span_bound are a prefix of ps
+    n, i1 = len(ps), len(_exact_primes(span_bound))
+    # cum[i], cumabs[i]: the sums of the first i generic log factors and of
+    # their absolute values, in prime order.  Primes <= k add 0 (the generic
+    # form is invalid there; the exact part covers them).  Formed in place,
+    # so at most three longdouble arrays of n entries are live at once
+    cum, cumabs = np.zeros((2, n + 1), dtype=np.longdouble)
+    head = int(np.searchsorted(ps, k, side="right"))
+    g, tmp = cum[head + 1 :], cumabs[head + 1 :]
+    np.log1p(np.divide(-k, ps[head:], out=g), out=g)
+    g -= np.multiply(k, np.log1p(np.divide(-1.0, ps[head:], out=tmp), out=tmp), out=tmp)
+    np.cumsum(np.abs(cum, out=cumabs), out=cumabs)
+    np.cumsum(cum, out=cum)
+    log_generic = float(cum[n] - cum[i1])
+    slack = (n - i1) * _EPS_LD * (float(cumabs[n] - cumabs[i1]) + 1.0)
+    del cum, cumabs, g, tmp
+
+    target = tol / 4.0
+    ratio = k / p0
+    corr = np.longdouble(0)
+    noise = 0.0
+    for j in range(2, _SERIES_CAP + 1):
+        # remaining terms after j-1, bounded via P_i(p0) <= p0^(1-i)
+        remaining = p0 * ratio**j / (1.0 - ratio)
+        if remaining < target:
+            break
+        pz = _prime_zeta_ld(j)
+        # a negative difference is pure cancellation noise: the true tail is >= 0
+        tail_j = max(pz - (ps ** np.longdouble(-j)).sum(), np.longdouble(0))
+        coeff = np.longdouble(k**j - k) / j
+        corr -= coeff * tail_j
+        noise += 2.0 * _EPS_LD * float(coeff * pz)
+    else:
+        raise ToleranceError(f"tail series did not reach target {target} by j={_SERIES_CAP}")
+    return log_generic, slack, float(corr), remaining + noise
 
 
 def _profile_series(profile, k: int, span_bound: int, p0: int, tol: float) -> SingularSeriesValue:
@@ -238,14 +215,11 @@ def _profile_series(profile, k: int, span_bound: int, p0: int, tol: float) -> Si
         comp = (s - log_small) - y
         log_small = s
 
-    log_generic, generic_abs, generic_count, corr, tail_neglect = _generic_part(k, span_bound, p0, tol)
+    log_generic, generic_slack, corr, tail_neglect = _generic_part(k, span_bound, p0, tol)
     log_total = log_small + log_generic + corr
-    # float allowance: Kahan small part, longdouble cumulative difference,
-    # and the final three-term combination
-    fp_slack = (
-        4.0 * _EPS * (abs_small + abs(corr) + abs(log_total) + 1.0)
-        + generic_count * _EPS_LD * (generic_abs + 1.0)
-    )
+    # float allowance: Kahan small part and the final three-term combination,
+    # plus the generic part's own
+    fp_slack = 4.0 * _EPS * (abs_small + abs(corr) + abs(log_total) + 1.0) + generic_slack
     tail_bound = tail_neglect + fp_slack
     if tail_bound >= tol:
         raise ToleranceError(
@@ -316,7 +290,7 @@ def gallagher_average(
     if not math.isfinite(normalized):
         # a factor or partial product overflowed: round the exact ratio once
         normalized = float(math.factorial(k) * stride * Fraction(tuple_sum) / span_bound**k)
-    return TupleAverageReport(span_bound, k, normalized, tuple_sum, sample, stride, phase)
+    return TupleAverageReport(span_bound, k, normalized, tuple_sum, sample, stride, phase % stride)
 
 
 def _profile_counts(source, k: int, span_bound: int, classes: bool):

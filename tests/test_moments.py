@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import multiprocessing
 import pickle
@@ -390,6 +391,20 @@ def test_detector_positives_are_two_prime_counts(N, offsets, extra, window, tail
     assert det.positive_count == len(expected)
     assert det.positives[0].tolist() == [n for n, _, _ in expected]
     assert [(w["n"], w["p1"], w["p2"]) for w in det.witnesses] == expected[:cap]
+
+
+def test_tuple_mode_counts_past_127_primes_per_n():
+    # n = N + 1 sees all 129 primes p of the tuple's offsets p - (N + 1); a
+    # signed byte count wraps there and leaves it unflagged.  The span is far
+    # past the regime's 10 log N, hence force
+    N = 10**5
+    primes = itertools.islice(sympy.primerange(N + 2, 2 * N), 129)
+    t = OffsetTuple((1,) + tuple(p - (N + 1) for p in primes))
+    params = SieveParams(N=N, R=N**0.25, k=t.k, l=1, span_bound=t.span_bound)
+    det = two_primes_detector(params, [t], h_mode="tuple", force=True, collect_positives=True)
+    expected = _two_prime_witnesses(N, t.offsets, t.span_bound, window=False)
+    assert det.positive_count == len(expected) == 50_000
+    assert det.positives[0].tolist() == [n for n, _, _ in expected]
 
 
 def test_detector_input_refusals():

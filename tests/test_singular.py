@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -53,6 +54,36 @@ def test_truncation_stability():
     lo = singular_series(TWIN, truncation_prime=10**6)
     hi = singular_series(TWIN, truncation_prime=2 * 10**6)
     assert abs(lo.value - hi.value) <= max(lo.tail_bound, 1e-14) * lo.value + 1e-15
+
+
+def test_series_leaves_no_longdouble_arrays_behind():
+    # the generic part and the tail are formed on one longdouble cast of the
+    # primes <= P0, freed on return: only the memos' floats stay behind
+    p0 = 10**6
+    base_primes(10 * p0)  # the shared cache's growth is not the series'
+    for j in range(2, 6):  # every primezeta value these calls read
+        singular._prime_zeta_ld(j)
+    ts = [TWIN, OffsetTuple((1, 3, 7)), OffsetTuple(SEPTUPLE_OFFSETS)]
+    singular._generic_part.cache_clear()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        before = [singular_series(t, truncation_prime=p0) for t in ts]
+        current, peak = tracemalloc.get_traced_memory()
+        for t in ts:
+            singular_series(t, truncation_prime=10 * p0)
+        singular._generic_part.cache_clear()
+        after = [singular_series(t, truncation_prime=p0) for t in ts]
+        final = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert current - start <= 256 * 1024
+    assert final - start <= 256 * 1024
+    # the cast and the two running sums, each of pi(P0) entries, at most
+    assert peak - start <= 3 * np.dtype(np.longdouble).itemsize * len(base_primes(p0)) + 2**20
+    # a larger P0 in between moves no bit at P0
+    assert [(v.value.hex(), v.tail_bound.hex()) for v in before] == [
+        (v.value.hex(), v.tail_bound.hex()) for v in after]
 
 
 def test_positive_iff_admissible_small():
@@ -159,6 +190,13 @@ def test_gallagher_budget_counts_the_sample_exactly(monkeypatch):
     assert gallagher_average(5, 2, stride=3, phase=1).tuple_count == 3
     monkeypatch.setattr(tuples, "ENUMERATION_BUDGET", 4)
     assert gallagher_average(5, 2, stride=3).tuple_count == 4
+
+
+def test_gallagher_reports_the_phase_it_samples_with():
+    # phase 10 at stride 7 samples from index 3, as phase 3 does
+    assert gallagher_average(40, 3, stride=7, phase=10) == gallagher_average(40, 3, stride=7, phase=3)
+    # a full average samples no phase
+    assert gallagher_average(20, 2, phase=5) == gallagher_average(20, 2)
 
 
 def _gallagher_per_tuple(span_bound, k, stride, phase):
