@@ -6,18 +6,20 @@ For moduli q up to x^theta and a geometric grid of dyadic points y, measure
 
 where theta*(y; a, q) sums log p over primes p in (y, 2y] with p = a (mod q),
 and report the per-q worst rows plus their total.  One shared prime pass per
-grid point feeds every modulus: the primes of (y, 2y] are materialized once
-and bucketed per q by residue.  The residues p - q*(p // q) take one scalar
-floor-divide per q and block of PRIME_BLOCK primes, in the narrowest unsigned
-dtype that holds 2y and every q; a group of MODULUS_GROUP moduli runs over
-each block while it is in cache, and each block's np.bincount starts from the
-class sums of the blocks before it.  So each class sum is still a sequential
-float sum in prime order, the sum of one np.bincount over the whole window,
-and the bytes do not depend on the blocking.  The primes are odd, so a q = 2m
-with odd m >= 3 is not bucketed: its classes that hold primes are the odd
-lifts of those mod m, with the same sums and phi(q) = phi(m).  The classes
-that share a prime with q are struck by one strided slice per such prime;
-each q is factored once per probe, and every grid point reads that list.
+grid point feeds every modulus: the primes of (y, 2y] are sieved once, block
+by block, into the narrowest unsigned dtype that holds 2y and every q, and
+bucketed per q by residue; no flag array or log array spans the window.  The
+residues p - q*(p // q) take one scalar floor-divide per q and block of
+PRIME_BLOCK primes; a group of MODULUS_GROUP moduli runs over each block
+while it is in cache, with the block's logs formed once per group, and each
+block's np.bincount starts from the class sums of the blocks before it.  So
+each class sum is still a sequential float sum in prime order, the sum of one
+np.bincount over the whole window, and the bytes do not depend on the
+blocking.  The primes are odd, so a q = 2m with odd m >= 3 is not bucketed:
+its classes that hold primes are the odd lifts of those mod m, with the same
+sums and phi(q) = phi(m).  The classes that share a prime with q are struck
+by one strided slice per such prime; each q is factored once per probe, and
+every grid point reads that list.
 
 The exact maximum over all y <= x is infeasible and the dyadic sums change
 slowly, so the grid {x, x/2, x/4, ...} (integer halving, down to y_min)
@@ -29,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -128,18 +131,18 @@ def _grid_point_devs(args) -> tuple[np.ndarray, np.ndarray]:
     at once; divisors[q] lists the primes of q."""
     y, phi, divisors = args
     q_max = len(phi) - 1
-    ps = primes_in(y + 1, 2 * y + 1)
-    logs = np.log(ps.astype(np.float64))
-    total = math.fsum(logs)
+    # p mod q = p - q * (p // q) in the narrowest unsigned type holding every
+    # p and q: one scalar floor-divide per q and block.  The primes are
+    # sieved block by block straight into that type, and each pass forms its
+    # block's logs, so neither int64 primes nor the window's logs are held.
+    ps = primes_in(y + 1, 2 * y + 1, dtype=np.min_scalar_type(max(2 * y, q_max)))
+    n = len(ps)
+    logs = (memoryview(np.log(ps[s : s + PRIME_BLOCK], dtype=np.float64)) for s in range(0, n, PRIME_BLOCK))
+    total = math.fsum(chain.from_iterable(logs))
 
     devs = np.zeros(q_max + 1)
     best_a = np.zeros(q_max + 1, dtype=np.int64)
     devs[1] = abs(total - y)  # q = 1: single class, exactly the fsum total
-    # p mod q = p - q * (p // q) in the narrowest unsigned type holding every
-    # p and q: one scalar floor-divide per q and block.  Rebinding frees the
-    # int64 primes, so the buffers fit under the sieve's peak memory.
-    ps = ps.astype(np.min_scalar_type(max(2 * y, q_max)))
-    n = len(ps)
     quot = np.empty(min(PRIME_BLOCK, n), dtype=ps.dtype)
     # A block's residues and logs sit after q_max slots.  Modulus q carries
     # its class sums in over the last q of them, whose indices run q-1 down
@@ -157,7 +160,7 @@ def _grid_point_devs(args) -> tuple[np.ndarray, np.ndarray]:
         for s in range(0, n, PRIME_BLOCK):
             m = min(PRIME_BLOCK, n - s)
             block, qb, res = ps[s : s + m], quot[:m], idx[q_max : q_max + m]
-            wts[q_max : q_max + m] = logs[s : s + m]
+            np.log(block, out=wts[q_max : q_max + m], dtype=np.float64)
             for i, q in enumerate(group):
                 np.floor_divide(block, q, out=qb)
                 np.multiply(qb, q, out=qb)
@@ -205,7 +208,8 @@ def bv_deviation(
     if q_max > MODULUS_BUDGET:
         raise BudgetError(f"x^theta = {q_max} exceeds modulus budget {MODULUS_BUDGET}")
     if x > MAX_MATERIALIZED_FLAGS:
-        # the top grid point sieves (x, 2x] as one window: refuse before any runs
+        # the cap bounds the probe's work, the top grid point's primes of
+        # (x, 2x] and the residue passes over them: refuse before any runs
         raise SieveRangeError(f"x = {x} exceeds the largest x the probe sieves, {MAX_MATERIALIZED_FLAGS}")
 
     phi = totients_upto(q_max)

@@ -12,7 +12,6 @@ task.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterator, Sequence, TypeVar
 
 WORKERS_ENV = "GAPSIEVE_WORKERS"
@@ -67,6 +66,9 @@ def ordered_imap(fn: Callable[[T], R], tasks: Sequence[T], workers: int | None =
 
 
 def _pooled(fn, tasks, nworkers):
+    # imported here, so that importing the package loads no multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=nworkers) as pool:
         yield from pool.map(fn, tasks)
 

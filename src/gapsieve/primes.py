@@ -6,11 +6,12 @@ adds the squarefree refusal).
 Primality over a window is produced by one segmented sieve of Eratosthenes
 (sieve_segment): one read-only flag array per window, presieved by tiling the
 30030-wheel of the primes 2..13 over it, then marked by numpy strided slices
-for the primes from 17 on, one SEGMENT_FLAGS block at a time; primes_in reads
-that array.  The base-prime cache starts at the wheel primes and grows by the
-same marking (_mark_segment), over the new range only.  The tiler
-(_tile_periodic) is private so that its time counts toward its caller; it
-also builds the weights' small-prime signatures.
+for the primes from 17 on, one SEGMENT_FLAGS block at a time.  primes_in
+sieves its window one such block per call and casts each block's primes to
+the caller's integer dtype.  The base-prime cache starts at the wheel primes
+and grows by the same marking (_mark_segment), over the new range only.  The
+tiler (_tile_periodic) is private so that its time counts toward its caller;
+it also builds the weights' small-prime signatures.
 
 The sums of log p here are exactly rounded, hence order-independent and
 bit-stable: either by math.fsum, or from the integer parts of log_parts
@@ -144,6 +145,15 @@ def sieve_segment(lo: int, hi: int) -> np.ndarray:
     flags[i] is True exactly when lo + i is prime.  The range, the sieve
     bound and the materialization cap are checked before anything is
     allocated."""
+    _check_window(lo, hi)
+    flags = _mark_segment(lo, hi)
+    flags.setflags(write=False)
+    return flags
+
+
+def _check_window(lo: int, hi: int) -> None:
+    """Refuse [lo, hi) unless 2 <= lo < hi <= SUPPORTED_SIEVE_BOUND and the
+    window is within MAX_MATERIALIZED_FLAGS."""
     if not (2 <= lo < hi):
         raise SieveRangeError(f"need 2 <= lo < hi, got [{lo}, {hi})")
     if hi > SUPPORTED_SIEVE_BOUND:
@@ -153,9 +163,6 @@ def sieve_segment(lo: int, hi: int) -> np.ndarray:
             f"window of {hi - lo} flags exceeds materialization cap "
             f"{MAX_MATERIALIZED_FLAGS}; sieve it as smaller windows"
         )
-    flags = _mark_segment(lo, hi)
-    flags.setflags(write=False)
-    return flags
 
 
 def _mark_segment(lo: int, hi: int) -> np.ndarray:
@@ -183,11 +190,23 @@ def _mark_segment(lo: int, hi: int) -> np.ndarray:
     return flags
 
 
-def primes_in(lo: int, hi: int) -> np.ndarray:
-    """Sorted primes in [lo, hi) as int64."""
-    ps = np.flatnonzero(sieve_segment(lo, hi))
-    ps += lo  # in place: no second int64 copy
-    return ps
+def primes_in(lo: int, hi: int, dtype=np.int64) -> np.ndarray:
+    """Sorted primes in [lo, hi) in the integer dtype, which must hold hi - 1.
+
+    The window is sieved one SEGMENT_FLAGS block at a time by sieve_segment,
+    each block's primes cast to dtype, and the blocks joined once: no flag
+    array spans the window, and a narrow dtype keeps no int64 copy of it.
+    The window and the dtype are checked before anything is allocated.
+    """
+    _check_window(lo, hi)
+    dtype = np.dtype(dtype)
+    if dtype.kind not in "iu" or np.iinfo(dtype).max < hi - 1:
+        raise SieveRangeError(f"dtype {dtype} cannot hold the primes below {hi}")
+    parts = [
+        (np.flatnonzero(sieve_segment(s, min(s + SEGMENT_FLAGS, hi))) + s).astype(dtype, copy=False)
+        for s in range(lo, hi, SEGMENT_FLAGS)
+    ]
+    return np.concatenate(parts)
 
 
 # log p for p >= 3 is at least 1, so as a float64 it is a whole multiple of

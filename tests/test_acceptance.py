@@ -379,7 +379,7 @@ def test_criterion_11_deviation_trend():
 @pytest.mark.xfail(
     strict=True,
     reason="faithful computation measures total ~2.8x above x/log x at x=1e7; "
-    "see decisions ledger for the analysis",
+    "see the README paragraph on the acceptance module's expected failure",
 )
 def test_criterion_11_absolute_bound():
     import json

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -230,20 +231,39 @@ def test_grid_point_kernel_uint64_route(monkeypatch):
     # lifts from q to 2q, as real primes above 2 do.
     y = 2**31 + 10**4
     fake = 2**32 + 1 + 2 * np.arange(20_000, dtype=np.int64)
-    monkeypatch.setattr(bv, "primes_in", lambda lo, hi: fake.copy())
+    monkeypatch.setattr(bv, "primes_in", lambda lo, hi, dtype=np.int64: fake.astype(dtype))
     assert np.min_scalar_type(2 * y) == np.uint64
     _assert_kernel_is_oracle(y, totients_upto(700))
 
 
+def test_grid_point_holds_no_window_wide_array():
+    # the top point of a probe at x = 2^24: the primes of (y, 2y] are sieved
+    # block by block into uint32, and each pass forms its own logs, so what
+    # is left is about 8 bytes per prime, the narrow primes and their one
+    # joined copy (int64 primes, their float64 cast, the logs and the flag
+    # bytes of the whole window come to about 25)
+    y, q_max = 1 << 24, 50
+    phi = totients_upto(q_max)
+    divisors = [[]] + [prime_divisors(q) for q in range(1, q_max + 1)]
+    n = len(primes_in(y + 1, 2 * y + 1))
+    tracemalloc.start()
+    try:
+        bv._grid_point_devs((y, phi, divisors))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * n + (2 << 20)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_over_cap_x_is_refused_before_any_grid_point(workers, monkeypatch):
-    # the top window (x, 2x] is sieved as one: x past the sieve's cap is
-    # refused up front, not after the grid points already in flight
+    # primes_in refuses a window (x, 2x] past the sieve's cap, so x past it
+    # is refused up front, not after the grid points already in flight
     monkeypatch.setattr(primes, "MAX_MATERIALIZED_FLAGS", 1 << 14)
     monkeypatch.setattr(bv, "MAX_MATERIALIZED_FLAGS", 1 << 14)
     assert bv_deviation(1 << 14, Fraction(9, 20), workers=1).x == 1 << 14
 
-    def no_sieve(lo, hi):
+    def no_sieve(lo, hi, dtype=np.int64):
         raise AssertionError("a grid point ran")
 
     monkeypatch.setattr(bv, "primes_in", no_sieve)

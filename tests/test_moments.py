@@ -1,10 +1,10 @@
+import concurrent.futures
 import functools
 import itertools
 import math
 import multiprocessing
 import pickle
 import weakref
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +13,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gapsieve import moments, parallel, weights
+from gapsieve import moments, weights
 from gapsieve.errors import BudgetError, RegimeError
 from gapsieve.moments import (
     CHUNK,
@@ -675,8 +675,8 @@ def test_spawned_workers_give_the_same_bits(R, monkeypatch):
         )
 
     base = run(1)
-    spawn = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", spawn)
+    spawn = functools.partial(concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawn)
     assert [x.hex() for x in run(2)] == [x.hex() for x in base]
 
 

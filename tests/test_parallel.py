@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import pytest
 
 from gapsieve import parallel
@@ -22,7 +24,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes
 
 

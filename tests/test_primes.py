@@ -143,6 +143,33 @@ def test_materialization_cap_refuses_before_allocating(monkeypatch):
         sieve_segment(10, 110)
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.uint32, np.int32])
+def test_primes_in_blocks_match_plain_eratosthenes_in_any_dtype(dtype):
+    # three block edges, none aligned with the window's ends
+    lo, hi = (1 << 20) - 5, 3 * (1 << 20) + 7
+    got = primes_in(lo, hi, dtype=dtype)
+    assert got.dtype == dtype
+    assert np.array_equal(got, lo + np.flatnonzero(_window_oracle(lo, hi)))
+
+
+def test_primes_in_refuses_before_allocating(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("array allocated")
+
+    monkeypatch.setattr(primes, "MAX_MATERIALIZED_FLAGS", 100)
+    monkeypatch.setattr(primes.np, "ones", no_allocation)
+    monkeypatch.setattr(primes.np, "empty", no_allocation)
+    with pytest.raises(SieveRangeError, match="exceeds materialization cap 100"):
+        primes_in(10, 111, dtype=np.uint8)
+    # 256 > 255, the largest uint8; a float type holds no primes
+    for dtype in (np.uint8, np.int8, np.float64):
+        with pytest.raises(SieveRangeError, match=f"dtype {np.dtype(dtype)} cannot hold the primes below 257"):
+            primes_in(200, 257, dtype=dtype)
+    # a dtype that holds hi - 1 is accepted and reaches the allocation
+    with pytest.raises(AssertionError, match="array allocated"):
+        primes_in(200, 256, dtype=np.uint8)
+
+
 def test_theta_star_examples():
     # primes in (10, 20] congruent to 1 mod 3 are 13 and 19
     v = theta_star(ThetaStarQuery(10, 1, 3))
