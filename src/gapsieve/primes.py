@@ -9,9 +9,10 @@ Primality over a window is produced by one segmented sieve of Eratosthenes
 for the primes from 17 on, one SEGMENT_FLAGS block at a time.  primes_in
 sieves its window one such block per call and casts each block's primes to
 the caller's integer dtype.  The base-prime cache starts at the wheel primes
-and grows by the same marking (_mark_segment), over the new range only.  The
-tiler (_tile_periodic) is private so that its time counts toward its caller;
-it also builds the weights' small-prime signatures.
+and grows by the same marking (_mark_segment), over the new range only and
+one such block at a time.  The tiler (_tile_periodic) is private so that its
+time counts toward its caller; it also builds the weights' small-prime
+signatures.
 
 The sums of log p here are exactly rounded, hence order-independent and
 bit-stable: either by math.fsum, or from the integer parts of log_parts
@@ -68,18 +69,19 @@ def base_primes(limit: int) -> np.ndarray:
     sieves per doubling.  Each growth sieves only the new range, by the
     private marker behind sieve_segment, in steps that end by the square of
     the first number past the cache, so the marking needs only cached primes.
+    A step is marked one SEGMENT_FLAGS block at a time and its primes joined
+    to the cache once, so no flag array spans the new range.
     """
     global _BASE_PRIMES, _BASE_LIMIT
     while limit > _BASE_LIMIT:
         lo = _BASE_LIMIT + 1
         hi = min(max(limit + 1, 2 * lo, 1 << 10), lo * lo)
-        # flags lives until the concatenation is made; freed earlier, its
-        # pages go to the new cache, which then stays resident (+0.5 MiB of
-        # peak RSS at 1e7)
-        flags = _mark_segment(lo, hi)
-        new = np.flatnonzero(flags)
-        new += lo
-        primes = np.concatenate((_BASE_PRIMES, new))
+        parts = [_BASE_PRIMES]
+        for s in range(lo, hi, SEGMENT_FLAGS):
+            new = np.flatnonzero(_mark_segment(s, min(s + SEGMENT_FLAGS, hi)))
+            new += s
+            parts.append(new)
+        primes = np.concatenate(parts)
         primes.setflags(write=False)
         _BASE_PRIMES, _BASE_LIMIT = primes, hi - 1
     return _BASE_PRIMES[: int(np.searchsorted(_BASE_PRIMES, limit, side="right"))]

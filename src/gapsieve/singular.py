@@ -9,9 +9,9 @@ with w(p) the number of residue classes the tuple covers mod p.  Since
 w(p) = k for every prime beyond the tuple's span, the product splits into
 
   * an exact part over p <= span_bound (actual w(p), may vanish),
-  * a generic part over span_bound < p <= P0 with w(p) = k: one running
-    sum of the generic log factors over the primes <= P0, read at the prime
-    counts pi(span_bound) and pi(P0),
+  * a generic part over span_bound < p <= P0 with w(p) = k: the difference
+    of one running sum of the generic log factors, in prime order, at the
+    prime counts pi(P0) and pi(span_bound),
   * an analytic tail for p > P0.
 
 The tail comes from expanding the log of each generic factor:
@@ -26,9 +26,14 @@ sum over the base primes <= P0.  The series is cut at J once the integral bound
 
 drops below the target; that bound plus an explicit float-accumulation
 allowance is the certified tail_bound.  The generic part and the tail are
-formed together in extended precision, on one cast of the primes <= P0 that
-is freed when they are done: the j-series suffers cancellation when P_j is
-formed by subtraction.
+formed in extended precision, as the j-series suffers cancellation when P_j
+is formed by subtraction.  The running sum streams over the shared int64
+prime cache in blocks, each block's cumsum seeded with the last one's end:
+the same sequential additions, so the same bits as one whole cumsum.  Its
+value at pi(P0) and the tail are formed once per (k, P0, tol); its value at
+pi(span_bound) by the same pass over the primes <= span_bound alone.
+Memory: one reused block, plus one longdouble per prime <= P0 while a tail
+power sum runs.
 
 At a fixed span bound H the series depends on a tuple only through its
 residue profile, its w(p) for the primes p <= H: every other input is shared,
@@ -43,9 +48,10 @@ distinct profile of a block, and adds each value repeated by the number
 of tuples it stands for in one exact grouped sum: the same multiset, so the
 same correctly rounded sum as a per-tuple fsum.  singular_series and
 singular_series_extended feed their own profiles to the same evaluator,
-_profile_series.  The primes <= H and the four floats of the generic part
-and the tail come from small memos keyed by (H) and (k, H, P0, tol); no
-array outlives its call, and nothing is memoised by tuple or profile.
+_profile_series.  The primes <= H, the four floats of the generic part and
+the tail, and the sums at pi(P0) with the tail come from small memos keyed
+by (H), (k, H, P0, tol) and (k, P0, tol); no array outlives its call, and
+nothing is memoised by tuple or profile.
 """
 
 from __future__ import annotations
@@ -71,6 +77,8 @@ _SERIES_CAP = 80
 # residues (offsets times primes) per block when gallagher_average profiles
 # its tuples
 PROFILE_BLOCK = 1 << 17
+# primes per block of the generic pass's running sums
+_GENERIC_BLOCK = 1 << 14
 # entries kept by each memo of per-call constants
 _MEMO = 16
 
@@ -152,30 +160,24 @@ def _generic_part(k: int, span_bound: int, p0: int, tol: float) -> tuple[float, 
     bound covering the dropped j > J terms and the cancellation noise of
     forming P_j by subtraction.
 
-    With _prime_zeta_ld, the one place that works in longdouble: the primes
-    <= p0 are cast once, the running sums and the tail series are formed on
-    that cast, and no array outlives the call.
+    The sums at pi(p0) and the tail come from _p0_pass, shared by every span
+    bound; the sums at pi(span_bound) stream over the primes <= span_bound.
     """
     if p0 < 2 * k:
         raise ToleranceError(f"truncation prime {p0} must exceed 2k = {2 * k}")
-    ps = base_primes(p0).astype(np.longdouble)
-    # i1 = pi(span_bound), as the primes <= span_bound are a prefix of ps
-    n, i1 = len(ps), len(_exact_primes(span_bound))
-    # cum[i], cumabs[i]: the sums of the first i generic log factors and of
-    # their absolute values, in prime order.  Primes <= k add 0 (the generic
-    # form is invalid there; the exact part covers them).  Formed in place,
-    # so at most three longdouble arrays of n entries are live at once
-    cum, cumabs = np.zeros((2, n + 1), dtype=np.longdouble)
-    head = int(np.searchsorted(ps, k, side="right"))
-    g, tmp = cum[head + 1 :], cumabs[head + 1 :]
-    np.log1p(np.divide(-k, ps[head:], out=g), out=g)
-    g -= np.multiply(k, np.log1p(np.divide(-1.0, ps[head:], out=tmp), out=tmp), out=tmp)
-    np.cumsum(np.abs(cum, out=cumabs), out=cumabs)
-    np.cumsum(cum, out=cum)
-    log_generic = float(cum[n] - cum[i1])
-    slack = (n - i1) * _EPS_LD * (float(cumabs[n] - cumabs[i1]) + 1.0)
-    del cum, cumabs, g, tmp
+    total, total_abs, corr, tail_neglect = _p0_pass(k, p0, tol)
+    h_sum, h_abs = _generic_sums(k, base_primes(span_bound))
+    n, i1 = len(base_primes(p0)), len(_exact_primes(span_bound))
+    slack = (n - i1) * _EPS_LD * (float(total_abs - h_abs) + 1.0)
+    return float(total - h_sum), slack, corr, tail_neglect
 
+
+@lru_cache(maxsize=_MEMO)
+def _p0_pass(k: int, p0: int, tol: float):
+    """The generic sums at pi(p0) (longdouble), then the tail's (correction,
+    certified bound) as floats."""
+    ps = base_primes(p0)
+    total, total_abs = _generic_sums(k, ps)
     target = tol / 4.0
     ratio = k / p0
     corr = np.longdouble(0)
@@ -186,14 +188,45 @@ def _generic_part(k: int, span_bound: int, p0: int, tol: float) -> tuple[float, 
         if remaining < target:
             break
         pz = _prime_zeta_ld(j)
-        # a negative difference is pure cancellation noise: the true tail is >= 0
-        tail_j = max(pz - (ps ** np.longdouble(-j)).sum(), np.longdouble(0))
+        # one longdouble array of pi(p0) entries, summed whole: pairwise
+        # summation depends on the length.  A negative difference is pure
+        # cancellation noise: the true tail is >= 0
+        tail_j = max(pz - np.power(ps, np.longdouble(-j)).sum(), np.longdouble(0))
         coeff = np.longdouble(k**j - k) / j
         corr -= coeff * tail_j
         noise += 2.0 * _EPS_LD * float(coeff * pz)
     else:
         raise ToleranceError(f"tail series did not reach target {target} by j={_SERIES_CAP}")
-    return log_generic, slack, float(corr), remaining + noise
+    return total, total_abs, float(corr), remaining + noise
+
+
+def _generic_sums(k: int, primes: np.ndarray):
+    """The sum of the generic log factors log(1 - k/p) - k log(1 - 1/p) over
+    the sorted int64 primes, those <= k adding 0 (the generic form is invalid
+    there; the exact part covers them), and the sum of their absolute values:
+    each the last entry of a sequential longdouble cumsum in prime order.
+
+    The primes are cast _GENERIC_BLOCK at a time into one reused buffer, and
+    each block's cumsum starts from the last block's end, so the additions
+    and their bits are those of one cumsum over all the primes.
+    """
+    # rows: the cast primes, then the factors and their absolute values, each
+    # after one seed slot for the sum carried in
+    buf = np.empty((3, _GENERIC_BLOCK + 1), dtype=np.longdouble)
+    carry = np.zeros(2, dtype=np.longdouble)
+    for s in range(int(np.searchsorted(primes, k, side="right")), len(primes), _GENERIC_BLOCK):
+        block = primes[s : s + _GENERIC_BLOCK]
+        m = len(block)
+        ps, g, tmp = buf[0, :m], buf[1, 1 : m + 1], buf[2, 1 : m + 1]
+        ps[:] = block
+        np.log1p(np.divide(-k, ps, out=g), out=g)
+        g -= np.multiply(k, np.log1p(np.divide(-1.0, ps, out=tmp), out=tmp), out=tmp)
+        np.abs(g, out=tmp)
+        sums = buf[1:, : m + 1]
+        sums[:, 0] = carry
+        np.cumsum(sums, axis=1, out=sums)
+        carry = sums[:, m].copy()
+    return carry[0], carry[1]
 
 
 def _profile_series(profile, k: int, span_bound: int, p0: int, tol: float) -> SingularSeriesValue:

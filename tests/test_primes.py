@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -228,6 +229,25 @@ def test_base_primes_growth_makes_no_public_sieve_call(monkeypatch):
     monkeypatch.setattr(primes, "sieve_segment", counted)
     limit = 3 * 10**6
     assert np.array_equal(base_primes(limit), np.flatnonzero(_eratosthenes(limit + 1)))
+
+
+def test_base_primes_growth_holds_no_range_wide_flags(monkeypatch):
+    # growing from 1e6 to 1e7 marks one SEGMENT_FLAGS block at a time: what
+    # is held is the new primes, their joined copy and one block's flags
+    plain = np.flatnonzero(_eratosthenes(10**7 + 1))
+    seed = plain[: np.searchsorted(plain, 10**6, side="right")].copy()
+    seed.setflags(write=False)
+    monkeypatch.setattr(primes, "_BASE_PRIMES", seed)
+    monkeypatch.setattr(primes, "_BASE_LIMIT", 10**6)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        got = base_primes(10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 16 * len(plain) + primes.SEGMENT_FLAGS + 2**20
+    assert np.array_equal(got, plain)
 
 
 def test_base_primes_extension_across_doublings_is_the_plain_sieve(monkeypatch):

@@ -57,14 +57,16 @@ def test_truncation_stability():
 
 
 def test_series_leaves_no_longdouble_arrays_behind():
-    # the generic part and the tail are formed on one longdouble cast of the
-    # primes <= P0, freed on return: only the memos' floats stay behind
+    # the running sums stream over the int64 cache in one small reused block,
+    # and each tail power sum holds one longdouble array of pi(P0) entries
+    # until it is summed: only the memos' scalars stay behind
     p0 = 10**6
     base_primes(10 * p0)  # the shared cache's growth is not the series'
     for j in range(2, 6):  # every primezeta value these calls read
         singular._prime_zeta_ld(j)
     ts = [TWIN, OffsetTuple((1, 3, 7)), OffsetTuple(SEPTUPLE_OFFSETS)]
     singular._generic_part.cache_clear()
+    singular._p0_pass.cache_clear()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -73,17 +75,91 @@ def test_series_leaves_no_longdouble_arrays_behind():
         for t in ts:
             singular_series(t, truncation_prime=10 * p0)
         singular._generic_part.cache_clear()
+        singular._p0_pass.cache_clear()
         after = [singular_series(t, truncation_prime=p0) for t in ts]
         final = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert current - start <= 256 * 1024
     assert final - start <= 256 * 1024
-    # the cast and the two running sums, each of pi(P0) entries, at most
-    assert peak - start <= 3 * np.dtype(np.longdouble).itemsize * len(base_primes(p0)) + 2**20
+    # one power sum's array of pi(P0) entries, at most
+    assert peak - start <= np.dtype(np.longdouble).itemsize * len(base_primes(p0)) + 2**20
     # a larger P0 in between moves no bit at P0
     assert [(v.value.hex(), v.tail_bound.hex()) for v in before] == [
         (v.value.hex(), v.tail_bound.hex()) for v in after]
+
+
+def _whole_array_generic_part(k, span_bound, p0, tol):
+    """The generic part as one pass over a longdouble cast of all the primes
+    <= p0: one cumsum of the factors and one of their absolute values, read
+    at pi(span_bound) and pi(p0), and the tail's power sums on the cast."""
+    ps = base_primes(p0).astype(np.longdouble)
+    n, i1 = len(ps), len(base_primes(span_bound))
+    cum, cumabs = np.zeros((2, n + 1), dtype=np.longdouble)
+    head = int(np.searchsorted(ps, k, side="right"))
+    g, tmp = cum[head + 1 :], cumabs[head + 1 :]
+    np.log1p(np.divide(-k, ps[head:], out=g), out=g)
+    g -= np.multiply(k, np.log1p(np.divide(-1.0, ps[head:], out=tmp), out=tmp), out=tmp)
+    np.cumsum(np.abs(cum, out=cumabs), out=cumabs)
+    np.cumsum(cum, out=cum)
+    slack = (n - i1) * singular._EPS_LD * (float(cumabs[n] - cumabs[i1]) + 1.0)
+    ratio, corr, noise = k / p0, np.longdouble(0), 0.0
+    for j in range(2, singular._SERIES_CAP + 1):
+        remaining = p0 * ratio**j / (1.0 - ratio)
+        if remaining < tol / 4.0:
+            break
+        pz = singular._prime_zeta_ld(j)
+        coeff = np.longdouble(k**j - k) / j
+        corr -= coeff * max(pz - (ps ** np.longdouble(-j)).sum(), np.longdouble(0))
+        noise += 2.0 * singular._EPS_LD * float(coeff * pz)
+    return float(cum[n] - cum[i1]), slack, float(corr), remaining + noise
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_generic_sums_carry_across_blocks(monkeypatch, block):
+    monkeypatch.setattr(singular, "_GENERIC_BLOCK", block)
+    for k, span_bound, p0 in [(1, 3, 1000), (2, 2, 1000), (3, 60, 1000), (7, 26, 5000), (10, 100, 100)]:
+        singular._generic_part.cache_clear()
+        singular._p0_pass.cache_clear()
+        got = singular._generic_part(k, span_bound, p0, 1e-8)
+        expected = _whole_array_generic_part(k, span_bound, p0, 1e-8)
+        assert [x.hex() for x in got] == [x.hex() for x in expected]
+    singular._generic_part.cache_clear()
+    singular._p0_pass.cache_clear()
+
+
+def test_one_p0_pass_serves_every_span_bound(monkeypatch):
+    # the sums at pi(P0) and the tail are shared by the 20 span bounds; each
+    # bound adds a pass over its own primes only, and every bit is that of
+    # one whole-array pass per span bound
+    p0 = 10**6
+    twins = [OffsetTuple((1, 3), h) for h in range(3, 23)]
+    monkeypatch.setattr(singular, "_generic_part", _whole_array_generic_part)
+    expected = [singular_series(t, truncation_prime=p0) for t in twins]
+    monkeypatch.undo()
+
+    passed = []
+
+    def counted(k, primes):
+        passed.append(len(primes))
+        return generic_sums(k, primes)
+
+    generic_sums = singular._generic_sums
+    monkeypatch.setattr(singular, "_generic_sums", counted)
+    singular._generic_part.cache_clear()
+    singular._p0_pass.cache_clear()
+    try:
+        got = [singular_series(t, truncation_prime=p0) for t in twins]
+        again = singular_series(twins[-1], truncation_prime=p0)  # a memo hit
+    finally:
+        singular._generic_part.cache_clear()
+        singular._p0_pass.cache_clear()
+    assert [(v.value.hex(), v.tail_bound.hex()) for v in got] == [
+        (v.value.hex(), v.tail_bound.hex()) for v in expected]
+    assert again == got[-1]
+    n = len(base_primes(p0))
+    assert passed.count(n) == 1
+    assert sorted(passed) == sorted([n] + [len(base_primes(t.span_bound)) for t in twins])
 
 
 def test_positive_iff_admissible_small():
