@@ -1,6 +1,6 @@
 """Sieve machinery for locating two primes in short windows.
 
-Submodules: primes (segmented sieve, progression sums), tuples (admissible
+Submodules: primes (segmented sieve, exact log sums), tuples (admissible
 offset tuples), singular (density constants), weights (truncated divisor
 sums), moments (moment sums, detector, threshold algebra), bv (distribution
 level probe), cli (command line).
@@ -15,7 +15,6 @@ from .moments import (
     MomentReport,
     SieveParams,
     ThresholdReport,
-    double_sum_T,
     double_sum_exact_counts,
     gap_bound,
     two_primes_detector,
@@ -23,19 +22,17 @@ from .moments import (
     threshold,
     twisted_moment,
 )
-from .primes import ThetaStarQuery, primes_in, sieve_segment, theta_star
+from .primes import primes_in, sieve_segment
 from .singular import SingularSeriesValue, gallagher_average, singular_series
 from .tuples import (
     SEPTUPLE_OFFSETS,
     TWIN_OFFSETS,
-    UNCHANGED,
     OffsetTuple,
     enumerate_tuples,
     extend,
     is_admissible,
-    member_of_omega,
 )
-from .weights import WeightBlock, WeightParams, lambda_block, lambda_bruteforce, lambda_weight
+from .weights import WeightBlock, WeightParams, lambda_block
 
 __all__ = [
     "BvDeviationTable",
@@ -46,14 +43,11 @@ __all__ = [
     "SEPTUPLE_OFFSETS",
     "SieveParams",
     "SingularSeriesValue",
-    "ThetaStarQuery",
     "ThresholdReport",
     "TWIN_OFFSETS",
-    "UNCHANGED",
     "WeightBlock",
     "WeightParams",
     "bv_deviation",
-    "double_sum_T",
     "double_sum_exact_counts",
     "enumerate_tuples",
     "extend",
@@ -62,15 +56,11 @@ __all__ = [
     "two_primes_detector",
     "is_admissible",
     "lambda_block",
-    "lambda_bruteforce",
-    "lambda_weight",
-    "member_of_omega",
     "primes_in",
     "pure_moment",
     "sieve_segment",
     "singular_series",
     "supported_theta",
-    "theta_star",
     "threshold",
     "twisted_moment",
 ]

@@ -13,14 +13,6 @@ class SieveRangeError(GapsieveError, ValueError):
     """Range is malformed or exceeds the declared sieving bound."""
 
 
-class CoprimalityError(GapsieveError, ValueError):
-    """Residue query with gcd(a, q) > 1."""
-
-
-class NotSquarefreeError(GapsieveError, ValueError):
-    """Squarefree integer expected."""
-
-
 class BudgetError(GapsieveError, RuntimeError):
     """A configured enumeration/factoring/memory budget would be exceeded."""
 

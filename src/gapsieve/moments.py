@@ -12,8 +12,8 @@ chunk pipeline that builds a tuple's divisor table and its signature state
 once, in the calling process, before any pool starts, and folds each chunk's
 result as it arrives, in chunk order.  A task carries no table: chunks read
 it from divisor_table's per-process memo, which forked workers inherit.  The
-exact double sums (small R) read each divisor's primes from that same table,
-and the exact-count form counts each distinct lcm once.
+exact-count double sum (small R) reads each divisor's primes from that same
+table and counts each distinct lcm once.
 
 When R < 59, W(n) depends only on n's small-prime signature (see weights),
 so a chunk returns exact integers per signature s instead of a rounded sum:
@@ -61,24 +61,22 @@ import numpy as np
 
 from .errors import BudgetError, RegimeError
 from .parallel import block_spans, ordered_imap
-from .primes import (SEGMENT_FLAGS, SUPPORTED_SIEVE_BOUND, LogSum, _repeated_fsum, base_primes, log_parts,
+from .primes import (SEGMENT_FLAGS, SUPPORTED_SIEVE_BOUND, LogSum, _repeated_fsum, log_parts,
                      log_sum, sieve_segment)
 from .singular import DEFAULT_TOL, singular_series
-from .tuples import UNCHANGED, OffsetTuple, extend, omega_residues, omega_size
+from .tuples import OffsetTuple, extend, omega_residues
 from .weights import WeightParams, _crt_merge, _weight_value, divisor_table, lambda_block
 
 CHUNK = SEGMENT_FLAGS
 # a detector chunk's per-key log-part sums stay below CHUNK * span * 2^31,
 # inside int64, for span below this
 MAX_DETECTOR_SPAN = (1 << 32) // CHUNK
-DOUBLE_SUM_R_BUDGET = 2000
 EXACT_COUNT_R_BUDGET = 500
 
-# Regime constants: the asymptotic constraints carry unspecified constants, so
-# the power-law parts are enforced exactly and the log-power correction is off
-# (LOG_POWER_C = 0); the others bound span <= SPAN_FACTOR * log N and
-# log N <= SCALE_RATIO * log R.
-LOG_POWER_C = 0.0
+# Regime constants: the asymptotic constraints carry unspecified constants.
+# The paper's caps on R carry an unspecified power of log N, so only their
+# power laws, N^(1/2) and N^(theta/2), are enforced, exactly; the others bound
+# span <= SPAN_FACTOR * log N and log N <= SCALE_RATIO * log R.
 SPAN_FACTOR = 10.0
 SCALE_RATIO = 8.0
 
@@ -92,8 +90,7 @@ class SieveParams:
     """One run configuration: scale N, truncation R, tuple size k, weight
     shift l, window length span_bound, and distribution level theta.
 
-    The regime checks use the module's LOG_POWER_C, SPAN_FACTOR and
-    SCALE_RATIO.
+    The regime checks use the module's SPAN_FACTOR and SCALE_RATIO.
     """
 
     N: int
@@ -153,21 +150,18 @@ class SieveParams:
 
     def pure_regime_violations(self) -> list[str]:
         out = self._common_violations()
-        cap = math.sqrt(self.N) / self.log_n ** LOG_POWER_C
+        cap = math.sqrt(self.N)
         # 1e-12 slack: boundary configurations like R = N^(1/2) exactly must
         # not trip on the rounding of two routes to the same power
         if self.R > cap * (1 + 1e-12):
-            out.append(f"R {self.R} > N^(1/2)/(log N)^{LOG_POWER_C} = {cap:.4g}")
+            out.append(f"R {self.R} > N^(1/2) = {cap:.4g}")
         return out
 
     def twisted_regime_violations(self) -> list[str]:
         out = self._common_violations()
-        cap = self.N ** (float(self.theta) / 2.0) / self.log_n ** LOG_POWER_C
+        cap = self.N ** (float(self.theta) / 2.0)
         if self.R > cap * (1 + 1e-12):
-            out.append(
-                f"R {self.R} > N^(theta/2)/(log N)^{LOG_POWER_C} = {cap:.4g} "
-                f"at theta = {self.theta}"
-            )
+            out.append(f"R {self.R} > N^(theta/2) = {cap:.4g} at theta = {self.theta}")
         return out
 
     def doc(self) -> dict:
@@ -437,27 +431,6 @@ def _divisor_pairs(t: OffsetTuple, params: "SieveParams | WeightParams"):
             yield w1 * w2, primes1 | primes2
 
 
-def double_sum_T(t: OffsetTuple, params: "SieveParams | WeightParams") -> float:
-    """The exact bilinear form sum_{d1,d2} w(d1) w(d2) |Omega([d1,d2])| / [d1,d2].
-
-    Direct double summation; feasible for R up to a few thousand.  Only R and
-    the weight exponent are read, so bare WeightParams work too.
-    """
-    if params.R > DOUBLE_SUM_R_BUDGET:
-        raise BudgetError(f"R = {params.R} exceeds double-sum budget {DOUBLE_SUM_R_BUDGET}")
-    # every prime <= R is itself a table entry, so this covers every lcm
-    omega_of = {int(p): omega_size(t, int(p)) for p in base_primes(int(params.R))}
-    terms = []
-    for weight, union in _divisor_pairs(t, params):
-        lcm = 1
-        omega = 1
-        for p in union:
-            lcm *= p
-            omega *= omega_of[p]
-        terms.append(weight * omega / lcm)
-    return math.fsum(terms)
-
-
 def double_sum_exact_counts(
     t: OffsetTuple,
     params: "SieveParams | WeightParams",
@@ -549,10 +522,9 @@ def twisted_moment(
 
     # extension lives in [1, params.span_bound]
     spanned = OffsetTuple(t.offsets, params.span_bound)
-    extended = extend(spanned, h)
-    member = extended is UNCHANGED
+    member = h in spanned.offsets
     prefactor, power = twisted_main_prefactor(params.k, params.l, member)
-    dens = singular_series(spanned if member else extended, DEFAULT_TOL)
+    dens = singular_series(spanned if member else extend(spanned, h), DEFAULT_TOL)
     main = float(prefactor) * dens.value * params.N * params.log_r ** power
     return MomentReport(
         kind="twisted",

@@ -1,7 +1,6 @@
 """Segmented prime generation, exact sums of logs of primes and of repeated
-floats, the dyadic progression sum theta_star, and the package's one
-base-prime cache and one trial factorer (prime_divisors; squarefree_factors
-adds the squarefree refusal).
+floats, and the package's one base-prime cache and one trial factorer
+(prime_divisors).
 
 Primality over a window is produced by one segmented sieve of Eratosthenes
 (sieve_segment): one read-only flag array per window, presieved by tiling the
@@ -25,11 +24,10 @@ integer counts, without repeating them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, CoprimalityError, NotSquarefreeError, SieveRangeError
+from .errors import BudgetError, SieveRangeError
 
 # Flags per internal segment; power of two, fixed once here so partitions and
 # reductions are identical no matter how many workers run.
@@ -127,18 +125,6 @@ def prime_divisors(d: int) -> list[int]:
             factors.append(p)
     if m > 1:
         factors.append(m)
-    return factors
-
-
-def squarefree_factors(d: int) -> list[int]:
-    """Ascending prime factors of d, raising unless d is squarefree (naming
-    the smallest p with p^2 | d)."""
-    if d < 1:
-        raise NotSquarefreeError(f"need d >= 1, got {d}")
-    factors = prime_divisors(d)
-    for p in factors:
-        if d % (p * p) == 0:
-            raise NotSquarefreeError(f"{d} is divisible by {p}^2")
     return factors
 
 
@@ -296,42 +282,3 @@ def _repeated_fsum(values: np.ndarray, counts: np.ndarray) -> float:
     if big.any():
         terms += [big * high, big * low]
     return math.fsum(memoryview(np.concatenate(terms)))
-
-
-@dataclass(frozen=True)
-class ThetaStarQuery:
-    """Dyadic progression query: primes p in (y, 2y] with p = a (mod q).
-
-    a is stored reduced mod q; q = 1 is the unconditional total (a collapses
-    to 0).  Non-coprime (a, q) is rejected because the progression then holds
-    at most one prime and the distribution hypothesis quantifies only over
-    coprime classes.
-    """
-
-    y: int
-    a: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.y < 1:
-            raise ValueError(f"need y >= 1, got {self.y}")
-        if self.q < 1:
-            raise ValueError(f"need q >= 1, got {self.q}")
-        object.__setattr__(self, "a", self.a % self.q)
-        if math.gcd(self.a, self.q) != 1:
-            raise CoprimalityError(f"gcd(a, q) = {math.gcd(self.a, self.q)} != 1 for a={self.a}, q={self.q}")
-
-
-def theta_star(query: ThetaStarQuery) -> float:
-    """Sum of log p over primes p in (y, 2y] with p = a (mod q).
-
-    Ascending primes, exactly rounded accumulation.
-    """
-    lo, hi = query.y + 1, 2 * query.y + 1
-    if hi <= 2:
-        return 0.0
-    lo = max(lo, 2)
-    ps = primes_in(lo, hi)
-    if query.q > 1:
-        ps = ps[ps % query.q == query.a]
-    return math.fsum(np.log(ps.astype(np.float64)))

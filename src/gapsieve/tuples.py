@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .errors import BudgetError
-from .primes import base_primes, squarefree_factors
+from .primes import base_primes
 
 # The 7-offset pattern used for the two-primes-in-a-window computations,
 # stored shifted into [1, 22].
@@ -101,33 +101,8 @@ def first_obstruction(t: OffsetTuple) -> int | None:
     return None
 
 
-def member_of_omega(n: int, d: int, t: OffsetTuple) -> bool:
-    """True iff squarefree d divides (n+h_1)...(n+h_k), decided per prime."""
-    for p in squarefree_factors(d):
-        if all((n + h) % p != 0 for h in t.offsets):
-            return False
-    return True
-
-
-class _Unchanged:
-    """Marker: the extension offset already belongs to the tuple."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "UNCHANGED"
-
-
-UNCHANGED = _Unchanged()
-
-
-def extend(t: OffsetTuple, h: int) -> OffsetTuple | _Unchanged:
-    """The (k+1)-tuple with h adjoined, or UNCHANGED when h is a member.
+def extend(t: OffsetTuple, h: int) -> OffsetTuple:
+    """The (k+1)-tuple with h adjoined; h must not be a member.
 
     The extension may be inadmissible; that is allowed and downstream code
     treats its vanishing density constant as an exact zero.
@@ -135,7 +110,7 @@ def extend(t: OffsetTuple, h: int) -> OffsetTuple | _Unchanged:
     if not (1 <= h <= t.span_bound):
         raise ValueError(f"extension offset {h} outside [1, {t.span_bound}]")
     if h in t.offsets:
-        return UNCHANGED
+        raise ValueError(f"{h} is already an offset of {t}")
     return OffsetTuple(t.offsets + (h,), t.span_bound)
 
 
@@ -145,8 +120,6 @@ def extended_omega_size(t: OffsetTuple, h: int, p: int) -> int:
     Independent route used to cross-check the directly-extended tuple: the
     count grows by one exactly when -h mod p is not already covered.
     """
-    if h in t.offsets:
-        return omega_size(t, p)
     residues = {(-g) % p for g in t.offsets}
     grown = 0 if (-h) % p in residues else 1
     return len(residues) + grown

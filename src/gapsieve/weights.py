@@ -2,7 +2,7 @@
 
 The per-divisor weight is mu(d) * (log(R/d))^a / a! for squarefree d <= R and
 0 beyond R.  The per-n sum runs over squarefree d <= R dividing
-(n+h_1)...(n+h_k), and is computed two independent ways:
+(n+h_1)...(n+h_k).
 
   * lambda_block: walk the divisor table in ascending-d order and
     Kahan-accumulate each weight into every n it divides.  Every divisor
@@ -21,12 +21,9 @@ The per-divisor weight is mu(d) * (log(R/d))^a / a! for squarefree d <= R and
     divisors, in ascending-d order, compensated -- so block values are
     bit-identical however the surrounding range is partitioned.
 
-  * lambda_bruteforce: factor each n+h_i by trial division, take the union
-    prime set (<= R), enumerate all squarefree products <= R directly, and
-    sum the weights in the same ascending-d compensated order.
-
-Both routes share the single weight-evaluation helper, so any disagreement
-isolates the divisor-finding logic rather than float noise.
+  * _weight_value: the one weight evaluation.  The tests' factoring oracle
+    (tests/oracles.py) shares it, so any disagreement isolates the
+    divisor-finding logic rather than float noise.
 
 divisor_table is the package's one source of the squarefree d <= R: each
 entry carries its primes and covered classes, and the moment sums reuse it
@@ -48,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, RegimeError
-from .primes import _tile_periodic, base_primes, prime_divisors, squarefree_factors
+from .primes import _tile_periodic, base_primes
 from .tuples import OffsetTuple, omega_residues
 
 # largest truncation level a divisor table will be built for
@@ -86,16 +83,6 @@ class WeightParams:
 def _weight_value(mu: int, d: int, R: float, a: int) -> float:
     # shared by both routes: identical floats by construction
     return mu * math.log(R / d) ** a / math.factorial(a)
-
-
-def lambda_weight(d: int, params: WeightParams) -> float:
-    """mu(d) (log R/d)^a / a! for squarefree d <= R, else 0."""
-    # d > R is answered before any factoring, so a huge d costs nothing;
-    # d < 1 and non-squarefree d <= R are refused by the factorer
-    if d > params.R:
-        return 0.0
-    factors = squarefree_factors(d)
-    return _weight_value(-1 if len(factors) % 2 else 1, d, params.R, params.a)
 
 
 def _kahan_add(values: np.ndarray, comp: np.ndarray, at, w: float) -> None:
@@ -282,40 +269,3 @@ def lambda_block(
             for r in entry.residues:
                 _kahan_add(values, comp, slice((r - lo) % d, None, d), w)
     return WeightBlock(lo, hi, values)
-
-
-def lambda_bruteforce(t: OffsetTuple, params: WeightParams, n: int) -> float:
-    """Independent oracle: factor each n+h, enumerate all squarefree
-    divisors <= R of the product, sum weights in ascending-d order.
-
-    The product itself is never formed; only the union of the factors'
-    prime sets is used.
-    """
-    if n + t.offsets[0] < 1:
-        raise ValueError(f"n = {n} makes n + h nonpositive")
-    prime_set: set[int] = set()
-    for h in t.offsets:
-        prime_set.update(p for p in prime_divisors(n + h) if p <= params.R)
-    primes = sorted(prime_set)
-
-    divisors = [(1, 1)]
-
-    def grow(start: int, d: int, mu: int) -> None:
-        for i in range(start, len(primes)):
-            nd = d * primes[i]
-            if nd > params.R:
-                break
-            divisors.append((nd, -mu))
-            grow(i + 1, nd, -mu)
-
-    grow(0, 1, 1)
-    divisors.sort()
-    total = 0.0
-    comp = 0.0
-    for d, mu in divisors:
-        w = _weight_value(mu, d, params.R, params.a)
-        y = w - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-    return total

@@ -1,0 +1,96 @@
+"""Independent oracles the tests check the library against.
+
+Each computes its quantity the plain way: the dyadic progression sum by one
+fsum over the sieved primes, the weight of one d by factoring it, the block
+weights by factoring each n + h, and the bilinear form by direct double
+summation.  lambda_bruteforce shares weights._weight_value with lambda_block,
+so any disagreement isolates the divisor-finding logic rather than float
+noise.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from gapsieve.moments import _divisor_pairs
+from gapsieve.primes import base_primes, prime_divisors, primes_in
+from gapsieve.tuples import OffsetTuple, omega_size
+from gapsieve.weights import WeightParams, _weight_value
+
+
+def theta_star(y: int, a: int, q: int) -> float:
+    """Sum of log p over primes p in (y, 2y] with p = a (mod q); q = 1 is
+    the unconditional total, for y, q >= 1.  Ascending primes, exactly
+    rounded sum."""
+    ps = primes_in(y + 1, 2 * y + 1)
+    if q > 1:
+        ps = ps[ps % q == a % q]
+    return math.fsum(np.log(ps.astype(np.float64)))
+
+
+def lambda_weight(d: int, params: WeightParams) -> float:
+    """mu(d) (log R/d)^a / a! for squarefree d <= R, else 0; d > R is
+    answered before any factoring, and d < 1 or non-squarefree d <= R are
+    refused."""
+    if d > params.R:
+        return 0.0
+    factors = prime_divisors(d)
+    if math.prod(factors) != d:
+        raise ValueError(f"{d} is not squarefree")
+    return _weight_value(-1 if len(factors) % 2 else 1, d, params.R, params.a)
+
+
+def lambda_bruteforce(t: OffsetTuple, params: WeightParams, n: int) -> float:
+    """Factor each n+h, enumerate all squarefree divisors <= R of the
+    product, sum weights in ascending-d order, Kahan-compensated.
+
+    The product itself is never formed; only the union of the factors'
+    prime sets is used.
+    """
+    if n + t.offsets[0] < 1:
+        raise ValueError(f"n = {n} makes n + h nonpositive")
+    prime_set: set[int] = set()
+    for h in t.offsets:
+        prime_set.update(p for p in prime_divisors(n + h) if p <= params.R)
+    primes = sorted(prime_set)
+
+    divisors = [(1, 1)]
+
+    def grow(start: int, d: int, mu: int) -> None:
+        for i in range(start, len(primes)):
+            nd = d * primes[i]
+            if nd > params.R:
+                break
+            divisors.append((nd, -mu))
+            grow(i + 1, nd, -mu)
+
+    grow(0, 1, 1)
+    divisors.sort()
+    total = 0.0
+    comp = 0.0
+    for d, mu in divisors:
+        w = _weight_value(mu, d, params.R, params.a)
+        y = w - comp
+        s = total + y
+        comp = (s - total) - y
+        total = s
+    return total
+
+
+def double_sum_T(t: OffsetTuple, params: WeightParams) -> float:
+    """The exact bilinear form sum_{d1,d2} w(d1) w(d2) |Omega([d1,d2])| / [d1,d2]
+    by direct double summation; feasible for R up to a few thousand.  Only R
+    and the weight exponent are read, so SieveParams work too."""
+    # every prime <= R is itself a table entry, so this covers every lcm
+    omega_of = {int(p): omega_size(t, int(p)) for p in base_primes(int(params.R))}
+    terms = []
+    for weight, union in _divisor_pairs(t, params):
+        lcm = 1
+        omega = 1
+        for p in union:
+            lcm *= p
+            omega *= omega_of[p]
+        terms.append(weight * omega / lcm)
+    return math.fsum(terms)

@@ -35,7 +35,8 @@ from gapsieve.primes import sieve_segment
 from gapsieve.serialize import canonical_json
 from gapsieve.singular import gallagher_average, singular_series
 from gapsieve.tuples import SEPTUPLE_OFFSETS, TWIN_OFFSETS, OffsetTuple, enumerate_tuples, is_admissible
-from gapsieve.weights import WeightParams, lambda_block, lambda_bruteforce
+from gapsieve.weights import WeightParams, lambda_block
+from oracles import lambda_bruteforce
 
 TWIN = OffsetTuple(TWIN_OFFSETS)
 SEPTUPLE = OffsetTuple(SEPTUPLE_OFFSETS)

@@ -18,7 +18,8 @@ from gapsieve.bv import (
     DeviationRow,
 )
 from gapsieve.errors import BudgetError, SieveRangeError, TrendError
-from gapsieve.primes import SEGMENT_FLAGS, ThetaStarQuery, prime_divisors, primes_in, theta_star
+from gapsieve.primes import SEGMENT_FLAGS, prime_divisors, primes_in
+from oracles import theta_star
 
 
 def test_rational_power_floor():
@@ -39,7 +40,7 @@ def test_row_against_direct_enumeration():
     row2 = next(r for r in table.rows if r.q == 2)
     best = -1.0
     for y in table.y_grid:
-        dev = abs(theta_star(ThetaStarQuery(y, 1, 2)) - y)
+        dev = abs(theta_star(y, 1, 2) - y)
         best = max(best, dev)
     assert row2.deviation == pytest.approx(best, rel=1e-12)
 
@@ -74,9 +75,7 @@ def test_q1_matches_prime_engine_exactly():
 def test_class_partition_additivity():
     # buckets over coprime classes + primes dividing q = everything
     y, q = 2000, 12
-    total = math.fsum(
-        theta_star(ThetaStarQuery(y, a, q)) for a in range(q) if math.gcd(a, q) == 1
-    )
+    total = math.fsum(theta_star(y, a, q) for a in range(q) if math.gcd(a, q) == 1)
     ps = primes_in(y + 1, 2 * y + 1)
     everything = math.fsum(math.log(int(p)) for p in ps)
     divisors = math.fsum(math.log(int(p)) for p in ps if q % int(p) == 0)

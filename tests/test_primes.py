@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapsieve import primes
-from gapsieve.errors import BudgetError, CoprimalityError, NotSquarefreeError, SieveRangeError
+from gapsieve.errors import BudgetError, SieveRangeError
 from gapsieve.primes import (
     SUPPORTED_SIEVE_BOUND,
-    ThetaStarQuery,
     FACTORING_BUDGET,
     base_primes,
     LogSum,
@@ -20,9 +19,8 @@ from gapsieve.primes import (
     prime_divisors,
     primes_in,
     sieve_segment,
-    squarefree_factors,
-    theta_star,
 )
+from oracles import theta_star
 
 
 def test_first_primes():
@@ -173,23 +171,18 @@ def test_primes_in_refuses_before_allocating(monkeypatch):
 
 def test_theta_star_examples():
     # primes in (10, 20] congruent to 1 mod 3 are 13 and 19
-    v = theta_star(ThetaStarQuery(10, 1, 3))
+    v = theta_star(10, 1, 3)
     assert v == pytest.approx(math.log(13) + math.log(19), abs=1e-12)
 
     # q = 1 imposes no congruence
-    total = theta_star(ThetaStarQuery(10, 1, 1))
+    total = theta_star(10, 1, 1)
     assert total == pytest.approx(math.log(11 * 13 * 17 * 19), abs=1e-12)
-
-    with pytest.raises(CoprimalityError):
-        ThetaStarQuery(2, 2, 4)
 
 
 def test_theta_star_additivity():
     # partition of primes in (y, 2y] by residue class mod q
     y, q = 300, 12
-    total = math.fsum(
-        theta_star(ThetaStarQuery(y, a, q)) for a in range(q) if math.gcd(a, q) == 1
-    )
+    total = math.fsum(theta_star(y, a, q) for a in range(q) if math.gcd(a, q) == 1)
     all_primes = primes_in(y + 1, 2 * y + 1)
     in_q_classes = [int(p) for p in all_primes if math.gcd(int(p) % q, q) == 1]
     assert total == pytest.approx(math.fsum(math.log(p) for p in in_q_classes), rel=1e-12)
@@ -339,36 +332,6 @@ def test_log_sum_is_exact_for_any_int64_part_sums():
     assert [x.hex() for x in log_sum(h, l).tolist()] == one
 
 
-def _old_squarefree_factors(d):
-    """squarefree_factors as it was before prime_divisors: one loop that
-    refuses at the first repeated prime."""
-    if d < 1:
-        raise NotSquarefreeError(f"need d >= 1, got {d}")
-    if d > FACTORING_BUDGET:
-        raise BudgetError(f"{d} exceeds factoring budget {FACTORING_BUDGET}")
-    factors = []
-    m = d
-    for p in base_primes(math.isqrt(d)):
-        p = int(p)
-        if p * p > m:
-            break
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                raise NotSquarefreeError(f"{d} is divisible by {p}^2")
-            factors.append(p)
-    if m > 1:
-        factors.append(m)
-    return factors
-
-
-def _outcome(fn, d):
-    try:
-        return fn(d)
-    except (NotSquarefreeError, BudgetError) as err:
-        return type(err), str(err)
-
-
 @settings(max_examples=300, deadline=None)
 @given(d=st.integers(1, 10**6))
 def test_prime_divisors_match_sympy(d):
@@ -377,16 +340,8 @@ def test_prime_divisors_match_sympy(d):
     assert prime_divisors(d) == sympy.primefactors(d)
 
 
-@settings(max_examples=300, deadline=None)
-@given(d=st.integers(-5, 10**6))
-def test_squarefree_factors_unchanged(d):
-    assert _outcome(squarefree_factors, d) == _outcome(_old_squarefree_factors, d)
-
-
 def test_factorer_edges():
     big = 4194301  # the largest prime below 2^22, so big^2 < FACTORING_BUDGET
-    for d in (big * big, 4 * big, 2 * 3 * big, 9 * 25 * 7, FACTORING_BUDGET, FACTORING_BUDGET + 1, 0, -1):
-        assert _outcome(squarefree_factors, d) == _outcome(_old_squarefree_factors, d), d
     assert prime_divisors(big * big) == [big]
     assert prime_divisors(FACTORING_BUDGET) == [2]
     assert prime_divisors(1) == []

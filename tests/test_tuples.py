@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapsieve import tuples
-from gapsieve.errors import BudgetError, NotSquarefreeError
+from gapsieve.errors import BudgetError
 from gapsieve.tuples import (
     SEPTUPLE_OFFSETS,
     TWIN_OFFSETS,
-    UNCHANGED,
     OffsetTuple,
     enumerate_tuples,
     enumeration_size,
@@ -18,7 +17,6 @@ from gapsieve.tuples import (
     extended_omega_size,
     first_obstruction,
     is_admissible,
-    member_of_omega,
     normalize_offsets,
     omega_size,
     unrank_combination,
@@ -65,33 +63,11 @@ def test_admissibility():
     assert is_admissible(TWIN)
 
 
-def test_member_of_omega_examples():
-    assert member_of_omega(1, 2, TWIN)  # 2 | 2*4
-    assert member_of_omega(2, 15, TWIN)  # 15 | 3*5
-    assert not member_of_omega(4, 3, TWIN)  # 3 does not divide 5*7
-    with pytest.raises(NotSquarefreeError):
-        member_of_omega(1, 4, TWIN)
-
-
-def test_member_of_omega_factoring_budget():
-    with pytest.raises(BudgetError):
-        member_of_omega(1, (1 << 44) + 1, TWIN)
-
-
 @given(t=offset_tuples, p=st.sampled_from([2, 3, 5, 7, 11, 13]))
 @settings(max_examples=60, deadline=None)
 def test_member_count_over_period(t, p):
-    hits = sum(member_of_omega(n, p, t) for n in range(p))
+    hits = sum(any((n + h) % p == 0 for h in t.offsets) for n in range(p))
     assert hits == omega_size(t, p)
-
-
-@given(t=offset_tuples, n=st.integers(min_value=0, max_value=10**6))
-@settings(max_examples=60, deadline=None)
-def test_member_multiplicative(t, n):
-    d1, d2 = 6, 35  # coprime squarefree
-    assert member_of_omega(n, d1 * d2, t) == (
-        member_of_omega(n, d1, t) and member_of_omega(n, d2, t)
-    )
 
 
 @given(t=offset_tuples, c=st.integers(min_value=0, max_value=50))
@@ -105,7 +81,8 @@ def test_extend():
     t = OffsetTuple(TWIN_OFFSETS, 6)
     bigger = extend(t, 5)
     assert bigger.offsets == (1, 3, 5)  # constructible though inadmissible
-    assert extend(t, 3) is UNCHANGED
+    with pytest.raises(ValueError, match="already an offset"):
+        extend(t, 3)
     with pytest.raises(ValueError):
         extend(t, 7)
 
