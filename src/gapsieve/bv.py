@@ -18,8 +18,8 @@ np.bincount over the whole window, and the bytes do not depend on the
 blocking.  The primes are odd, so a q = 2m with odd m >= 3 is not bucketed:
 its classes that hold primes are the odd lifts of those mod m, with the same
 sums and phi(q) = phi(m).  The classes that share a prime with q are struck
-by one strided slice per such prime; each q is factored once per probe, and
-every grid point reads that list.
+by one strided slice per such prime.  phi(q) and the primes of every q come
+from one sieve over [0, q_max] per probe, which every grid point reads.
 
 The exact maximum over all y <= x is infeasible and the dyadic sums change
 slowly, so the grid {x, x/2, x/4, ...} (integer halving, down to y_min)
@@ -38,7 +38,7 @@ import numpy as np
 from .errors import BudgetError, SieveRangeError, TrendError
 from .moments import _as_fraction
 from .parallel import ordered_map
-from .primes import MAX_MATERIALIZED_FLAGS, prime_divisors, primes_in
+from .primes import MAX_MATERIALIZED_FLAGS, primes_in
 
 MODULUS_BUDGET = 100_000
 # primes per block of a grid point's class sums: a block's primes, logs and
@@ -87,13 +87,18 @@ def rational_power_floor(x: int, theta: Fraction) -> int:
     return q
 
 
-def totients_upto(q_max: int) -> np.ndarray:
-    """Euler phi for 0..q_max by the standard multiplicative sieve."""
+def _modulus_sieve(q_max: int) -> tuple[np.ndarray, list[list[int]]]:
+    """Euler phi (int64) and the ascending primes of each q in 0..q_max, from
+    one sieve: each prime p visits its multiples once, joins their lists and
+    takes phi <- phi - phi // p.  Rows 0 and 1 are (0, []) and (1, [])."""
     phi = np.arange(q_max + 1, dtype=np.int64)
+    divisors: list[list[int]] = [[] for _ in range(q_max + 1)]
     for p in range(2, q_max + 1):
-        if phi[p] == p:  # untouched -> prime
+        if not divisors[p]:  # no smaller prime divides p
             phi[p::p] -= phi[p::p] // p
-    return phi
+            for m in range(p, q_max + 1, p):
+                divisors[m].append(p)
+    return phi, divisors
 
 
 @dataclass(frozen=True)
@@ -212,8 +217,7 @@ def bv_deviation(
         # (x, 2x] and the residue passes over them: refuse before any runs
         raise SieveRangeError(f"x = {x} exceeds the largest x the probe sieves, {MAX_MATERIALIZED_FLAGS}")
 
-    phi = totients_upto(q_max)
-    divisors = [[]] + [prime_divisors(q) for q in range(1, q_max + 1)]
+    phi, divisors = _modulus_sieve(q_max)
     per_y = ordered_map(_grid_point_devs, [(y, phi, divisors) for y in ys], workers)
     devs = np.stack([d for d, _ in per_y])
     best_a = np.stack([a for _, a in per_y])
@@ -248,8 +252,8 @@ def supported_theta(tables: list[BvDeviationTable], A: float) -> ThetaSupportRep
     Needs at least two tables per theta at strictly increasing x -- a single
     point cannot exhibit the required decay.
     """
-    if A <= 0:
-        raise ValueError(f"need A > 0, got {A}")
+    if not 0 < A < math.inf:  # a NaN or infinite A would not serialise
+        raise ValueError(f"need finite A > 0, got {A}")
     by_theta: dict[Fraction, list[BvDeviationTable]] = {}
     for t in tables:
         by_theta.setdefault(t.theta, []).append(t)

@@ -14,7 +14,7 @@ class SieveRangeError(GapsieveError, ValueError):
 
 
 class BudgetError(GapsieveError, RuntimeError):
-    """A configured enumeration/factoring/memory budget would be exceeded."""
+    """A configured budget (enumeration, modulus, table, block, exact counts) would be exceeded."""
 
 
 class ToleranceError(GapsieveError, RuntimeError):

@@ -1,6 +1,5 @@
 """Segmented prime generation, exact sums of logs of primes and of repeated
-floats, and the package's one base-prime cache and one trial factorer
-(prime_divisors).
+floats, and the package's one base-prime cache.
 
 Primality over a window is produced by one segmented sieve of Eratosthenes
 (sieve_segment): one read-only flag array per window, presieved by tiling the
@@ -27,7 +26,7 @@ import math
 
 import numpy as np
 
-from .errors import BudgetError, SieveRangeError
+from .errors import SieveRangeError
 
 # Flags per internal segment; power of two, fixed once here so partitions and
 # reductions are identical no matter how many workers run.
@@ -39,9 +38,6 @@ SUPPORTED_SIEVE_BOUND = 1 << 34
 # Largest window sieve_segment materializes as one flag array (memory guard);
 # larger ranges are sieved as several windows.
 MAX_MATERIALIZED_FLAGS = 1 << 28
-
-# trial-division factoring cap: inputs up to 2^44 need base primes up to 2^22
-FACTORING_BUDGET = 1 << 44
 
 # the tiler repeats shorter periods up to this row length, so that numpy's
 # inner loops stay long
@@ -103,29 +99,6 @@ def _tile_periodic(pattern: np.ndarray, lo: int, out: np.ndarray, op) -> np.ndar
     op(body, row, out=body)
     op(out[full:], row[: len(out) - full], out=out[full:])
     return out
-
-
-def prime_divisors(d: int) -> list[int]:
-    """Ascending distinct primes dividing d >= 1, by trial division against
-    the shared cache; refuses d above FACTORING_BUDGET before touching it.
-    The package's one factorer."""
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
-    if d > FACTORING_BUDGET:
-        raise BudgetError(f"{d} exceeds factoring budget {FACTORING_BUDGET}")
-    factors = []
-    m = d
-    for p in base_primes(math.isqrt(d)):
-        p = int(p)
-        if p * p > m:
-            break
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            factors.append(p)
-    if m > 1:
-        factors.append(m)
-    return factors
 
 
 def sieve_segment(lo: int, hi: int) -> np.ndarray:

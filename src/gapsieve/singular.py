@@ -132,7 +132,7 @@ def singular_series_extended(
 
 def _truncation_prime(span_bound: int, tol: float, truncation_prime: int | None) -> int:
     """The truncation prime P0, after checking it and tol."""
-    if tol <= 0:
+    if not tol > 0:  # NaN too, before any tail pass runs
         raise ValueError(f"tolerance must be positive, got {tol}")
     if tol < 1e-14:
         raise ToleranceError(f"tolerance {tol} below double-precision floor 1e-14")
@@ -283,12 +283,13 @@ class TupleAverageReport:
 def gallagher_average(
     span_bound: int,
     k: int,
-    tol: float = DEFAULT_TOL,
     stride: int = 1,
     phase: int = 0,
     workers: int | None = None,
 ) -> TupleAverageReport:
-    """Average the density constant over all k-subsets of [1, span_bound].
+    """Average the density constant, each at DEFAULT_TOL, over all k-subsets
+    of [1, span_bound].  workers, when given, is only validated: the sum is
+    one fixed-order pass in this process.
 
     Enumeration cost is C(span_bound, k) / stride; exceeding the budget of
     tuples.enumeration_size is an error rather than a silent long run.  The
@@ -304,15 +305,16 @@ def gallagher_average(
     ENUMERATION_BUDGET tuples with no two values equal.
     """
     sample = enumeration_size(span_bound, k, stride, phase)
-    resolve_workers(workers)  # validated; the sum itself is one fixed-order pass
-    p0 = _truncation_prime(span_bound, tol, None)
+    if workers is not None:
+        resolve_workers(workers)
+    p0 = _truncation_prime(span_bound, DEFAULT_TOL, None)
     if stride == 1:
         source = ((1,) + rest for rest in combinations(range(2, span_bound + 1), k - 1))
     else:
         source = (t.offsets for t in enumerate_tuples(span_bound, k, stride=stride, phase=phase))
     totals: dict[float, int] = {}
     for profile, count in _profile_counts(source, k, span_bound, classes=stride == 1):
-        value = _profile_series(profile, k, span_bound, p0, tol).value
+        value = _profile_series(profile, k, span_bound, p0, DEFAULT_TOL).value
         totals[value] = totals.get(value, 0) + count
     tuple_sum = _repeated_fsum(np.fromiter(totals, np.float64, len(totals)),
                                np.fromiter(totals.values(), np.int64, len(totals)))

@@ -21,7 +21,7 @@ The per-divisor weight is mu(d) * (log(R/d))^a / a! for squarefree d <= R and
     divisors, in ascending-d order, compensated -- so block values are
     bit-identical however the surrounding range is partitioned.
 
-  * _weight_value: the one weight evaluation.  The tests' factoring oracle
+  * _weight_value: the one weight evaluation.  The tests' brute-force oracle
     (tests/oracles.py) shares it, so any disagreement isolates the
     divisor-finding logic rather than float noise.
 

@@ -1,11 +1,12 @@
 """Independent oracles the tests check the library against.
 
 Each computes its quantity the plain way: the dyadic progression sum by one
-fsum over the sieved primes, the weight of one d by factoring it, the block
-weights by factoring each n + h, and the bilinear form by direct double
-summation.  lambda_bruteforce shares weights._weight_value with lambda_block,
-so any disagreement isolates the divisor-finding logic rather than float
-noise.
+fsum over the sieved primes, the weight of one d <= R from the primes that
+divide it, the block weights from the primes <= R that divide some n + h,
+and the bilinear form by direct double summation.  The primes come from the
+base-prime cache, each tested by direct divisibility; nothing is factored.
+lambda_bruteforce shares weights._weight_value with lambda_block, so any
+disagreement isolates the divisor-finding logic rather than float noise.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import numpy as np
 
 from gapsieve.moments import _divisor_pairs
-from gapsieve.primes import base_primes, prime_divisors, primes_in
+from gapsieve.primes import base_primes, primes_in
 from gapsieve.tuples import OffsetTuple, omega_size
 from gapsieve.weights import WeightParams, _weight_value
 
@@ -32,29 +33,32 @@ def theta_star(y: int, a: int, q: int) -> float:
 
 def lambda_weight(d: int, params: WeightParams) -> float:
     """mu(d) (log R/d)^a / a! for squarefree d <= R, else 0; d > R is
-    answered before any factoring, and d < 1 or non-squarefree d <= R are
-    refused."""
+    answered before any division, and d < 1 or non-squarefree d <= R are
+    refused.  The primes of d are the primes <= d that divide it."""
     if d > params.R:
         return 0.0
-    factors = prime_divisors(d)
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
+    factors = [p for p in base_primes(d).tolist() if d % p == 0]
     if math.prod(factors) != d:
         raise ValueError(f"{d} is not squarefree")
     return _weight_value(-1 if len(factors) % 2 else 1, d, params.R, params.a)
 
 
 def lambda_bruteforce(t: OffsetTuple, params: WeightParams, n: int) -> float:
-    """Factor each n+h, enumerate all squarefree divisors <= R of the
-    product, sum weights in ascending-d order, Kahan-compensated.
+    """Find the primes <= R dividing the product of the n+h, enumerate all
+    squarefree divisors <= R of the product, sum weights in ascending-d
+    order, Kahan-compensated.
 
-    The product itself is never formed; only the union of the factors'
-    prime sets is used.
+    A prime divides the product exactly when it divides some n+h, and none
+    above the largest n+h does, so only the primes <= min(R, n + h_k) are
+    tried, each by one division of the product.
     """
     if n + t.offsets[0] < 1:
         raise ValueError(f"n = {n} makes n + h nonpositive")
-    prime_set: set[int] = set()
-    for h in t.offsets:
-        prime_set.update(p for p in prime_divisors(n + h) if p <= params.R)
-    primes = sorted(prime_set)
+    product = math.prod(n + h for h in t.offsets)
+    candidates = base_primes(int(min(params.R, n + t.offsets[-1]))).tolist()
+    primes = [p for p in candidates if product % p == 0]
 
     divisors = [(1, 1)]
 

@@ -13,12 +13,11 @@ from gapsieve.bv import (
     bv_deviation,
     rational_power_floor,
     supported_theta,
-    totients_upto,
     BvDeviationTable,
     DeviationRow,
 )
 from gapsieve.errors import BudgetError, SieveRangeError, TrendError
-from gapsieve.primes import SEGMENT_FLAGS, prime_divisors, primes_in
+from gapsieve.primes import SEGMENT_FLAGS, primes_in
 from oracles import theta_star
 
 
@@ -29,9 +28,16 @@ def test_rational_power_floor():
     assert rational_power_floor(10**6, Fraction(1, 3)) == 100
 
 
-def test_totients():
-    phi = totients_upto(12)
-    assert list(phi[1:]) == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+def test_modulus_sieve_matches_sympy():
+    import sympy
+
+    q_max = 5000
+    phi, divisors = bv._modulus_sieve(q_max)
+    assert phi.dtype == np.int64 and len(phi) == len(divisors) == q_max + 1
+    assert (int(phi[0]), divisors[0]) == (0, [])
+    assert (int(phi[1]), divisors[1]) == (1, [])
+    assert phi[1:].tolist() == [int(sympy.totient(q)) for q in range(1, q_max + 1)]
+    assert divisors == [[]] + [sympy.primefactors(q) for q in range(1, q_max + 1)]
 
 
 def test_row_against_direct_enumeration():
@@ -133,6 +139,13 @@ def test_supported_theta_synthetic():
         supported_theta([_table(10**4, "1/2", 0.0), _table(10**4, "1/2", 0.0)], A=1.0)
 
 
+def test_supported_theta_refuses_a_non_finite_or_nonpositive_A():
+    tables = [_table(10**4, "1/2", 0.0), _table(10**5, "1/2", 0.0)]
+    for A in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match=f"need finite A > 0, got {A}"):
+            supported_theta(tables, A=A)
+
+
 def test_small_scale_run_shape():
     x = 10**4
     table = bv_deviation(x, Fraction(9, 20))
@@ -162,8 +175,8 @@ def _old_grid_point_devs(y, phi):
     return devs, best_a
 
 
-def _assert_kernel_is_oracle(y, phi):
-    divisors = [[]] + [prime_divisors(q) for q in range(1, len(phi))]
+def _assert_kernel_is_oracle(y, q_max):
+    phi, divisors = bv._modulus_sieve(q_max)
     devs, best_a = bv._grid_point_devs((y, phi, divisors))
     old_devs, old_best_a = _old_grid_point_devs(y, phi)
     assert devs.tobytes() == old_devs.tobytes()
@@ -179,7 +192,7 @@ _KERNEL_Q_MAXES = [100, 3000]
 @pytest.mark.parametrize("q_max", _KERNEL_Q_MAXES)
 @pytest.mark.parametrize("y", _KERNEL_YS)
 def test_grid_point_kernel_is_the_old_loop_bit_for_bit(y, q_max):
-    _assert_kernel_is_oracle(y, totients_upto(q_max))
+    _assert_kernel_is_oracle(y, q_max)
 
 
 def test_grid_point_kernel_grid_covers_every_narrow_dtype():
@@ -203,7 +216,7 @@ def test_grid_point_kernel_carries_class_sums_across_blocks(blocks, extra, monke
     monkeypatch.setattr(bv, "PRIME_BLOCK", 16)
     y = _window_with(16 * blocks + extra)
     assert len(primes_in(y + 1, 2 * y + 1)) == 16 * blocks + extra
-    _assert_kernel_is_oracle(y, totients_upto(200))
+    _assert_kernel_is_oracle(y, 200)
 
 
 @settings(max_examples=40, deadline=None)
@@ -219,7 +232,7 @@ def test_grid_point_kernel_is_the_old_loop_for_any_blocking(y, q_max, block, gro
     saved = bv.PRIME_BLOCK, bv.MODULUS_GROUP
     bv.PRIME_BLOCK, bv.MODULUS_GROUP = block, group
     try:
-        _assert_kernel_is_oracle(y, totients_upto(q_max))
+        _assert_kernel_is_oracle(y, q_max)
     finally:
         bv.PRIME_BLOCK, bv.MODULUS_GROUP = saved
 
@@ -232,7 +245,7 @@ def test_grid_point_kernel_uint64_route(monkeypatch):
     fake = 2**32 + 1 + 2 * np.arange(20_000, dtype=np.int64)
     monkeypatch.setattr(bv, "primes_in", lambda lo, hi, dtype=np.int64: fake.astype(dtype))
     assert np.min_scalar_type(2 * y) == np.uint64
-    _assert_kernel_is_oracle(y, totients_upto(700))
+    _assert_kernel_is_oracle(y, 700)
 
 
 def test_grid_point_holds_no_window_wide_array():
@@ -242,8 +255,7 @@ def test_grid_point_holds_no_window_wide_array():
     # joined copy (int64 primes, their float64 cast, the logs and the flag
     # bytes of the whole window come to about 25)
     y, q_max = 1 << 24, 50
-    phi = totients_upto(q_max)
-    divisors = [[]] + [prime_divisors(q) for q in range(1, q_max + 1)]
+    phi, divisors = bv._modulus_sieve(q_max)
     n = len(primes_in(y + 1, 2 * y + 1))
     tracemalloc.start()
     try:
@@ -270,14 +282,15 @@ def test_over_cap_x_is_refused_before_any_grid_point(workers, monkeypatch):
         bv_deviation((1 << 14) + 1, Fraction(9, 20), workers=workers)
 
 
-def test_probe_factors_each_modulus_once_whatever_the_grid(monkeypatch):
+def test_probe_sieves_its_moduli_once_whatever_the_grid(monkeypatch):
     calls = []
+    sieve = bv._modulus_sieve
 
-    def counting_prime_divisors(q):
-        calls.append(q)
-        return prime_divisors(q)
+    def counting_sieve(q_max):
+        calls.append(q_max)
+        return sieve(q_max)
 
-    monkeypatch.setattr(bv, "prime_divisors", counting_prime_divisors)
+    monkeypatch.setattr(bv, "_modulus_sieve", counting_sieve)
     x = 10**5
     q_max = rational_power_floor(x, Fraction(9, 20))
     grid_lengths = set()
@@ -285,5 +298,5 @@ def test_probe_factors_each_modulus_once_whatever_the_grid(monkeypatch):
         calls.clear()
         table = bv_deviation(x, Fraction(9, 20), GridSpec(y_min=y_min), workers=1)
         grid_lengths.add(len(table.y_grid))
-        assert sorted(calls) == list(range(1, q_max + 1))
+        assert calls == [q_max]
     assert len(grid_lengths) == 2

@@ -398,6 +398,17 @@ def test_bad_worker_env_var_is_an_error_exit(capsys, monkeypatch):
     assert "GAPSIEVE_WORKERS must be an integer, got 'abc'" in err
 
 
+def test_subcommand_without_workers_ignores_the_worker_env_var(capsys, monkeypatch):
+    # gallagher takes no --workers, so it runs in one process and never reads
+    # the environment's worker count, even a malformed one
+    argv = ("gallagher", "--span", "20", "--k", "2")
+    monkeypatch.delenv("GAPSIEVE_WORKERS", raising=False)
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    monkeypatch.setenv("GAPSIEVE_WORKERS", "abc")
+    assert run_cli(capsys, *argv)[:2] == (EXIT_OK, plain)
+
+
 def test_int_arg_is_exact(capsys):
     # through float, 9007199254740995 would round to ...996
     code, _, err = run_cli(capsys, "primes", "--from", "9007199254740993", "--to", "9007199254740995")

@@ -8,15 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapsieve import primes
-from gapsieve.errors import BudgetError, SieveRangeError
+from gapsieve.errors import SieveRangeError
 from gapsieve.primes import (
     SUPPORTED_SIEVE_BOUND,
-    FACTORING_BUDGET,
     base_primes,
     LogSum,
     log_parts,
     log_sum,
-    prime_divisors,
     primes_in,
     sieve_segment,
 )
@@ -330,25 +328,6 @@ def test_log_sum_is_exact_for_any_int64_part_sums():
     h, l = adds[0]
     one = [float(Fraction(a, 2**26) + Fraction(b, 2**52)).hex() for a, b in zip(h.tolist(), l.tolist())]
     assert [x.hex() for x in log_sum(h, l).tolist()] == one
-
-
-@settings(max_examples=300, deadline=None)
-@given(d=st.integers(1, 10**6))
-def test_prime_divisors_match_sympy(d):
-    import sympy
-
-    assert prime_divisors(d) == sympy.primefactors(d)
-
-
-def test_factorer_edges():
-    big = 4194301  # the largest prime below 2^22, so big^2 < FACTORING_BUDGET
-    assert prime_divisors(big * big) == [big]
-    assert prime_divisors(FACTORING_BUDGET) == [2]
-    assert prime_divisors(1) == []
-    with pytest.raises(ValueError, match="need d >= 1, got 0"):
-        prime_divisors(0)
-    with pytest.raises(BudgetError, match="exceeds factoring budget"):
-        prime_divisors(FACTORING_BUDGET + 1)
 
 
 # ---------------------------------------------------------------------------

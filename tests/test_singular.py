@@ -204,6 +204,17 @@ def test_tolerance_errors():
         singular_series(OffsetTuple((1, 2000), 2000), truncation_prime=1500)
 
 
+def test_nan_tolerance_is_refused_before_any_tail_pass(monkeypatch):
+    def no_pass(*args):
+        raise AssertionError("a tail pass ran")
+
+    monkeypatch.setattr(singular, "_p0_pass", no_pass)
+    with pytest.raises(ValueError, match="tolerance must be positive, got nan"):
+        singular_series(TWIN, tol=math.nan, truncation_prime=10**6)
+    with pytest.raises(ValueError, match="tolerance must be positive, got nan"):
+        singular_series_extended(OffsetTuple(TWIN_OFFSETS, 20), 7, tol=math.nan, truncation_prime=10**6)
+
+
 def test_septuple_value_against_direct_product():
     # independent oracle: raw truncated product over primes to 10^6 without
     # any tail machinery.  The raw product itself misses the tail, whose log
@@ -227,6 +238,15 @@ def test_septuple_value_against_direct_product():
 
 def test_gallagher_k1_exact():
     assert gallagher_average(40, 1).normalized == 1.0
+
+
+def test_gallagher_validates_only_a_given_worker_count(monkeypatch):
+    # the average runs in one process: the environment is never read, and
+    # only an explicit count is checked
+    monkeypatch.setenv("GAPSIEVE_WORKERS", "abc")
+    assert gallagher_average(20, 2) == gallagher_average(20, 2, workers=3)
+    with pytest.raises(ValueError, match="worker count must be >= 1, got 0"):
+        gallagher_average(20, 2, workers=0)
 
 
 def test_gallagher_k2_trend_small():
