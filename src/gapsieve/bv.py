@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .errors import BudgetError, SieveRangeError, TrendError
 from .moments import _as_fraction
 from .parallel import ordered_map
 from .primes import MAX_MATERIALIZED_FLAGS, primes_in
+from .serialize import Report
 
 MODULUS_BUDGET = 100_000
 # primes per block of a grid point's class sums: a block's primes, logs and
@@ -110,25 +112,13 @@ class DeviationRow:
 
 
 @dataclass(frozen=True)
-class BvDeviationTable:
+class BvDeviationTable(Report):
+    kind: ClassVar[str] = "bv"
     x: int
     theta: Fraction
     y_grid: tuple[int, ...]
     rows: tuple[DeviationRow, ...]
     total: float
-
-    def doc(self) -> dict:
-        return {
-            "kind": "bv",
-            "x": self.x,
-            "theta": str(self.theta),
-            "y_grid": list(self.y_grid),
-            "rows": [
-                {"q": r.q, "worst_a": r.worst_a, "worst_y": r.worst_y, "deviation": r.deviation}
-                for r in self.rows
-            ],
-            "total": self.total,
-        }
 
 
 def _grid_point_devs(args) -> tuple[np.ndarray, np.ndarray]:
@@ -231,12 +221,10 @@ def bv_deviation(
 
 
 @dataclass(frozen=True)
-class ThetaSupportReport:
+class ThetaSupportReport(Report):
+    kind: ClassVar[str] = "theta_support"
     A: float
     groups: tuple[dict, ...]
-
-    def doc(self) -> dict:
-        return {"kind": "theta_support", "A": self.A, "groups": list(self.groups)}
 
 
 # interpretive labels only: what a sustained level would yield, not a verdict

@@ -240,8 +240,7 @@ def _run_tuple(args):
 def _run_singular(args):
     t, notes = _parse_tuple(args.offsets)
     v = singular_series(t, tol=args.tol, truncation_prime=args.truncation_prime)
-    doc = {"kind": "singular_series", "offsets": list(t.offsets), "value": v.value,
-           "truncation_prime": v.truncation_prime, "tail_bound": v.tail_bound}
+    doc = {**v.doc(), "offsets": list(t.offsets)}
     lines = [f"tuple {t}", f"value            {fmt_float(v.value)}",
              f"truncation prime {v.truncation_prime}", f"tail bound       {fmt_float(v.tail_bound)}"]
     return doc, lines, notes, {}
@@ -250,13 +249,9 @@ def _run_singular(args):
 def _run_gallagher(args):
     rep = gallagher_average(args.span, args.k, stride=args.stride,
                             phase=args.seed % args.stride if args.stride > 1 else 0)
-    doc = {"kind": "gallagher", "span_bound": rep.span_bound, "k": rep.k,
-           "normalized": rep.normalized, "tuple_sum": rep.tuple_sum,
-           "tuple_count": rep.tuple_count, "stride": rep.stride, "phase": rep.phase,
-           "convention": rep.convention}
     lines = [f"span {rep.span_bound}  k {rep.k}  tuples {rep.tuple_count}",
              f"normalized average {fmt_float(rep.normalized)}  ({rep.convention})"]
-    return doc, lines, [], {"stride": rep.stride, "phase": rep.phase}
+    return rep.doc(), lines, [], {"stride": rep.stride, "phase": rep.phase}
 
 
 def _run_weights(args):
@@ -340,9 +335,7 @@ def _moment_text(doc: dict) -> list[str]:
 def _run_threshold(args):
     rep = threshold(args.k, args.l, args.theta, args.eps)
     gb = gap_bound(args.theta)
-    doc = rep.doc()
-    doc["kind"] = "threshold"
-    doc["gap_bound"] = str(gb)
+    doc = {**rep.doc(), "gap_bound": str(gb)}
     lines = [
         f"k {rep.k}  l {rep.l}  theta {rep.theta}  eps {rep.eps}",
         f"coefficient            {rep.coefficient}",
@@ -357,10 +350,8 @@ def _run_threshold(args):
 def _run_bv(args):
     grid = bv_mod.GridSpec(factor=args.grid_factor, y_min=args.y_min)
     table = bv_mod.bv_deviation(args.x, args.theta, grid=grid, workers=args.workers)
-    doc = table.doc()
-    doc["A"] = args.A
     bound = args.x / math.log(args.x) ** args.A
-    doc["bound"] = bound
+    doc = {**table.doc(), "A": args.A, "bound": bound}
     csv_lines = ["q,a*,y*,deviation"]
     for r in table.rows:
         csv_lines.append(f"{r.q},{r.worst_a},{r.worst_y},{fmt_float(r.deviation)}")

@@ -58,36 +58,36 @@ def load_manifest(path: str | Path) -> dict:
 # trend summaries over saved result documents
 # ---------------------------------------------------------------------------
 
+def _ratio(doc: dict) -> float:
+    if doc.get("ratio") is None:
+        raise TrendError(f"{doc['kind']} report has no ratio (vanishing main term)")
+    return float(doc["ratio"])
+
+
+# kind -> (metric, target, the metric read from one report)
 _METRICS = {
-    "pure": ("ratio", 1.0),
-    "twisted": ("ratio", 1.0),
-    "bv": ("total_over_x", 0.0),
+    "pure": ("ratio", 1.0, _ratio),
+    "twisted": ("ratio", 1.0, _ratio),
+    "bv": ("total_over_x", 0.0, lambda doc: float(doc["total"]) / float(doc["x"])),
 }
-
-
-def _metric_value(doc: dict) -> float:
-    kind = doc.get("kind")
-    if kind in ("pure", "twisted"):
-        if doc.get("ratio") is None:
-            raise TrendError(f"{kind} report has no ratio (vanishing main term)")
-        return float(doc["ratio"])
-    if kind == "bv":
-        return float(doc["total"]) / float(doc["x"])
-    raise TrendError(f"no trend metric for kind {kind!r}")
 
 
 def emit_trend(docs: list[dict]) -> dict:
     """Direction of a shared metric across >= 2 compatible reports."""
     if len(docs) < 2:
         raise TrendError(f"need >= 2 reports, got {len(docs)}")
-    kinds = {d.get("kind") for d in docs}
+    kinds = {str(d.get("kind")) for d in docs}  # str: a malformed kind may be a list
     if len(kinds) != 1:
-        raise TrendError(f"mixed report kinds {sorted(map(str, kinds))}")
+        raise TrendError(f"mixed report kinds {sorted(kinds)}")
     kind = kinds.pop()
     if kind not in _METRICS:
         raise TrendError(f"kind {kind!r} has no trend metric")
-    metric, target = _METRICS[kind]
-    values = [_metric_value(d) for d in docs]
+    metric, target, read = _METRICS[kind]
+    try:
+        values = [read(d) for d in docs]
+    except (KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        # a missing key, a value that is no number, x = 0, an int past the float range
+        raise TrendError(f"malformed {kind} report: {type(exc).__name__}: {exc}") from None
     gaps = [abs(v - target) for v in values]
     if all(g == gaps[0] for g in gaps):
         direction = "flat"

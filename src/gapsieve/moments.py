@@ -55,7 +55,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -63,6 +63,7 @@ from .errors import BudgetError, RegimeError
 from .parallel import block_spans, ordered_imap
 from .primes import (SEGMENT_FLAGS, SUPPORTED_SIEVE_BOUND, LogSum, _repeated_fsum, log_parts,
                      log_sum, sieve_segment)
+from .serialize import OUTSIDE_DOC, Report
 from .singular import DEFAULT_TOL, singular_series
 from .tuples import OffsetTuple, extend, omega_residues
 from .weights import WeightParams, _crt_merge, _weight_value, divisor_table, lambda_block
@@ -71,6 +72,7 @@ CHUNK = SEGMENT_FLAGS
 # a detector chunk's per-key log-part sums stay below CHUNK * span * 2^31,
 # inside int64, for span below this
 MAX_DETECTOR_SPAN = (1 << 32) // CHUNK
+MAX_WITNESSES = 1 << 16  # a detector's witnesses, at 0.3-0.4 KiB each: about 25 MiB
 EXACT_COUNT_R_BUDGET = 500
 
 # Regime constants: the asymptotic constraints carry unspecified constants.
@@ -86,7 +88,7 @@ SCALE_RATIO = 8.0
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SieveParams:
+class SieveParams(Report):
     """One run configuration: scale N, truncation R, tuple size k, weight
     shift l, window length span_bound, and distribution level theta.
 
@@ -99,6 +101,7 @@ class SieveParams:
     l: int
     span_bound: int
     theta: Fraction = Fraction(1, 2)
+    a: int = field(init=False)  # weight exponent used throughout: k + l
 
     def __post_init__(self) -> None:
         if self.N < 16:
@@ -113,17 +116,13 @@ class SieveParams:
             object.__setattr__(self, "theta", Fraction(self.theta))
         if not (0 < self.theta < 1):
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
+        object.__setattr__(self, "a", self.k + self.l)
         WeightParams(self.R, self.a)  # the weights' own range check
         power = self.k + 2 * self.l + 1  # the main terms' largest power of log R
         try:
             self.log_r ** power
         except OverflowError:
             raise ValueError(f"(log R)^(k + 2l + 1) = {self.log_r}^{power} leaves the float range") from None
-
-    @property
-    def a(self) -> int:
-        """Weight exponent used throughout: k + l."""
-        return self.k + self.l
 
     @property
     def log_n(self) -> float:
@@ -163,17 +162,6 @@ class SieveParams:
         if self.R > cap * (1 + 1e-12):
             out.append(f"R {self.R} > N^(theta/2) = {cap:.4g} at theta = {self.theta}")
         return out
-
-    def doc(self) -> dict:
-        return {
-            "N": self.N,
-            "R": self.R,
-            "k": self.k,
-            "l": self.l,
-            "a": self.a,
-            "span_bound": self.span_bound,
-            "theta": str(self.theta),
-        }
 
 
 def _check_sieve_reach(params: SieveParams, reach: int) -> None:
@@ -221,9 +209,10 @@ def detector_coefficient(k: int, l: int) -> Fraction:
 
 
 @dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(Report):
     """Exact-rational threshold algebra for a (k, l, theta, eps) choice."""
 
+    kind: ClassVar[str] = "threshold"
     k: int
     l: int
     theta: Fraction
@@ -232,18 +221,6 @@ class ThresholdReport:
     theta_term: Fraction         # coefficient * theta / 2
     log_n_coefficient: Fraction  # 1 + eps - theta_term
     bracket_coefficient: Fraction  # theta_term - 1: detector bracket sign at R = N^(theta/2)
-
-    def doc(self) -> dict:
-        return {
-            "k": self.k,
-            "l": self.l,
-            "theta": str(self.theta),
-            "eps": str(self.eps),
-            "coefficient": str(self.coefficient),
-            "theta_term": str(self.theta_term),
-            "log_n_coefficient": str(self.log_n_coefficient),
-            "bracket_coefficient": str(self.bracket_coefficient),
-        }
 
 
 def _as_fraction(x, name: str) -> Fraction:
@@ -280,8 +257,8 @@ def gap_bound(theta) -> Fraction:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class MomentReport:
-    kind: str
+class MomentReport(Report):
+    kind: str  # "pure" or "twisted"
     empirical: float
     main_term: float
     ratio: float | None
@@ -289,21 +266,10 @@ class MomentReport:
     offsets: tuple[int, ...]
     diagnostics: dict = field(default_factory=dict)
 
-    def doc(self) -> dict:
-        """Canonical (worker-count- and timing-free) document."""
-        return {
-            "kind": self.kind,
-            "empirical": self.empirical,
-            "main_term": self.main_term,
-            "ratio": self.ratio,
-            "params": self.params.doc(),
-            "offsets": list(self.offsets),
-            "diagnostics": dict(sorted(self.diagnostics.items())),
-        }
-
 
 @dataclass
-class DetectorReport:
+class DetectorReport(Report):
+    kind: ClassVar[str] = "detector"
     mode: str
     empirical: float
     predicted: float
@@ -313,21 +279,7 @@ class DetectorReport:
     tuple_count: int
     params: SieveParams
     diagnostics: dict = field(default_factory=dict)
-    positives: list[np.ndarray] = field(default_factory=list)  # per tuple, optional
-
-    def doc(self) -> dict:
-        return {
-            "kind": "detector",
-            "mode": self.mode,
-            "empirical": self.empirical,
-            "predicted": self.predicted,
-            "bracket": self.bracket,
-            "positive_count": self.positive_count,
-            "witnesses": self.witnesses,
-            "tuple_count": self.tuple_count,
-            "params": self.params.doc(),
-            "diagnostics": dict(sorted(self.diagnostics.items())),
-        }
+    positives: list[np.ndarray] = field(default_factory=list, metadata=OUTSIDE_DOC)  # per tuple, optional
 
 
 # ---------------------------------------------------------------------------
@@ -639,14 +591,16 @@ def two_primes_detector(
     parenthesis is positive is counted, and for the first witness_cap such n
     the two witnessing primes in (n, n + span_bound] are reported.  Refuses
     span_bound >= N (positivity is then no longer "two primes"), span_bound
-    >= MAX_DETECTOR_SPAN, a negative witness_cap, an N whose chunks would
-    sieve past SUPPORTED_SIEVE_BOUND, and in window mode a span_bound^k past
-    the float range.
+    >= MAX_DETECTOR_SPAN, a witness_cap below 0 or above MAX_WITNESSES, an N
+    whose chunks would sieve past SUPPORTED_SIEVE_BOUND, and in window mode a
+    span_bound^k past the float range.
     """
     if h_mode not in ("window", "tuple"):
         raise ValueError(f"unknown h_mode {h_mode!r}")
     if witness_cap < 0:
         raise ValueError(f"witness_cap must be >= 0, got {witness_cap}")
+    if witness_cap > MAX_WITNESSES:
+        raise BudgetError(f"witness_cap {witness_cap} exceeds the budget of {MAX_WITNESSES} witnesses")
     if params.span_bound >= params.N:
         # below N, one prime never outweighs log 3N and two always do, so
         # positivity is the integer test "at least two primes"

@@ -4,10 +4,16 @@ Every machine-readable artifact goes through canonical_json: keys sorted,
 compact separators, floats at 17 significant digits (round-trip exact for
 doubles).  Identical documents therefore serialize to identical bytes, which
 is what the determinism guarantees and the manifest fingerprints rest on.
+
+Report.doc is the one rule for a report's document: its fields, less those
+marked OUTSIDE_DOC, plus its class's `kind`; nested reports become documents,
+Fractions strings and tuples lists, and lists and dicts pass through uncopied.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -70,3 +76,33 @@ def _emit(obj, parts: list[str]) -> None:
 
 def fingerprint(doc) -> str:
     return "sha256:" + hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+
+
+# field metadata that keeps a field (bulk arrays, telemetry) out of the document
+OUTSIDE_DOC = {"outside_doc": True}
+
+
+@functools.cache
+def _doc_keys(cls: type) -> tuple[str, ...]:
+    names = tuple(f.name for f in dataclasses.fields(cls) if not f.metadata.get("outside_doc"))
+    return names + ("kind",) if hasattr(cls, "kind") else names  # a ClassVar, not a field
+
+
+def _document(report) -> dict:
+    return {name: _doc_value(getattr(report, name)) for name in _doc_keys(type(report))}
+
+
+def _doc_value(value):
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, tuple):
+        return [_doc_value(item) for item in value]
+    if dataclasses.is_dataclass(value):
+        return _document(value)
+    return value
+
+
+class Report:
+    """Base of the dataclass reports: doc() is the canonical document."""
+
+    doc = _document

@@ -61,6 +61,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, islice, repeat
+from typing import ClassVar
 
 import mpmath
 import numpy as np
@@ -68,6 +69,7 @@ import numpy as np
 from .errors import ToleranceError
 from .parallel import resolve_workers
 from .primes import _repeated_fsum, base_primes
+from .serialize import Report
 from .tuples import OffsetTuple, enumerate_tuples, enumeration_size, extended_omega_size, omega_size
 
 DEFAULT_TOL = 1e-12
@@ -87,9 +89,10 @@ _EPS_LD = float(np.finfo(np.longdouble).eps)
 
 
 @dataclass(frozen=True)
-class SingularSeriesValue:
+class SingularSeriesValue(Report):
     """Density constant with its truncation point and certified log-error."""
 
+    kind: ClassVar[str] = "singular_series"
     value: float
     truncation_prime: int
     tail_bound: float
@@ -263,13 +266,14 @@ def _profile_series(profile, k: int, span_bound: int, p0: int, tol: float) -> Si
 
 
 @dataclass(frozen=True)
-class TupleAverageReport:
+class TupleAverageReport(Report):
     """Normalized tuple-density average over k-subsets of [1, span_bound].
 
     normalized = k! * (sum of density constants over unordered k-subsets)
     divided by span_bound^k; tends to 1 as the span grows.
     """
 
+    kind: ClassVar[str] = "gallagher"
     span_bound: int
     k: int
     normalized: float

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import gapsieve
 from gapsieve.cli import EXIT_ERROR, EXIT_OK, EXIT_REGIME, _int_arg, build_parser, main, run_argv
+from gapsieve.errors import TrendError
 from gapsieve.manifest import emit_trend, load_manifest, manifest_spec
 from gapsieve.moments import SieveParams, pure_moment, twisted_moment, two_primes_detector
 from gapsieve.serialize import canonical_json, fmt_float
@@ -110,7 +111,6 @@ def test_moment_json_and_trend(capsys, tmp_path):
     assert emit_trend(docs)["direction"] == "flat"
 
     # mixed kinds -> error
-    from gapsieve.errors import TrendError
     with pytest.raises(TrendError):
         emit_trend([json.loads(p5.read_text()), {"kind": "bv", "total": 1.0, "x": 10}, ])
 
@@ -467,6 +467,38 @@ def test_negative_witness_cap_is_an_error_exit(capsys):
     assert err == "error: witness_cap must be >= 0, got -1\n"
 
 
+def test_witness_cap_past_the_budget_is_an_error_exit(capsys):
+    code, _, err = run_cli(capsys, "detector", "--tuple", "1,3", "--span", "10",
+                           "--N", "1e4", "--R-exponent", "0.25", "--l", "1", "--witness-cap", "1000000000000")
+    assert code == EXIT_ERROR
+    assert err == "error: witness_cap 1000000000000 exceeds the budget of 65536 witnesses\n"
+
+
+# reports that parse but carry no readable metric
+_MALFORMED_TRENDS = {
+    "nokey.json": '{"kind":"bv"}',
+    "listratio.json": '{"kind":"pure","ratio":[1]}',
+    "zerox.json": '{"kind":"bv","total":1,"x":0}',
+    "listkind.json": '{"kind":["pure"]}',
+}
+
+
+@pytest.mark.parametrize("name, message", [
+    ("nokey.json", "error: malformed bv report: KeyError: 'total'"),
+    ("listratio.json", "error: malformed pure report: TypeError: "),
+    ("zerox.json", "error: malformed bv report: ZeroDivisionError: "),
+    ("listkind.json", "error: kind \"['pure']\" has no trend metric"),
+])
+def test_malformed_trend_report_is_an_error_exit(capsys, tmp_path, name, message):
+    path = tmp_path / name
+    path.write_text(_MALFORMED_TRENDS[name], encoding="utf-8")
+    with pytest.raises(TrendError):
+        emit_trend([json.loads(_MALFORMED_TRENDS[name])] * 2)
+    code, _, err = run_cli(capsys, "trend", str(path), str(path))
+    _assert_one_line_error(code, err)
+    assert err.startswith(message), err
+
+
 def test_span_from_n_on_is_an_error_exit(capsys):
     # refused as an input error before the regime check, so no --force needed
     code, _, err = run_cli(capsys, "detector", "--tuple", "1,3", "--span", "16",
@@ -707,6 +739,7 @@ _INPUT_FILES = {
     "list.json": "[1]",
     "nested.json": '{"argv": ["replay", "--manifest-in", "empty.json"]}',
     "broken.json": "{",
+    **_MALFORMED_TRENDS,
 }
 _INPUTS = [*_INPUT_FILES, "manifest.json", "missing.json", "."]
 

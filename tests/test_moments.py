@@ -18,6 +18,7 @@ from gapsieve.errors import BudgetError, RegimeError
 from gapsieve.moments import (
     CHUNK,
     MAX_DETECTOR_SPAN,
+    MAX_WITNESSES,
     SieveParams,
     _detector_chunk,
     _detector_total,
@@ -688,6 +689,20 @@ def test_tuple_size_error_comes_before_the_regime_check():
         with pytest.raises(ValueError, match="tuple size 3") as info:
             run()
         assert not isinstance(info.value, RegimeError)
+
+
+def test_witness_cap_past_the_budget_is_refused_before_any_table(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("spans or a table were built")
+
+    params = _params(10**4, span=10)
+    with monkeypatch.context() as m:
+        m.setattr(moments, "block_spans", no_work)
+        m.setattr(moments, "divisor_table", no_work)
+        with pytest.raises(BudgetError, match=f"witness_cap {MAX_WITNESSES + 1} exceeds"):
+            two_primes_detector(params, [TWIN], witness_cap=MAX_WITNESSES + 1)
+    at_cap = two_primes_detector(params, [TWIN], witness_cap=MAX_WITNESSES)
+    assert at_cap.diagnostics["witness_cap"] == MAX_WITNESSES
 
 
 def test_runs_past_the_sieve_bound_are_refused_before_any_chunk(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict, fields
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gapsieve.serialize import canonical_json
+from gapsieve import bv, moments, singular
+from gapsieve.serialize import OUTSIDE_DOC, Report, canonical_json
+from gapsieve.tuples import TWIN_OFFSETS, OffsetTuple
 
 
 def _oracle(obj) -> str:
@@ -110,3 +113,70 @@ def test_canonical_json_refuses_what_the_isinstance_emitter_refuses(doc, error):
         _oracle(doc)
     with pytest.raises(error):
         canonical_json(doc)
+
+
+# every report class and its document's keys; the detector's positives stay out
+_DOC_KEYS = {
+    moments.SieveParams: {"N", "R", "k", "l", "a", "span_bound", "theta"},
+    moments.ThresholdReport: {"kind", "k", "l", "theta", "eps", "coefficient", "theta_term",
+                              "log_n_coefficient", "bracket_coefficient"},
+    moments.MomentReport: {"kind", "empirical", "main_term", "ratio", "params", "offsets", "diagnostics"},
+    moments.DetectorReport: {"kind", "mode", "empirical", "predicted", "bracket", "positive_count",
+                             "witnesses", "tuple_count", "params", "diagnostics"},
+    bv.BvDeviationTable: {"kind", "x", "theta", "y_grid", "rows", "total"},
+    bv.ThetaSupportReport: {"kind", "A", "groups"},
+    singular.SingularSeriesValue: {"kind", "value", "truncation_prime", "tail_bound"},
+    singular.TupleAverageReport: {"kind", "span_bound", "k", "normalized", "tuple_sum", "tuple_count",
+                                  "stride", "phase", "convention"},
+}
+
+
+@pytest.fixture(scope="module")
+def reports() -> list:
+    twin = OffsetTuple(TWIN_OFFSETS)
+    params = moments.SieveParams(N=10**4, R=8.0, k=2, l=1, span_bound=10)
+    tables = [bv.bv_deviation(x, Fraction(1, 3), workers=1) for x in (10**4, 10**5)]
+    return [
+        params,
+        moments.threshold(2, 1, Fraction(1, 2)),
+        moments.pure_moment(twin, params, workers=1),
+        moments.two_primes_detector(params, [twin], workers=1, collect_positives=True),
+        *tables,
+        bv.supported_theta(tables, A=1.0),
+        singular.singular_series(twin),
+        singular.gallagher_average(10, 2),
+    ]
+
+
+def test_a_reports_document_is_its_fields_less_the_marked_plus_its_kind(reports):
+    assert {type(rep) for rep in reports} == set(_DOC_KEYS) == set(Report.__subclasses__())
+    for rep in reports:
+        documented = {f.name for f in fields(rep) if f.metadata != OUTSIDE_DOC}
+        kind = {"kind"} if hasattr(rep, "kind") else set()
+        assert set(rep.doc()) == documented | kind == _DOC_KEYS[type(rep)], type(rep).__name__
+    detector = reports[3]
+    assert [f.name for f in fields(detector) if f.metadata == OUTSIDE_DOC] == ["positives"]
+    assert detector.positives
+
+
+def test_document_values_follow_the_one_rule(reports):
+    params, thr, pure, detector, table, _, support, series, average = reports
+    assert params.doc()["a"] == params.k + params.l == params.a
+    assert params.doc()["theta"] == "1/2" and thr.doc()["coefficient"] == str(thr.coefficient)
+    assert pure.doc()["params"] == params.doc() and pure.doc()["offsets"] == [1, 3]
+    assert table.doc()["y_grid"] == list(table.y_grid)
+    assert table.doc()["rows"][0] == {"q": 1, "worst_a": table.rows[0].worst_a,
+                                      "worst_y": table.rows[0].worst_y, "deviation": table.rows[0].deviation}
+    # lists and dicts pass through uncopied
+    assert detector.doc()["witnesses"] is detector.witnesses
+    assert detector.doc()["diagnostics"] is detector.diagnostics
+    assert all(a is b for a, b in zip(support.doc()["groups"], support.groups))
+    assert (pure.doc()["kind"], detector.doc()["kind"], series.doc()["kind"], average.doc()["kind"]) == (
+        "pure", "detector", "singular_series", "gallagher")
+
+
+def test_kind_is_no_field_of_what_the_bench_serialises_with_asdict(reports):
+    series, average = reports[-2:]
+    assert set(asdict(series)) == {"value", "truncation_prime", "tail_bound"}
+    assert set(asdict(average)) == {"span_bound", "k", "normalized", "tuple_sum", "tuple_count",
+                                    "stride", "phase", "convention"}

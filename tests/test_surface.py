@@ -42,3 +42,21 @@ def test_every_public_definition_has_a_caller():
     assert KEPT <= defined.keys()
     unused = {name: module for name, module in defined.items() if name not in named and name not in KEPT}
     assert unused == {}
+
+
+def test_no_class_writes_its_own_document():
+    """Documents come from one rule, serialize.Report.doc: no src/ class
+    defines or binds a doc of its own."""
+    own = []
+    for path in sorted((ROOT / "src" / "gapsieve").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                defined = isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name == "doc"
+                bound = (isinstance(item, ast.Assign)
+                         and any(getattr(t, "id", None) == "doc" for t in item.targets)
+                         and getattr(item.value, "id", None) != "_document")
+                if defined or bound:
+                    own.append(f"{path.name}: {node.name}")
+    assert own == []
