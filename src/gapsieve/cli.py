@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--manifest", type=str, default=None, help="write a run manifest to this path")
         s.add_argument("--config", type=str, default=None, help="key=value defaults file; flags override")
         if workers:
-            s.add_argument("--workers", type=int, default=None, help="worker processes (env GAPSIEVE_WORKERS)")
+            s.add_argument("--workers", type=_int_arg, default=None, help="worker processes (env GAPSIEVE_WORKERS)")
         if force:
             s.add_argument("--force", action="store_true", help="run despite regime violations")
         return s
@@ -106,14 +106,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = command("gallagher", "normalized tuple-density average")
     s.add_argument("--span", type=_int_arg, required=True)
-    s.add_argument("--k", type=int, required=True)
-    s.add_argument("--stride", type=int, default=1)
-    s.add_argument("--seed", type=int, default=0, help="phase offset for stride sampling (no other RNG)")
+    s.add_argument("--k", type=_int_arg, required=True)
+    s.add_argument("--stride", type=_int_arg, default=1)
+    s.add_argument("--seed", type=_int_arg, default=0, help="phase offset for stride sampling (no other RNG)")
 
     s = command("weights", "divisor-sum weights over a block", force=True)
     s.add_argument("--tuple", dest="offsets", type=str, required=True)
     s.add_argument("--R", type=float, required=True)
-    s.add_argument("--a", type=int, required=True)
+    s.add_argument("--a", type=_int_arg, required=True)
     s.add_argument("--from", dest="lo", type=_int_arg, required=True)
     s.add_argument("--to", dest="hi", type=_int_arg, required=True)
 
@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         r = s.add_mutually_exclusive_group(required=True)
         r.add_argument("--R", type=float)
         r.add_argument("--R-exponent", dest="r_exponent", type=float, help="R = N^x")
-        s.add_argument("--l", type=int, required=True)
+        s.add_argument("--l", type=_int_arg, required=True)
         s.add_argument("--span", type=_int_arg, default=None)
         return s
 
@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = moment("twisted-moment", "sum of varpi(n+h) W(n)^2")
     s.add_argument("--tuple", dest="offsets", type=str, required=True)
-    s.add_argument("--h", type=int, required=True)
+    s.add_argument("--h", type=_int_arg, required=True)
     s.add_argument("--theta", type=_fraction_arg, default=Fraction(1, 2))
 
     s = moment("detector", "two-primes detector over explicit or enumerated tuples")
@@ -143,15 +143,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="explicit tuple (repeatable)")
     source.add_argument("--tuple-source", choices=["all", "admissible"],
                         help="the k-subsets of [1, span], or only the admissible ones")
-    s.add_argument("--k", type=int, default=None, help="tuple size for --tuple-source")
-    s.add_argument("--stride", type=int, default=None, help="keep every stride-th tuple of --tuple-source")
-    s.add_argument("--seed", type=int, default=None, help="phase offset for --stride (no other RNG)")
+    s.add_argument("--k", type=_int_arg, default=None, help="tuple size for --tuple-source")
+    s.add_argument("--stride", type=_int_arg, default=None, help="keep every stride-th tuple of --tuple-source")
+    s.add_argument("--seed", type=_int_arg, default=None, help="phase offset for --stride (no other RNG)")
     s.add_argument("--h-mode", choices=["window", "tuple"], default="window")
-    s.add_argument("--witness-cap", type=int, default=1000)
+    s.add_argument("--witness-cap", type=_int_arg, default=1000)
 
     s = command("threshold", "exact-rational threshold algebra")
-    s.add_argument("--k", type=int, required=True)
-    s.add_argument("--l", type=int, required=True)
+    s.add_argument("--k", type=_int_arg, required=True)
+    s.add_argument("--l", type=_int_arg, required=True)
     s.add_argument("--theta", type=_fraction_arg, required=True)
     s.add_argument("--eps", type=_fraction_arg, default=Fraction(0))
 
@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--theta", type=_fraction_arg, required=True)
     s.add_argument("--A", type=float, default=1.0)
     s.add_argument("--y-min", type=_int_arg, default=100)
-    s.add_argument("--grid-factor", type=int, default=2)
+    s.add_argument("--grid-factor", type=_int_arg, default=2)
 
     s = command("trend", "direction of a metric across saved reports")
     s.add_argument("paths", nargs="+")

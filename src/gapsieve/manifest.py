@@ -58,17 +58,25 @@ def load_manifest(path: str | Path) -> dict:
 # trend summaries over saved result documents
 # ---------------------------------------------------------------------------
 
+def _number(doc: dict, key: str) -> float:
+    """doc[key] as a float: an int or a float, never a bool or a string."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key} is {type(value).__name__}, not a number")
+    return float(value)
+
+
 def _ratio(doc: dict) -> float:
     if doc.get("ratio") is None:
         raise TrendError(f"{doc['kind']} report has no ratio (vanishing main term)")
-    return float(doc["ratio"])
+    return _number(doc, "ratio")
 
 
 # kind -> (metric, target, the metric read from one report)
 _METRICS = {
     "pure": ("ratio", 1.0, _ratio),
     "twisted": ("ratio", 1.0, _ratio),
-    "bv": ("total_over_x", 0.0, lambda doc: float(doc["total"]) / float(doc["x"])),
+    "bv": ("total_over_x", 0.0, lambda doc: _number(doc, "total") / _number(doc, "x")),
 }
 
 

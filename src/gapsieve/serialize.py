@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import json
 import math
 from fractions import Fraction
@@ -75,6 +74,9 @@ def _emit(obj, parts: list[str]) -> None:
 
 
 def fingerprint(doc) -> str:
+    # imported here, so that importing the package loads no hashlib (OpenSSL)
+    import hashlib
+
     return "sha256:" + hashlib.sha256(canonical_json(doc).encode()).hexdigest()
 
 

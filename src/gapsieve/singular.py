@@ -19,8 +19,10 @@ The tail comes from expanding the log of each generic factor:
     log(1 - k/p) - k log(1 - 1/p) = - sum_{j>=2} (k^j - k) / (j p^j),
 
 so the tail over p > P0 is  - sum_{j>=2} (k^j - k)/j * P_j(P0)  with
-P_j(P0) = sum_{p > P0} p^(-j), evaluated as primezeta(j) minus the partial
-sum over the base primes <= P0.  The series is cut at J once the integral bound
+P_j(P0) = sum_{p > P0} p^(-j), evaluated as the prime zeta value P_j minus
+the partial sum over the base primes <= P0.  P_j for j = 2..80 comes from a
+pinned table of 25-digit strings (mpmath's primezeta, checked by the tests),
+parsed at longdouble precision.  The series is cut at J once the integral bound
 
     sum_{j>J} (k^j - k)/j * P_j(P0)  <=  P0 * (k/P0)^(J+1) / (1 - k/P0)
 
@@ -63,7 +65,6 @@ from functools import lru_cache
 from itertools import chain, combinations, islice, repeat
 from typing import ClassVar
 
-import mpmath
 import numpy as np
 
 from .errors import ToleranceError
@@ -98,11 +99,96 @@ class SingularSeriesValue(Report):
     tail_bound: float
 
 
+# P_j = sum over all primes of p^(-j) for j = 2.._SERIES_CAP, at index j - 2:
+# mpmath.nstr(mpmath.primezeta(j), 25) under mpmath.workdps(30), which
+# tests/test_singular.py checks entry by entry
+_PRIME_ZETA = (
+    "0.4522474200410654985065434",  # 2
+    "0.1747626392994435364231133",  # 3
+    "0.0769931397642468449426193",  # 4
+    "0.03575501748392425713281824",  # 5
+    "0.01707008685063651295413367",  # 6
+    "0.008283832856133592535124139",  # 7
+    "0.004061405366517830560523439",  # 8
+    "0.002004467574962450663073585",  # 9
+    "0.0009936035744369802178558507",  # 10
+    "0.0004939472691046549756916218",  # 11
+    "0.0002460264700345456795266486",  # 12
+    "0.0001226983675278692799054888",  # 13
+    "0.00006124439672546447837750803",  # 14
+    "0.00003058730282327005256755463",  # 15
+    "0.00001528202621933934418080193",  # 16
+    "0.000007637139370645897250904556",  # 17
+    "0.000003817278703174996631227515",  # 18
+    "0.00000190820907692628257218618",  # 19
+    "0.0000009539611241036233263528835",  # 20
+    "0.0000004769327593684272505083727",  # 21
+    "0.0000002384504458767019281263117",  # 22
+    "0.0000001192199117531882856160246",  # 23
+    "5.960818549833453297113067e-8",  # 24
+    "2.980350262643865876662659e-8",  # 25
+    "1.490155460631457054345908e-8",  # 26
+    "7.450711734323300780164546e-9",  # 27
+    "3.725334010910506351833912e-9",  # 28
+    "1.862659720043574907522145e-9",  # 29
+    "9.313274315523019206770665e-10",  # 30
+    "4.656629062865372188024756e-10",  # 31
+    "2.328311833134403149136721e-10",  # 32
+    "1.164155017134526496600716e-10",  # 33
+    "5.82077208756388736129611e-11",  # 34
+    "2.910385044412396334030528e-11",  # 35
+    "1.455192189083022590216133e-11",  # 36
+    "7.275959835004541439158485e-12",  # 37
+    "3.637979547365416297743239e-12",  # 38
+    "1.818989650303757224685764e-12",  # 39
+    "9.094947840255617475659497e-13",  # 40
+    "4.547473783040086075143048e-13",  # 41
+    "2.273736845824135527323196e-13",  # 42
+    "1.13686840768009860237493e-13",  # 43
+    "5.684341987627262491844632e-14",  # 44
+    "2.842170976889221076097417e-14",  # 45
+    "1.421085482803140482144097e-14",  # 46
+    "7.105427395210802225779153e-15",  # 47
+    "3.552713691337101051523941e-15",  # 48
+    "1.776356843579117172029721e-15",  # 49
+    "8.881784210930808014487027e-16",  # 50
+    "4.440892103143811392045506e-16",  # 51
+    "2.220446050798041490961254e-16",  # 52
+    "1.110223025141066010461028e-16",  # 53
+    "5.551115124845480935574945e-17",  # 54
+    "2.775557562136124095544435e-17",  # 55
+    "1.38777878097252325702461e-17",  # 56
+    "6.938893904544153649297837e-18",  # 57
+    "3.469446952165922612707209e-18",  # 58
+    "1.734723476047576569039707e-18",  # 59
+    "8.673617380119933720818891e-19",  # 60
+    "4.336808690020650485616233e-19",  # 61
+    "2.168404344997219784543712e-19",  # 62
+    "1.084202172494241406183722e-19",  # 63
+    "5.421010862456645410624827e-20",  # 64
+    "2.710505431223468831881153e-20",  # 65
+    "1.355252715610116458130156e-20",  # 66
+    "6.776263578045189097949381e-21",  # 67
+    "3.388131789020796818074224e-21",  # 68
+    "1.694065894509799165403623e-21",  # 69
+    "8.470329472546998348239818e-22",  # 70
+    "4.235164736272833347860477e-22",  # 71
+    "2.117582368136194731843761e-22",  # 72
+    "1.058791184068023385226388e-22",  # 73
+    "5.293955920339870323813632e-23",  # 74
+    "2.646977960169852961134047e-23",  # 75
+    "1.323488980084899080309434e-23",  # 76
+    "6.617444900424404067355202e-24",  # 77
+    "3.308722450212171588946945e-24",  # 78
+    "1.654361225106075646229921e-24",  # 79
+    "8.271806125530344403671099e-25",  # 80
+)
+
+
 @lru_cache(maxsize=None)
 def _prime_zeta_ld(j: int) -> np.longdouble:
     """sum over all primes of p^(-j), at longdouble precision."""
-    with mpmath.workdps(30):
-        return np.longdouble(mpmath.nstr(mpmath.primezeta(j), 25))
+    return np.longdouble(_PRIME_ZETA[j - 2])
 
 
 def singular_series(

@@ -420,6 +420,26 @@ def test_int_arg_is_exact(capsys):
     assert _int_arg("-3") == -3
 
 
+# one subcommand per integer flag that once parsed with int()
+_ONCE_INT = [("detector", "--witness-cap"), ("gallagher", "--k"), ("threshold", "--l"), ("twisted-moment", "--h"),
+             ("weights", "--a"), ("gallagher", "--stride"), ("gallagher", "--seed"), ("bv", "--grid-factor"),
+             ("bv", "--workers")]
+
+
+@pytest.mark.parametrize("command, flag", _ONCE_INT, ids=[f"{c}{f}" for c, f in _ONCE_INT])
+def test_integer_flags_take_an_exponent(command, flag, capsys):
+    args = build_parser().parse_args(_MINIMAL[command] + [flag, "1e3"])
+    assert getattr(args, flag[2:].replace("-", "_")) == 1000
+    code, out, err = run_cli(capsys, *_MINIMAL[command], flag, "2.5")
+    assert code == 2 and out == ""
+    assert "2.5 is not an integer" in err
+
+
+def test_no_flag_parses_with_int():
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert [(c, a.dest) for c, sub in subparsers.items() for a in sub._actions if a.type is int] == []
+
+
 @pytest.mark.parametrize("text", ["1.5", "1e-1", "x", "nan", "inf", "1e", "1e400"])
 def test_int_arg_rejects_non_integers(text):
     with pytest.raises(argparse.ArgumentTypeError):
@@ -480,6 +500,8 @@ _MALFORMED_TRENDS = {
     "listratio.json": '{"kind":"pure","ratio":[1]}',
     "zerox.json": '{"kind":"bv","total":1,"x":0}',
     "listkind.json": '{"kind":["pure"]}',
+    "boolratio.json": '{"kind":"pure","ratio":true}',
+    "stringratio.json": '{"kind":"pure","ratio":"0.9"}',
 }
 
 
@@ -488,6 +510,8 @@ _MALFORMED_TRENDS = {
     ("listratio.json", "error: malformed pure report: TypeError: "),
     ("zerox.json", "error: malformed bv report: ZeroDivisionError: "),
     ("listkind.json", "error: kind \"['pure']\" has no trend metric"),
+    ("boolratio.json", "error: malformed pure report: TypeError: ratio is bool, not a number"),
+    ("stringratio.json", "error: malformed pure report: TypeError: ratio is str, not a number"),
 ])
 def test_malformed_trend_report_is_an_error_exit(capsys, tmp_path, name, message):
     path = tmp_path / name

@@ -204,6 +204,17 @@ def test_tolerance_errors():
         singular_series(OffsetTuple((1, 2000), 2000), truncation_prime=1500)
 
 
+def test_prime_zeta_table_is_mpmath_primezeta():
+    # one entry per j the tail may read, so running past the table is the
+    # cap's ToleranceError and not an IndexError
+    import mpmath
+
+    assert len(singular._PRIME_ZETA) == singular._SERIES_CAP - 1
+    with mpmath.workdps(30):
+        route = [mpmath.nstr(mpmath.primezeta(j), 25) for j in range(2, singular._SERIES_CAP + 1)]
+    assert list(singular._PRIME_ZETA) == route
+
+
 def test_nan_tolerance_is_refused_before_any_tail_pass(monkeypatch):
     def no_pass(*args):
         raise AssertionError("a tail pass ran")

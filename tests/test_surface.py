@@ -1,9 +1,13 @@
 """The library keeps only what it or the bench uses: every public top-level
 function or class in src/gapsieve must be named somewhere in src/gapsieve
 (outside the package's re-exports) or in bench/.  Oracles that only the
-tests call live in tests/oracles.py."""
+tests call live in tests/oracles.py.  Importing the package loads no module
+that only some runs need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -60,3 +64,17 @@ def test_no_class_writes_its_own_document():
                 if defined or bound:
                     own.append(f"{path.name}: {node.name}")
     assert own == []
+
+
+# loaded where they are used: the prime zeta values are a table, hashlib by
+# the first fingerprint, the pool's modules when a pool starts
+_NOT_ON_IMPORT = ("mpmath", "hashlib", "multiprocessing", "concurrent.futures")
+
+
+def test_import_loads_none_of_the_deferred_modules():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = f"import sys, gapsieve; print(*sorted(set(sys.modules) & set({_NOT_ON_IMPORT!r})))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
