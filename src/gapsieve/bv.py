@@ -11,9 +11,9 @@ by block, into the narrowest unsigned dtype that holds 2y and every q, and
 bucketed per q by residue; no flag array or log array spans the window.  The
 residues p - q*(p // q) take one scalar floor-divide per q and block of
 PRIME_BLOCK primes; a group of MODULUS_GROUP moduli runs over each block
-while it is in cache, with the block's logs formed once per group, and each
-block's np.bincount starts from the class sums of the blocks before it.  So
-each class sum is still a sequential float sum in prime order, the sum of one
+while it is in cache, with the block's logs formed once per group, and
+np.add.at adds them into the group's class sums in index order.  So each
+class sum is a sequential float sum in prime order, the sum of one
 np.bincount over the whole window, and the bytes do not depend on the
 blocking.  The primes are odd, so a q = 2m with odd m >= 3 is not bucketed:
 its classes that hold primes are the odd lifts of those mod m, with the same
@@ -29,6 +29,7 @@ stands in for it; the grid is part of the output so runs are reproducible.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -121,60 +122,62 @@ class BvDeviationTable(Report):
     total: float
 
 
+def _class_sums(ps: np.ndarray, moduli: list[int]) -> Iterator[tuple[int, np.ndarray]]:
+    """(q, class sums) for each q of moduli in turn: entry a sums the logs of
+    the p = a (mod q) of the primes ps in the order of ps, the sum
+    np.bincount(ps % q, weights=np.log(ps)) gives.  ps is unsigned, and its
+    dtype holds every q."""
+    m = min(PRIME_BLOCK, len(ps))
+    quot, res, logs = np.empty(m, dtype=ps.dtype), np.empty(m, dtype=np.intp), np.empty(m)
+    for g in range(0, len(moduli), MODULUS_GROUP):
+        group = moduli[g : g + MODULUS_GROUP]
+        sums = [np.zeros(q) for q in group]
+        for s in range(0, len(ps), PRIME_BLOCK):
+            # a block's logs once per group; per q, p mod q = p - q * (p // q)
+            # by one scalar floor-divide, and np.add.at, which adds in index order
+            block = ps[s : s + PRIME_BLOCK]
+            m = len(block)
+            qb, rb, lb = quot[:m], res[:m], logs[:m]
+            np.log(block, out=lb, dtype=np.float64)
+            for q, cls in zip(group, sums):
+                np.floor_divide(block, q, out=qb)
+                np.multiply(qb, q, out=qb)
+                np.subtract(block, qb, out=rb)
+                np.add.at(cls, rb, lb)
+        yield from zip(group, sums)
+
+
 def _grid_point_devs(args) -> tuple[np.ndarray, np.ndarray]:
     """Per-q (deviation, worst a) for one grid point y >= 2, all q < len(phi)
     at once; divisors[q] lists the primes of q."""
     y, phi, divisors = args
     q_max = len(phi) - 1
-    # p mod q = p - q * (p // q) in the narrowest unsigned type holding every
-    # p and q: one scalar floor-divide per q and block.  The primes are
-    # sieved block by block straight into that type, and each pass forms its
-    # block's logs, so neither int64 primes nor the window's logs are held.
+    # the primes are sieved block by block straight into the narrowest
+    # unsigned type holding every p and q, and each pass forms its block's
+    # logs, so neither int64 primes nor the window's logs are held
     ps = primes_in(y + 1, 2 * y + 1, dtype=np.min_scalar_type(max(2 * y, q_max)))
-    n = len(ps)
-    logs = (memoryview(np.log(ps[s : s + PRIME_BLOCK], dtype=np.float64)) for s in range(0, n, PRIME_BLOCK))
+    logs = (memoryview(np.log(ps[s : s + PRIME_BLOCK], dtype=np.float64)) for s in range(0, len(ps), PRIME_BLOCK))
     total = math.fsum(chain.from_iterable(logs))
 
     devs = np.zeros(q_max + 1)
     best_a = np.zeros(q_max + 1, dtype=np.int64)
     devs[1] = abs(total - y)  # q = 1: single class, exactly the fsum total
-    quot = np.empty(min(PRIME_BLOCK, n), dtype=ps.dtype)
-    # A block's residues and logs sit after q_max slots.  Modulus q carries
-    # its class sums in over the last q of them, whose indices run q-1 down
-    # to 0: 0.0 + acc[a] is acc[a], so each class adds its primes in prime
-    # order, the sums of one np.bincount over the whole window.
-    idx = np.empty(q_max + len(quot), dtype=np.intp)
-    idx[:q_max] = np.arange(q_max - 1, -1, -1)
-    wts = np.empty(q_max + len(quot))
     # the primes are odd, so for odd q >= 3 the classes mod 2q that hold
     # primes are the odd lifts of those mod q, with phi(2q) = phi(q)
     qs = [q for q in range(2, q_max + 1) if q % 4 != 2 or q == 2]
-    for g in range(0, len(qs), MODULUS_GROUP):
-        group = qs[g : g + MODULUS_GROUP]
-        acc = [np.zeros(q) for q in group]
-        for s in range(0, n, PRIME_BLOCK):
-            m = min(PRIME_BLOCK, n - s)
-            block, qb, res = ps[s : s + m], quot[:m], idx[q_max : q_max + m]
-            np.log(block, out=wts[q_max : q_max + m], dtype=np.float64)
-            for i, q in enumerate(group):
-                np.floor_divide(block, q, out=qb)
-                np.multiply(qb, q, out=qb)
-                np.subtract(block, qb, out=res)
-                wts[q_max - q : q_max] = acc[i][::-1]
-                acc[i] = np.bincount(idx[q_max - q : q_max + m], weights=wts[q_max - q : q_max + m])
-        for q, cls in zip(group, acc):
-            cls -= y / phi[q]
-            np.abs(cls, out=cls)
-            for r in divisors[q]:
-                cls[::r] = -1.0  # only coprime classes compete
-            a = int(np.argmax(cls))
-            devs[q] = cls[a]
-            best_a[q] = a
-            if q % 2 and 2 * q <= q_max:  # q = 1 is not in qs
-                # the first class mod 2q at the maximum: the least odd lift
-                ties = np.flatnonzero(cls == cls[a])
-                devs[2 * q] = cls[a]
-                best_a[2 * q] = np.where(ties % 2, ties, ties + q).min()
+    for q, cls in _class_sums(ps, qs):
+        cls -= y / phi[q]
+        np.abs(cls, out=cls)
+        for r in divisors[q]:
+            cls[::r] = -1.0  # only coprime classes compete
+        a = int(np.argmax(cls))
+        devs[q] = cls[a]
+        best_a[q] = a
+        if q % 2 and 2 * q <= q_max:  # q = 1 is not in qs
+            # the first class mod 2q at the maximum: the least odd lift
+            ties = np.flatnonzero(cls == cls[a])
+            devs[2 * q] = cls[a]
+            best_a[2 * q] = np.where(ties % 2, ties, ties + q).min()
     return devs, best_a
 
 

@@ -426,8 +426,8 @@ def double_sum_exact_counts(
 
 def _twisted_chunk(args):
     """The chunk's rounded sum of varpi(n + h) W(n)^2 with a tail, else the
-    log parts of its n + h prime summed per signature of n (W is read only
-    where used)."""
+    int64 sums of the log parts of its n + h prime per signature of n, one
+    np.add.at per part as in _detector_chunk (W is read only where used)."""
     t, wp, lo, hi, h = args
     table = divisor_table(t, wp.R)
     idx = np.flatnonzero(sieve_segment(lo + h, hi + h))  # n = lo + idx has n + h prime
@@ -436,9 +436,9 @@ def _twisted_chunk(args):
         vals = lambda_block(t, wp, lo, hi, force=True).values[idx]
         return math.fsum(memoryview(vals * vals * logs))
     key = table.signatures(lo, hi)[idx]
-    # one prime per n: a key's sums stay below CHUNK * 2^31, exact as doubles
-    lam = [np.bincount(key, weights=part, minlength=table.signature_count).astype(np.int64)
-           for part in log_parts(lo + h + idx)]
+    lam = [np.zeros(table.signature_count, dtype=np.int64) for _ in range(2)]
+    for acc, part in zip(lam, log_parts(lo + h + idx)):
+        np.add.at(acc, key, part)
     return None, *lam
 
 

@@ -248,6 +248,38 @@ def test_grid_point_kernel_uint64_route(monkeypatch):
     _assert_kernel_is_oracle(y, 700)
 
 
+# unsorted, with gaps, 1 and 2 among them, and moduli above the prime count
+# of the small windows; every modulus fits in uint8
+_CLASS_MODULI = [250, 7, 1, 30, 2, 13, 97, 4, 3, 64, 211]
+
+
+@pytest.mark.parametrize("blocking", [None, (16, 3)], ids=["default-blocking", "block-16-group-3"])
+@pytest.mark.parametrize(
+    "lo, hi, dtype",
+    [
+        (24, 29, np.uint8),  # no primes
+        (101, 201, np.uint8),
+        (2, 256, np.uint8),
+        (60_000, 60_300, np.uint16),
+        (30_001, 60_001, np.uint16),
+        (10**6 + 1, 2 * 10**6 + 1, np.uint32),
+        (4 * 10**9, 4 * 10**9 + 3000, np.uint32),
+    ],
+)
+def test_class_sums_are_one_whole_window_bincount_per_modulus(lo, hi, dtype, blocking, monkeypatch):
+    if blocking is not None:
+        monkeypatch.setattr(bv, "PRIME_BLOCK", blocking[0])
+        monkeypatch.setattr(bv, "MODULUS_GROUP", blocking[1])
+    ps = primes_in(lo, hi, dtype=dtype)
+    logs = np.log(ps, dtype=np.float64)
+    got = list(bv._class_sums(ps, _CLASS_MODULI))
+    assert [q for q, _ in got] == _CLASS_MODULI
+    for q, cls in got:
+        # (over no primes np.bincount gives int zeros)
+        want = np.bincount(ps % q, weights=logs, minlength=q).astype(np.float64)
+        assert [v.hex() for v in cls.tolist()] == [v.hex() for v in want.tolist()]
+
+
 def test_grid_point_holds_no_window_wide_array():
     # the top point of a probe at x = 2^24: the primes of (y, 2y] are sieved
     # block by block into uint32, and each pass forms its own logs, so what

@@ -13,7 +13,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gapsieve import moments, weights
+from gapsieve import moments, primes, weights
 from gapsieve.errors import BudgetError, RegimeError
 from gapsieve.moments import (
     CHUNK,
@@ -509,6 +509,30 @@ def test_twisted_chunk_is_bitwise_the_block_formula(t, R, h):
     assert lam_hi.sum() == lam_hi[seen].sum() and lam_lo.sum() == lam_lo[seen].sum()
     total = _twisted_total(table.prefix_state(wp)[0], log_sum(lam_hi, lam_lo))
     assert total == pytest.approx(math.fsum(vals * vals * logs), rel=1e-15)
+
+
+@pytest.mark.parametrize("t, h", [(TWIN, 3), (TWIN, 13), (OffsetTuple(SEPTUPLE_OFFSETS), 8),
+                                  (OffsetTuple(SEPTUPLE_OFFSETS), 13)],
+                         ids=["twin-member", "twin-non-member", "septuple-member", "septuple-non-member"])
+@pytest.mark.parametrize("R", [31.6, 56.2])
+def test_twisted_chunk_sums_are_the_per_prime_integer_sums(t, h, R):
+    # no tail: per signature of n, the int64 sums of the log parts of the
+    # primes n + h, against Python ints added one prime at a time
+    wp = WeightParams(R, t.k + 1)
+    table = divisor_table(t, R)
+    assert not table.tail
+    lo, hi = 10**6 + 17, 10**6 + 17 + 300_000
+    key = table.signatures(lo, hi).tolist()
+    ps = np.array(list(sympy.primerange(lo + h, hi + h)))
+    want_hi, want_lo = [0] * table.signature_count, [0] * table.signature_count
+    for p, a, b in zip(ps.tolist(), *(part.tolist() for part in primes.log_parts(ps))):
+        want_hi[key[p - h - lo]] += a
+        want_lo[key[p - h - lo]] += b
+    count, lam_hi, lam_lo = moments._twisted_chunk((t, wp, lo, hi, h))
+    assert count is None
+    assert lam_hi.dtype == lam_lo.dtype == np.int64
+    assert lam_hi.tolist() == want_hi
+    assert lam_lo.tolist() == want_lo
 
 
 @pytest.mark.parametrize("workers", [1, 2])

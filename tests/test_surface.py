@@ -78,3 +78,17 @@ def test_import_loads_none_of_the_deferred_modules():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "\n"
+
+
+def test_grouped_sums_accumulate_in_place():
+    """A grouped sum in src/ is np.add.at into its own accumulator, so one
+    idiom keeps every class or signature sum in index order: np.bincount
+    only counts, and no call passes it weights."""
+    weighted = []
+    for path in sorted((ROOT / "src" / "gapsieve").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "bincount"
+                    and (len(node.args) > 1 or any(kw.arg in ("weights", None) for kw in node.keywords))):
+                weighted.append(f"{path.name}:{node.lineno}")
+    assert weighted == []
