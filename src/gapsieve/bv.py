@@ -29,6 +29,7 @@ stands in for it; the grid is part of the output so runs are reproducible.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -188,6 +189,7 @@ def bv_deviation(
     workers: int | None = None,
 ) -> BvDeviationTable:
     """Worst progression deviations for all moduli q <= floor(x^theta)."""
+    x = operator.index(x)
     if x < 10**3:
         raise ValueError(f"need x >= 1000, got {x}")
     th = _as_fraction(theta, "theta")

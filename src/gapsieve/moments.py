@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar, Iterable, Sequence
@@ -104,16 +105,14 @@ class SieveParams(Report):
     a: int = field(init=False)  # weight exponent used throughout: k + l
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "N", operator.index(self.N))
         if self.N < 16:
             raise ValueError(f"need N >= 16, got {self.N}")
-        if not (math.isfinite(self.R) and self.R >= 1):
-            raise ValueError(f"need finite R >= 1, got {self.R}")
         if self.k < 1 or self.l < 1:
             raise ValueError(f"need k, l >= 1, got k={self.k}, l={self.l}")
         if self.span_bound < 1:
             raise ValueError("span_bound must be >= 1")
-        if not isinstance(self.theta, Fraction):
-            object.__setattr__(self, "theta", Fraction(self.theta))
+        object.__setattr__(self, "theta", _as_fraction(self.theta, "theta"))
         if not (0 < self.theta < 1):
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
         object.__setattr__(self, "a", self.k + self.l)
@@ -199,13 +198,13 @@ def twisted_main_prefactor(k: int, l: int, member: bool) -> tuple[Fraction, int]
 
 
 def binomial_step_ratio(l: int) -> Fraction:
-    """C(2l+2, l+1) / C(2l, l); equals 2(2l+1)/(l+1) and tends to 4."""
+    """C(2l+2, l+1) / C(2l, l), which tends to 4."""
     return Fraction(math.comb(2 * l + 2, l + 1), math.comb(2 * l, l))
 
 
 def detector_coefficient(k: int, l: int) -> Fraction:
-    """k/(k+2l+1) * 2(2l+1)/(l+1): the log R coefficient in the bracket."""
-    return Fraction(k, k + 2 * l + 1) * Fraction(2 * (2 * l + 1), l + 1)
+    """k/(k+2l+1) * C(2l+2, l+1)/C(2l, l): the log R coefficient in the bracket."""
+    return Fraction(k, k + 2 * l + 1) * binomial_step_ratio(l)
 
 
 @dataclass(frozen=True)
@@ -217,7 +216,7 @@ class ThresholdReport(Report):
     l: int
     theta: Fraction
     eps: Fraction
-    coefficient: Fraction        # k/(k+2l+1) * 2(2l+1)/(l+1)
+    coefficient: Fraction        # k/(k+2l+1) * C(2l+2, l+1)/C(2l, l)
     theta_term: Fraction         # coefficient * theta / 2
     log_n_coefficient: Fraction  # 1 + eps - theta_term
     bracket_coefficient: Fraction  # theta_term - 1: detector bracket sign at R = N^(theta/2)

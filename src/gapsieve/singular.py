@@ -185,12 +185,6 @@ _PRIME_ZETA = (
 )
 
 
-@lru_cache(maxsize=None)
-def _prime_zeta_ld(j: int) -> np.longdouble:
-    """sum over all primes of p^(-j), at longdouble precision."""
-    return np.longdouble(_PRIME_ZETA[j - 2])
-
-
 def singular_series(
     t: OffsetTuple,
     tol: float = DEFAULT_TOL,
@@ -276,7 +270,7 @@ def _p0_pass(k: int, p0: int, tol: float):
         remaining = p0 * ratio**j / (1.0 - ratio)
         if remaining < target:
             break
-        pz = _prime_zeta_ld(j)
+        pz = np.longdouble(_PRIME_ZETA[j - 2])
         # one longdouble array of pi(p0) entries, summed whole: pairwise
         # summation depends on the length.  A negative difference is pure
         # cancellation noise: the true tail is >= 0
@@ -355,8 +349,10 @@ def _profile_series(profile, k: int, span_bound: int, p0: int, tol: float) -> Si
 class TupleAverageReport(Report):
     """Normalized tuple-density average over k-subsets of [1, span_bound].
 
-    normalized = k! * (sum of density constants over unordered k-subsets)
-    divided by span_bound^k; tends to 1 as the span grows.
+    normalized = k! * stride * tuple_sum / span_bound^k, formed as an exact
+    rational from the float tuple_sum (the sum of density constants over the
+    sampled unordered k-subsets) and rounded once; tends to 1 as the span
+    grows.
     """
 
     kind: ClassVar[str] = "gallagher"
@@ -408,13 +404,7 @@ def gallagher_average(
         totals[value] = totals.get(value, 0) + count
     tuple_sum = _repeated_fsum(np.fromiter(totals, np.float64, len(totals)),
                                np.fromiter(totals.values(), np.int64, len(totals)))
-    try:
-        normalized = math.factorial(k) * tuple_sum * stride / float(span_bound) ** k
-    except OverflowError:  # k! or H^k is beyond the float range
-        normalized = math.inf
-    if not math.isfinite(normalized):
-        # a factor or partial product overflowed: round the exact ratio once
-        normalized = float(math.factorial(k) * stride * Fraction(tuple_sum) / span_bound**k)
+    normalized = float(math.factorial(k) * stride * Fraction(tuple_sum) / span_bound**k)
     return TupleAverageReport(span_bound, k, normalized, tuple_sum, sample, stride, phase % stride)
 
 

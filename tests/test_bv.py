@@ -28,6 +28,30 @@ def test_rational_power_floor():
     assert rational_power_floor(10**6, Fraction(1, 3)) == 100
 
 
+def _floor_by_bisection(x, theta):
+    """The largest q with q^den <= x^num, by integer bisection."""
+    num, den = theta.numerator, theta.denominator
+    target, lo, hi = x**num, 0, 1
+    while hi**den <= target:
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**den <= target else (lo, mid)
+    return lo
+
+
+def test_rational_power_floor_steps_up_from_a_low_seed():
+    # near x = 10^30 the float estimate of sqrt(x) falls below the floor for
+    # many of n^2 and n^2 - 1, so the upward step runs
+    xs = [m for n in range(10**15, 10**15 + 2000) for m in (n * n, n * n - 1)]
+    low = sum(round(math.exp(math.log(x) / 2)) < math.isqrt(x) for x in xs)
+    assert low > 1000
+    assert [rational_power_floor(x, Fraction(1, 2)) for x in xs] == [math.isqrt(x) for x in xs]
+    for theta, base in ((Fraction(9, 20), 10**30), (Fraction(20, 21), 10**15)):
+        xs = [base + 7919 * i for i in range(500)]
+        assert [rational_power_floor(x, theta) for x in xs] == [_floor_by_bisection(x, theta) for x in xs]
+
+
 def test_modulus_sieve_matches_sympy():
     import sympy
 
@@ -116,6 +140,30 @@ def test_bv_validation(monkeypatch):
     monkeypatch.setattr(bv, "MODULUS_BUDGET", 1000)
     with pytest.raises(BudgetError, match="modulus budget 1000"):
         bv_deviation(10**6, Fraction(9, 10))
+
+
+@pytest.mark.parametrize("grid, message", [
+    (GridSpec(factor=1), "grid factor must be >= 2"),
+    (GridSpec(y_min=1), "y_min must be >= 2"),
+])
+def test_grid_refusals(grid, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        grid.points(10**4)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        bv_deviation(10**4, Fraction(1, 3), grid=grid)
+
+
+def test_modulus_budget_is_checked_exactly_past_the_estimate():
+    # 9/10 * log 570,000 is below log 200,000, so the estimate lets x through
+    # and the exact floor of x^theta is refused
+    assert Fraction(9, 10) * math.log(570_000) < math.log(2 * bv.MODULUS_BUDGET)
+    with pytest.raises(BudgetError, match=r"^x\^theta = 151456 exceeds modulus budget 100000$"):
+        bv_deviation(570_000, Fraction(9, 10))
+
+
+def test_x_is_taken_as_an_exact_integer():
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        bv_deviation(1e5, Fraction(1, 2))
 
 
 def _table(x, theta, total):

@@ -14,9 +14,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gapsieve
-from gapsieve.cli import EXIT_ERROR, EXIT_OK, EXIT_REGIME, _int_arg, build_parser, main, run_argv
+from gapsieve.cli import EXIT_ERROR, EXIT_OK, EXIT_REGIME, EXIT_REPLAY_MISMATCH, _int_arg, build_parser, main, run_argv
 from gapsieve.errors import TrendError
-from gapsieve.manifest import emit_trend, load_manifest, manifest_spec
+from gapsieve.manifest import emit_trend, load_docs, load_manifest, manifest_spec
 from gapsieve.moments import SieveParams, pure_moment, twisted_moment, two_primes_detector
 from gapsieve.serialize import canonical_json, fmt_float
 from gapsieve.tuples import OffsetTuple, enumerate_tuples
@@ -133,6 +133,33 @@ def test_manifest_roundtrip_and_replay(capsys, tmp_path):
     code, out2, err = run_cli(capsys, "replay", "--manifest-in", str(man))
     assert code == EXIT_OK, err
     assert out2.strip() == out1.strip()  # identical JSON bytes
+
+
+def test_replay_of_an_altered_fingerprint_is_a_mismatch(capsys, tmp_path):
+    man = tmp_path / "run.manifest.json"
+    assert main(["threshold", "--k", "2", "--l", "1", "--theta", "1/2", "--manifest", str(man)]) == EXIT_OK
+    stored = load_manifest(man)
+    stored["fingerprint"] = "0" * len(stored["fingerprint"])
+    man.write_text(json.dumps(stored), encoding="utf-8")
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, "replay", "--manifest-in", str(man))
+    assert code == EXIT_REPLAY_MISMATCH == 1
+    assert json.loads(out)["kind"] == "threshold"
+    assert err == "replay mismatch: fingerprints differ\n"
+
+
+def test_a_manifest_that_replays_replay_is_an_error_exit(capsys, tmp_path):
+    man = tmp_path / "m.json"
+    man.write_text('{"argv": ["replay", "--manifest-in", "m.json"]}', encoding="utf-8")
+    code, _, err = run_cli(capsys, "replay", "--manifest-in", str(man))
+    assert code == EXIT_ERROR
+    assert err == "error: a manifest cannot replay 'replay'\n"
+
+
+def test_a_rational_flag_with_a_zero_denominator_exits_2(capsys):
+    code, _, err = run_cli(capsys, "threshold", "--k", "2", "--l", "1", "--theta", "1/0")
+    assert code == 2
+    assert err.rstrip().endswith("argument --theta: 1/0 is not a rational")
 
 
 def test_config_file_defaults(capsys, tmp_path):
@@ -521,6 +548,36 @@ def test_malformed_trend_report_is_an_error_exit(capsys, tmp_path, name, message
     code, _, err = run_cli(capsys, "trend", str(path), str(path))
     _assert_one_line_error(code, err)
     assert err.startswith(message), err
+
+
+@pytest.mark.parametrize("ratios, direction", [
+    ([0.9, 0.8], "away"),
+    ([0.9, 0.8, 0.95], "mixed"),
+    ([0.8, 0.9], "toward"),
+    ([1.5, 0.5], "flat"),
+])
+def test_trend_directions(ratios, direction):
+    assert emit_trend([{"kind": "pure", "ratio": r} for r in ratios])["direction"] == direction
+
+
+def test_a_report_without_a_ratio_has_no_trend(capsys, tmp_path):
+    with pytest.raises(TrendError, match=r"^pure report has no ratio \(vanishing main term\)$"):
+        emit_trend([{"kind": "pure", "ratio": None}, {"kind": "pure", "ratio": 1.0}])
+    path = tmp_path / "null.json"
+    path.write_text('{"kind":"pure","ratio":null}', encoding="utf-8")
+    code, _, err = run_cli(capsys, "trend", str(path), str(path))
+    assert code == EXIT_ERROR
+    assert err == "error: pure report has no ratio (vanishing main term)\n"
+
+
+def test_a_report_file_that_is_no_object_is_refused(capsys, tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1]", encoding="utf-8")
+    with pytest.raises(TrendError, match=f"^{re.escape(str(path))}: not a report document$"):
+        load_docs([path])
+    code, _, err = run_cli(capsys, "trend", str(path), str(path))
+    assert code == EXIT_ERROR
+    assert err == f"error: {path}: not a report document\n"
 
 
 def test_span_from_n_on_is_an_error_exit(capsys):

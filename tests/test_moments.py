@@ -4,6 +4,7 @@ import itertools
 import math
 import multiprocessing
 import pickle
+import re
 import weakref
 from fractions import Fraction
 
@@ -103,6 +104,9 @@ def test_threshold_tends_to_eps():
 
 def test_detector_coefficient():
     assert detector_coefficient(7, 1) == Fraction(7, 10) * 3
+    for k in range(1, 21):
+        for l in range(1, 21):
+            assert detector_coefficient(k, l) == Fraction(k, k + 2 * l + 1) * binomial_step_ratio(l)
 
 
 # ---------------------------------------------------------------------------
@@ -754,3 +758,77 @@ def test_runs_past_the_sieve_bound_are_refused_before_any_chunk(monkeypatch):
             else:
                 with pytest.raises(ValueError, match="past the supported sieve bound"):
                     run()
+
+
+# ---------------------------------------------------------------------------
+# refusals: each exception with its message
+# ---------------------------------------------------------------------------
+
+def _sieve_params(**change):
+    return SieveParams(**{"N": 100, "R": 2.0, "k": 2, "l": 1, "span_bound": 3, **change})
+
+
+@pytest.mark.parametrize("change, error, message", [
+    ({"N": 15}, ValueError, "need N >= 16, got 15"),
+    ({"k": 0}, ValueError, "need k, l >= 1, got k=0, l=1"),
+    ({"l": 0}, ValueError, "need k, l >= 1, got k=2, l=0"),
+    ({"span_bound": 0}, ValueError, "span_bound must be >= 1"),
+    ({"theta": Fraction(0)}, ValueError, "theta must lie in (0, 1), got 0"),
+    ({"theta": 1}, ValueError, "theta must lie in (0, 1), got 1"),
+    ({"R": 0.5}, ValueError, "need finite R >= 1, got 0.5"),
+    # N and theta are exact: a float is refused before anything is formed
+    ({"N": 1e6}, TypeError, "'float' object cannot be interpreted as an integer"),
+    ({"theta": 0.45}, TypeError, "theta must be an exact rational (Fraction, int, or string), not float"),
+])
+def test_sieve_params_refusals(change, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        _sieve_params(**change)
+
+
+def test_sieve_params_take_exact_n_and_theta():
+    params = _sieve_params(N=np.int64(10**4), theta="9/20")
+    assert type(params.N) is int and params.N == 10**4
+    assert params.theta == Fraction(9, 20)
+
+
+def test_sieve_params_leave_the_r_check_to_the_weights(monkeypatch):
+    # one R check, the weights' own: SieveParams refuses R through WeightParams
+    seen = []
+    real = moments.WeightParams
+
+    def recording(R, a):
+        seen.append(R)
+        return real(R, a)
+
+    monkeypatch.setattr(moments, "WeightParams", recording)
+    with pytest.raises(ValueError, match="need finite R >= 1, got 0.5"):
+        _sieve_params(R=0.5)
+    assert seen == [0.5]
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0, 1, Fraction(1, 2)), "need k, l >= 1"),
+    ((1, 0, Fraction(1, 2)), "need k, l >= 1"),
+    ((1, 1, Fraction(0)), "theta must lie in (0, 1], got 0"),
+    ((1, 1, Fraction(3, 2)), "theta must lie in (0, 1], got 3/2"),
+])
+def test_threshold_refusals(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        threshold(*args)
+
+
+def test_exact_counts_refuse_r_past_their_budget():
+    with pytest.raises(BudgetError, match=r"^R = 501\.0 exceeds exact-count budget 500$"):
+        double_sum_exact_counts(TWIN, WeightParams(501.0, 3), 1000, 2000)
+
+
+def test_twisted_refuses_a_span_below_the_tuples():
+    params = SieveParams(N=10**4, R=10.0, k=2, l=1, span_bound=5)
+    with pytest.raises(ValueError, match="^params.span_bound 5 below tuple span 10$"):
+        twisted_moment(OffsetTuple((1, 3), 10), 2, params)
+
+
+def test_detector_refuses_an_unknown_h_mode():
+    params = SieveParams(N=10**4, R=10.0, k=2, l=1, span_bound=5)
+    with pytest.raises(ValueError, match="^unknown h_mode 'x'$"):
+        two_primes_detector(params, [TWIN], h_mode="x")

@@ -3,7 +3,7 @@ import concurrent.futures
 import pytest
 
 from gapsieve import parallel
-from gapsieve.parallel import ordered_map
+from gapsieve.parallel import block_spans, ordered_map, resolve_workers
 
 
 @pytest.fixture
@@ -42,3 +42,17 @@ def test_pool_cap_on_this_machine(pool_sizes):
     ordered_map(abs, range(64), workers=10**6)
     assert all(size <= (parallel.os.cpu_count() or 1) for size in pool_sizes)
 
+
+def test_zero_workers_in_the_environment_is_refused(monkeypatch):
+    monkeypatch.setenv("GAPSIEVE_WORKERS", "0")
+    with pytest.raises(ValueError, match="^GAPSIEVE_WORKERS must be >= 1, got 0$"):
+        resolve_workers()
+
+
+@pytest.mark.parametrize("lo, hi, size, message", [
+    (5, 5, 1, r"empty range \[5, 5\)"),
+    (0, 5, 0, "block size must be positive"),
+])
+def test_block_spans_refusals(lo, hi, size, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        block_spans(lo, hi, size)

@@ -62,8 +62,6 @@ def test_series_leaves_no_longdouble_arrays_behind():
     # until it is summed: only the memos' scalars stay behind
     p0 = 10**6
     base_primes(10 * p0)  # the shared cache's growth is not the series'
-    for j in range(2, 6):  # every primezeta value these calls read
-        singular._prime_zeta_ld(j)
     ts = [TWIN, OffsetTuple((1, 3, 7)), OffsetTuple(SEPTUPLE_OFFSETS)]
     singular._generic_part.cache_clear()
     singular._p0_pass.cache_clear()
@@ -108,7 +106,7 @@ def _whole_array_generic_part(k, span_bound, p0, tol):
         remaining = p0 * ratio**j / (1.0 - ratio)
         if remaining < tol / 4.0:
             break
-        pz = singular._prime_zeta_ld(j)
+        pz = np.longdouble(singular._PRIME_ZETA[j - 2])
         coeff = np.longdouble(k**j - k) / j
         corr -= coeff * max(pz - (ps ** np.longdouble(-j)).sum(), np.longdouble(0))
         noise += 2.0 * singular._EPS_LD * float(coeff * pz)
@@ -202,6 +200,31 @@ def test_tolerance_errors():
     with pytest.raises(ValueError):
         # truncation below the span would drop non-generic primes
         singular_series(OffsetTuple((1, 2000), 2000), truncation_prime=1500)
+
+
+@pytest.mark.parametrize("run, error, message", [
+    (lambda: singular_series_extended(OffsetTuple(TWIN_OFFSETS, 20), 21), ValueError,
+     r"extension offset 21 outside \[1, 20\]"),
+    (lambda: singular_series(TWIN, truncation_prime=10**8 + 1), ToleranceError,
+     "truncation prime 100000001 exceeds cap 100000000"),
+    (lambda: singular_series(TWIN, truncation_prime=3), ToleranceError,
+     "truncation prime 3 must exceed 2k = 4"),
+    (lambda: singular_series(TWIN, tol=1e-14, truncation_prime=10**6), ToleranceError,
+     r"certified tail bound \d\.\d{3}e-14 does not reach tol 1\.000e-14 at truncation prime 1000000"),
+])
+def test_series_refusals(run, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        run()
+
+
+def test_tail_series_cap(monkeypatch):
+    # under the enforced bounds (P0 >= 2k, P0 <= 10^8, tol >= 1e-14) the tail
+    # needs at most j = 77 < _SERIES_CAP, so the cap is lowered to reach it
+    monkeypatch.setattr(singular, "_SERIES_CAP", 2)
+    singular._generic_part.cache_clear()
+    singular._p0_pass.cache_clear()
+    with pytest.raises(ToleranceError, match=r"^tail series did not reach target 2\.5e-13 by j=2$"):
+        singular_series(TWIN)
 
 
 def test_prime_zeta_table_is_mpmath_primezeta():
@@ -309,11 +332,11 @@ def test_gallagher_reports_the_phase_it_samples_with():
 def _gallagher_per_tuple(span_bound, k, stride, phase):
     """gallagher_average as it was before it evaluated one series per
     translation class: one series per enumerated tuple.  The oracle for
-    .hex() equality."""
+    .hex() equality; normalized is the exact rational rounded once."""
     values = [singular_series(t).value
               for t in enumerate_tuples(span_bound, k, stride=stride, phase=phase)]
     tuple_sum = math.fsum(values)
-    normalized = math.factorial(k) * tuple_sum * stride / float(span_bound) ** k
+    normalized = float(math.factorial(k) * stride * Fraction(tuple_sum) / span_bound**k)
     return tuple_sum, normalized, len(values)
 
 

@@ -14,8 +14,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # public names kept though only the tests call them
 KEPT = {
-    # criterion 05's builder checks it against its closed form
-    "binomial_step_ratio",
     # the extended route of the singular series, kept independent of the direct one
     "singular_series_extended",
 }

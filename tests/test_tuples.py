@@ -149,3 +149,14 @@ def test_enumeration_budget_is_checked_at_the_call(monkeypatch):
     assert enumeration_size(5, 2, stride=3, phase=1) == 3
     with pytest.raises(BudgetError, match="= 10 exceeds budget 4;"):
         enumerate_tuples(5, 2)
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda: normalize_offsets([]), "empty pattern"),
+    (lambda: unrank_combination(5, 0, 0), "k must be >= 1"),
+    (lambda: enumeration_size(5, 0), "k must be >= 1"),
+    (lambda: enumeration_size(5, 2, stride=0), "stride must be >= 1, got 0"),
+])
+def test_pattern_and_enumeration_refusals(run, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run()

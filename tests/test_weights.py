@@ -94,6 +94,13 @@ def test_block_requires_r_below_lo():
         lambda_block(TWIN, WeightParams(10.0, 1), 100, 100 + (1 << 25))
 
 
+def test_table_and_block_refusals():
+    with pytest.raises(BudgetError, match=f"^R = {weights.R_BUDGET + 1} exceeds divisor-table budget {weights.R_BUDGET}$"):
+        divisor_table(TWIN, weights.R_BUDGET + 1)
+    with pytest.raises(ValueError, match=r"^empty block \[100, 100\)$"):
+        lambda_block(TWIN, WeightParams(10.0, 3), 100, 100)
+
+
 def test_prime_window_value_is_exact():
     wp = WeightParams(50.0, 2)
     blk = lambda_block(TWIN, wp, 10**4, 2 * 10**4)
