@@ -62,6 +62,10 @@ class GridSpec:
     factor: int = 2
     y_min: int = 100
 
+    def __post_init__(self) -> None:
+        for name in ("factor", "y_min"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+
     def points(self, x: int) -> list[int]:
         if self.factor < 2:
             raise ValueError("grid factor must be >= 2")

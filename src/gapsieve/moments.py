@@ -63,7 +63,7 @@ import numpy as np
 from .errors import BudgetError, RegimeError
 from .parallel import block_spans, ordered_imap
 from .primes import (SEGMENT_FLAGS, SUPPORTED_SIEVE_BOUND, LogSum, _repeated_fsum, log_parts,
-                     log_sum, sieve_segment)
+                     log_sum, primes_in, sieve_segment)
 from .serialize import OUTSIDE_DOC, Report
 from .singular import DEFAULT_TOL, singular_series
 from .tuples import OffsetTuple, extend, omega_residues
@@ -105,7 +105,8 @@ class SieveParams(Report):
     a: int = field(init=False)  # weight exponent used throughout: k + l
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "N", operator.index(self.N))
+        for name in ("N", "k", "l", "span_bound"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.N < 16:
             raise ValueError(f"need N >= 16, got {self.N}")
         if self.k < 1 or self.l < 1:
@@ -426,17 +427,19 @@ def double_sum_exact_counts(
 def _twisted_chunk(args):
     """The chunk's rounded sum of varpi(n + h) W(n)^2 with a tail, else the
     int64 sums of the log parts of its n + h prime per signature of n, one
-    np.add.at per part as in _detector_chunk (W is read only where used)."""
+    np.add.at per part as in _detector_chunk (W is read only where used).
+    The primes p = n + h come from primes_in, and n's index from p."""
     t, wp, lo, hi, h = args
     table = divisor_table(t, wp.R)
-    idx = np.flatnonzero(sieve_segment(lo + h, hi + h))  # n = lo + idx has n + h prime
+    ps = primes_in(lo + h, hi + h)
+    idx = ps - (lo + h)  # n = lo + idx has n + h prime
     if table.tail:
-        logs = np.log((lo + h + idx).astype(np.float64))
+        logs = np.log(ps.astype(np.float64))
         vals = lambda_block(t, wp, lo, hi, force=True).values[idx]
         return math.fsum(memoryview(vals * vals * logs))
     key = table.signatures(lo, hi)[idx]
     lam = [np.zeros(table.signature_count, dtype=np.int64) for _ in range(2)]
-    for acc, part in zip(lam, log_parts(lo + h + idx)):
+    for acc, part in zip(lam, log_parts(ps)):
         np.add.at(acc, key, part)
     return None, *lam
 

@@ -1,16 +1,21 @@
 """Segmented prime generation, exact sums of logs of primes and of repeated
 floats, and the package's one base-prime cache.
 
-Primality over a window is produced by one segmented sieve of Eratosthenes
-(sieve_segment): one read-only flag array per window, presieved by tiling the
-30030-wheel of the primes 2..13 over it, then marked by numpy strided slices
-for the primes from 17 on, one SEGMENT_FLAGS block at a time.  primes_in
-sieves its window one such block per call and casts each block's primes to
-the caller's integer dtype.  The base-prime cache starts at the wheel primes
-and grows by the same marking (_mark_segment), over the new range only and
-one such block at a time.  The tiler (_tile_periodic) is private so that its
-time counts toward its caller; it also builds the weights' small-prime
-signatures.
+One private core (_odd_blocks) sieves the odd numbers of a window by
+Eratosthenes, one block of 2 * SEGMENT_FLAGS numbers, so SEGMENT_FLAGS flags,
+at a time: one flag per odd number, presieved by tiling the odd half of the
+30030-wheel of the primes 2..13 over the block, then marked by numpy strided
+slices for the primes from 17 on.  Callers that want the primes read them
+from each block's odd flags as first + 2 * index (_block_primes): primes_in,
+which casts each block's primes to the caller's integer dtype and joins them
+once, and base_primes, the base-prime cache, which starts at the wheel
+primes and grows over the new range only.  Callers that read positions (the
+detector's windows) take sieve_segment: one read-only flag per integer of the
+window, 2 included, each block's odd flags spread by one strided copy.  The
+small primes as a tuple of Python ints are memoised once (_prime_tuple) for
+the loops of tuples and singular.  The tiler (_tile_periodic) is private so
+that its time counts toward its caller; it also builds the weights'
+small-prime signatures.
 
 The sums of log p here are exactly rounded, hence order-independent and
 bit-stable: either by math.fsum, or from the integer parts of log_parts
@@ -22,6 +27,7 @@ integer counts, without repeating them.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -43,11 +49,12 @@ MAX_MATERIALIZED_FLAGS = 1 << 28
 # inner loops stay long
 TILE_ROW = 1 << 12
 
-# the presieve wheel: the primes 2..13 and, per residue mod their product
-# 30030, whether it is prime to all of them
+# the presieve wheel of the primes 2..13, odd half: _ODD_WHEEL[j] says whether
+# the odd number 2j + 1 is prime to all of them, and repeats with period
+# 30030 / 2 = 15015 in j
 WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
-_WHEEL = np.gcd(np.arange(math.prod(WHEEL_PRIMES)), math.prod(WHEEL_PRIMES)) == 1
-_WHEEL.setflags(write=False)
+_ODD_WHEEL = np.gcd(np.arange(1, math.prod(WHEEL_PRIMES), 2), math.prod(WHEEL_PRIMES)) == 1
+_ODD_WHEEL.setflags(write=False)
 
 # the one base-prime cache: every prime <= _BASE_LIMIT, sorted, read-only;
 # seeded with the wheel primes, which are all the primes <= 16
@@ -60,25 +67,28 @@ def base_primes(limit: int) -> np.ndarray:
     """Sorted primes <= limit as a read-only int64 view of the shared cache.
 
     The cache grows geometrically, so rising limits cost a constant number of
-    sieves per doubling.  Each growth sieves only the new range, by the
-    private marker behind sieve_segment, in steps that end by the square of
-    the first number past the cache, so the marking needs only cached primes.
-    A step is marked one SEGMENT_FLAGS block at a time and its primes joined
-    to the cache once, so no flag array spans the new range.
+    sieves per doubling.  Each growth sieves only the new range, reading its
+    primes from the odd flags of the private core behind sieve_segment, in
+    steps that end by the square of the first number past the cache, so the
+    marking needs only cached primes.  A step is sieved one block of the
+    core at a time and its primes joined to the cache once, so no flag array
+    spans the new range.
     """
     global _BASE_PRIMES, _BASE_LIMIT
     while limit > _BASE_LIMIT:
         lo = _BASE_LIMIT + 1
         hi = min(max(limit + 1, 2 * lo, 1 << 10), lo * lo)
-        parts = [_BASE_PRIMES]
-        for s in range(lo, hi, SEGMENT_FLAGS):
-            new = np.flatnonzero(_mark_segment(s, min(s + SEGMENT_FLAGS, hi)))
-            new += s
-            parts.append(new)
-        primes = np.concatenate(parts)
+        primes = np.concatenate([_BASE_PRIMES, *_block_primes(lo, hi)])
         primes.setflags(write=False)
         _BASE_PRIMES, _BASE_LIMIT = primes, hi - 1
     return _BASE_PRIMES[: int(np.searchsorted(_BASE_PRIMES, limit, side="right"))]
+
+
+@functools.lru_cache(maxsize=16)
+def _prime_tuple(limit: int) -> tuple[int, ...]:
+    """The primes <= limit as a tuple of Python ints, memoised: the one copy
+    for loops that visit small primes one at a time."""
+    return tuple(base_primes(limit).tolist())
 
 
 def _tile_periodic(pattern: np.ndarray, lo: int, out: np.ndarray, op) -> np.ndarray:
@@ -105,9 +115,19 @@ def sieve_segment(lo: int, hi: int) -> np.ndarray:
     """Read-only primality flags for [lo, hi) by segmented Eratosthenes:
     flags[i] is True exactly when lo + i is prime.  The range, the sieve
     bound and the materialization cap are checked before anything is
-    allocated."""
+    allocated.
+
+    For callers that read positions (lo + i): each block's odd flags from
+    the private core are spread over the window by one strided copy, and 2
+    is set where the window holds it.  Callers that want the primes
+    themselves use primes_in, which reads them from the odd flags directly.
+    """
     _check_window(lo, hi)
-    flags = _mark_segment(lo, hi)
+    flags = np.zeros(hi - lo, dtype=bool)
+    for first, odd in _odd_blocks(lo, hi):
+        flags[first - lo : first - lo + 2 * len(odd) : 2] = odd
+    if lo == 2:
+        flags[0] = True
     flags.setflags(write=False)
     return flags
 
@@ -126,48 +146,62 @@ def _check_window(lo: int, hi: int) -> None:
         )
 
 
-def _mark_segment(lo: int, hi: int) -> np.ndarray:
-    """The flags of sieve_segment, writable and unchecked.
+def _odd_blocks(lo: int, hi: int):
+    """The sieve's core, unchecked: for each block of [lo, hi) in turn, 2 *
+    SEGMENT_FLAGS numbers each, (first, flags) with first the block's first
+    odd number and the writable flags[j] True exactly when the odd number
+    first + 2j is prime.  Even numbers have no flag.
 
-    The window's flags are allocated once and presieved by the wheel of the
-    primes 2..13, which are then marked prime again where the window holds
-    them.  Each SEGMENT_FLAGS block is marked in place by the other base
-    primes up to the root of the block's end.  Private, so that base_primes
-    grows the cache without counting as a public sieve call.
+    A block's flags are presieved by the odd half of the wheel of the primes
+    2..13, which are then marked prime again where the block holds them, and
+    marked in place by the other base primes up to the root of its last
+    number: each p strides through odd index space from its first odd
+    multiple at or above max(p^2, first), so base primes inside the block
+    stay marked prime.  Private, so that base_primes grows the cache without
+    counting as a public sieve call.
     """
-    flags = _tile_periodic(_WHEEL, lo, np.ones(hi - lo, dtype=bool), np.logical_and)
-    for p in WHEEL_PRIMES:
-        if lo <= p < hi:
-            flags[p - lo] = True
-    for s in range(lo, hi, SEGMENT_FLAGS):
-        e = min(s + SEGMENT_FLAGS, hi)
-        block = flags[s - lo : e - lo]
-        for p in base_primes(math.isqrt(e - 1))[len(WHEEL_PRIMES) :]:
-            p = int(p)
-            # start at p*p so base primes inside the block stay marked prime
-            start = max(p * p, ((s + p - 1) // p) * p)
-            if start < e:
-                block[start - s :: p] = False
-    return flags
+    for s in range(lo, hi, 2 * SEGMENT_FLAGS):
+        e = min(s + 2 * SEGMENT_FLAGS, hi)
+        first = s | 1
+        flags = np.ones((e - first + 1) // 2, dtype=bool)
+        _tile_periodic(_ODD_WHEEL, first // 2, flags, np.logical_and)
+        for p in WHEEL_PRIMES[1:]:
+            if first <= p < e:
+                flags[(p - first) // 2] = True
+        ps = base_primes(math.isqrt(e - 1))[len(WHEEL_PRIMES) :]
+        start = np.maximum(ps * ps, ps * (((first - 1) // ps + 1) | 1))
+        for i, p in zip(((start - first) >> 1).tolist(), ps.tolist()):
+            flags[i::p] = False
+        yield first, flags
+
+
+def _block_primes(lo: int, hi: int):
+    """The sorted int64 primes of [lo, hi), one array per block of the core,
+    read from its odd flags as first + 2 * index; 2 comes first, on its own,
+    where the window holds it.  Unchecked."""
+    if lo == 2:
+        yield np.array([2], dtype=np.int64)
+    for first, odd in _odd_blocks(lo, hi):
+        ps = np.flatnonzero(odd)
+        ps *= 2
+        ps += first
+        yield ps
 
 
 def primes_in(lo: int, hi: int, dtype=np.int64) -> np.ndarray:
     """Sorted primes in [lo, hi) in the integer dtype, which must hold hi - 1.
 
-    The window is sieved one SEGMENT_FLAGS block at a time by sieve_segment,
-    each block's primes cast to dtype, and the blocks joined once: no flag
-    array spans the window, and a narrow dtype keeps no int64 copy of it.
-    The window and the dtype are checked before anything is allocated.
+    The window is sieved one block of the private core at a time, each
+    block's primes read from its odd flags and cast to dtype, and the blocks
+    joined once: no flag array spans the window, and a narrow dtype keeps no
+    int64 copy of it.  Makes no sieve_segment call.  The window and the
+    dtype are checked before anything is allocated.
     """
     _check_window(lo, hi)
     dtype = np.dtype(dtype)
     if dtype.kind not in "iu" or np.iinfo(dtype).max < hi - 1:
         raise SieveRangeError(f"dtype {dtype} cannot hold the primes below {hi}")
-    parts = [
-        (np.flatnonzero(sieve_segment(s, min(s + SEGMENT_FLAGS, hi))) + s).astype(dtype, copy=False)
-        for s in range(lo, hi, SEGMENT_FLAGS)
-    ]
-    return np.concatenate(parts)
+    return np.concatenate([ps.astype(dtype, copy=False) for ps in _block_primes(lo, hi)])
 
 
 # log p for p >= 3 is at least 1, so as a float64 it is a whole multiple of

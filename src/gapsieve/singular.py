@@ -50,10 +50,11 @@ distinct profile of a block, and adds each value repeated by the number
 of tuples it stands for in one exact grouped sum: the same multiset, so the
 same correctly rounded sum as a per-tuple fsum.  singular_series and
 singular_series_extended feed their own profiles to the same evaluator,
-_profile_series.  The primes <= H, the four floats of the generic part and
-the tail, and the sums at pi(P0) with the tail come from small memos keyed
-by (H), (k, H, P0, tol) and (k, P0, tol); no array outlives its call, and
-nothing is memoised by tuple or profile.
+_profile_series.  The primes <= H come from the prime tuple that primes
+memoises by limit (tuples' admissibility test reads the same one); the four
+floats of the generic part and the tail, and the sums at pi(P0) with the
+tail, come from small memos keyed by (k, H, P0, tol) and (k, P0, tol); no
+array outlives its call, and nothing is memoised by tuple or profile.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ import numpy as np
 
 from .errors import ToleranceError
 from .parallel import resolve_workers
-from .primes import _repeated_fsum, base_primes
+from .primes import _prime_tuple, _repeated_fsum, base_primes
 from .serialize import Report
 from .tuples import OffsetTuple, enumerate_tuples, enumeration_size, extended_omega_size, omega_size
 
@@ -192,7 +193,7 @@ def singular_series(
 ) -> SingularSeriesValue:
     """Density constant of the tuple with a certified tail bound < tol."""
     p0 = _truncation_prime(t.span_bound, tol, truncation_prime)
-    profile = (omega_size(t, p) for p in _exact_primes(t.span_bound))
+    profile = (omega_size(t, p) for p in _prime_tuple(t.span_bound))
     return _profile_series(profile, t.k, t.span_bound, p0, tol)
 
 
@@ -209,7 +210,7 @@ def singular_series_extended(
     if not (1 <= h <= t.span_bound):
         raise ValueError(f"extension offset {h} outside [1, {t.span_bound}]")
     p0 = _truncation_prime(t.span_bound, tol, truncation_prime)
-    profile = (extended_omega_size(t, h, p) for p in _exact_primes(t.span_bound))
+    profile = (extended_omega_size(t, h, p) for p in _prime_tuple(t.span_bound))
     return _profile_series(profile, t.k + 1, t.span_bound, p0, tol)
 
 
@@ -231,12 +232,6 @@ def _truncation_prime(span_bound: int, tol: float, truncation_prime: int | None)
 
 
 @lru_cache(maxsize=_MEMO)
-def _exact_primes(span_bound: int) -> tuple[int, ...]:
-    """The primes <= span_bound, whose factors take the actual w(p)."""
-    return tuple(base_primes(span_bound).tolist())
-
-
-@lru_cache(maxsize=_MEMO)
 def _generic_part(k: int, span_bound: int, p0: int, tol: float) -> tuple[float, float, float, float]:
     """(log sum, rounding allowance) of the generic factors over
     span_bound < p <= p0, then the tail's (correction, certified bound), the
@@ -250,7 +245,7 @@ def _generic_part(k: int, span_bound: int, p0: int, tol: float) -> tuple[float, 
         raise ToleranceError(f"truncation prime {p0} must exceed 2k = {2 * k}")
     total, total_abs, corr, tail_neglect = _p0_pass(k, p0, tol)
     h_sum, h_abs = _generic_sums(k, base_primes(span_bound))
-    n, i1 = len(base_primes(p0)), len(_exact_primes(span_bound))
+    n, i1 = len(base_primes(p0)), len(_prime_tuple(span_bound))
     slack = (n - i1) * _EPS_LD * (float(total_abs - h_abs) + 1.0)
     return float(total - h_sum), slack, corr, tail_neglect
 
@@ -321,7 +316,7 @@ def _profile_series(profile, k: int, span_bound: int, p0: int, tol: float) -> Si
     log_small = 0.0
     comp = 0.0
     abs_small = 0.0
-    for p, w in zip(_exact_primes(span_bound), profile):
+    for p, w in zip(_prime_tuple(span_bound), profile):
         if w == p:
             return SingularSeriesValue(0.0, p0, 0.0)
         term = math.log1p(-w / p) - k * math.log1p(-1.0 / p)
@@ -378,7 +373,8 @@ def gallagher_average(
     one fixed-order pass in this process.
 
     Enumeration cost is C(span_bound, k) / stride; exceeding the budget of
-    tuples.enumeration_size is an error rather than a silent long run.  The
+    tuples.enumeration_size is an error rather than a silent long run, and
+    so is a normalized average past the float range (ValueError).  The
     full average profiles one tuple per translation class, standing for its
     members; a stride sample profiles each sampled tuple.  Either way one
     series is evaluated per distinct residue profile, and each value is
@@ -404,7 +400,10 @@ def gallagher_average(
         totals[value] = totals.get(value, 0) + count
     tuple_sum = _repeated_fsum(np.fromiter(totals, np.float64, len(totals)),
                                np.fromiter(totals.values(), np.int64, len(totals)))
-    normalized = float(math.factorial(k) * stride * Fraction(tuple_sum) / span_bound**k)
+    try:
+        normalized = float(math.factorial(k) * stride * Fraction(tuple_sum) / span_bound**k)
+    except OverflowError:
+        raise ValueError(f"the normalized average at stride {stride} leaves the float range") from None
     return TupleAverageReport(span_bound, k, normalized, tuple_sum, sample, stride, phase % stride)
 
 
@@ -418,7 +417,7 @@ def _profile_counts(source, k: int, span_bound: int, classes: bool):
     (but at least one row), so the blocks' memory does not grow with the
     tuple count.
     """
-    rows = max(1, PROFILE_BLOCK // (k * max(1, len(_exact_primes(span_bound)))))
+    rows = max(1, PROFILE_BLOCK // (k * max(1, len(_prime_tuple(span_bound)))))
     while True:
         # offsets are below P0 <= MAX_TRUNCATION_PRIME < 2^31: int32 halves the sort's traffic
         block = np.fromiter(chain.from_iterable(islice(source, rows)), dtype=np.int32).reshape(-1, k)

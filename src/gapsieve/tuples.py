@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .errors import BudgetError
-from .primes import base_primes
+from .primes import _prime_tuple
 
 # The 7-offset pattern used for the two-primes-in-a-window computations,
 # stored shifted into [1, 22].
@@ -94,8 +94,7 @@ def is_admissible(t: OffsetTuple) -> bool:
 
 def first_obstruction(t: OffsetTuple) -> int | None:
     """Smallest prime with every class covered, or None when admissible."""
-    for p in base_primes(t.k):
-        p = int(p)
+    for p in _prime_tuple(t.k):
         if omega_size(t, p) == p:
             return p
     return None

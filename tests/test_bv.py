@@ -153,6 +153,15 @@ def test_grid_refusals(grid, message):
         bv_deviation(10**4, Fraction(1, 3), grid=grid)
 
 
+def test_grid_takes_exact_integers():
+    for change in ({"factor": 2.5}, {"y_min": 100.0}):
+        with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+            GridSpec(**change)
+    grid = GridSpec(factor=np.int64(4), y_min=np.uint8(100))
+    assert (type(grid.factor), type(grid.y_min)) == (int, int)
+    assert grid.points(10**4) == [10**4, 2500, 625, 156]
+
+
 def test_modulus_budget_is_checked_exactly_past_the_estimate():
     # 9/10 * log 570,000 is below log 200,000, so the estimate lets x through
     # and the exact floor of x^theta is refused

@@ -291,6 +291,13 @@ def test_gallagher_past_the_float_range_exits_ok(capsys, span, k, stride):
     assert doc["normalized"] == doc["tuple_sum"] == 0
 
 
+def test_gallagher_past_the_float_range_is_an_error_exit(capsys):
+    stride = "1" + "0" * 400
+    code, out, err = run_cli(capsys, "gallagher", "--span", "10", "--k", "1", "--stride", stride)
+    _assert_one_line_error(code, err)
+    assert out == "" and "leaves the float range" in err
+
+
 def test_gallagher_over_budget_is_an_error_exit(capsys):
     code, _, err = run_cli(capsys, "gallagher", "--span", "1e6", "--k", "500000")
     _assert_one_line_error(code, err)

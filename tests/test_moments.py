@@ -776,9 +776,13 @@ def _sieve_params(**change):
     ({"theta": Fraction(0)}, ValueError, "theta must lie in (0, 1), got 0"),
     ({"theta": 1}, ValueError, "theta must lie in (0, 1), got 1"),
     ({"R": 0.5}, ValueError, "need finite R >= 1, got 0.5"),
-    # N and theta are exact: a float is refused before anything is formed
+    # N, k, l, span_bound and theta are exact: a float is refused before
+    # anything is formed
     ({"N": 1e6}, TypeError, "'float' object cannot be interpreted as an integer"),
     ({"theta": 0.45}, TypeError, "theta must be an exact rational (Fraction, int, or string), not float"),
+    ({"k": 2.0}, TypeError, "'float' object cannot be interpreted as an integer"),
+    ({"l": 1.0}, TypeError, "'float' object cannot be interpreted as an integer"),
+    ({"span_bound": 3.5}, TypeError, "'float' object cannot be interpreted as an integer"),
 ])
 def test_sieve_params_refusals(change, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -786,8 +790,9 @@ def test_sieve_params_refusals(change, error, message):
 
 
 def test_sieve_params_take_exact_n_and_theta():
-    params = _sieve_params(N=np.int64(10**4), theta="9/20")
-    assert type(params.N) is int and params.N == 10**4
+    params = _sieve_params(N=np.int64(10**4), k=np.int64(2), l=np.int8(1), span_bound=np.uint16(3), theta="9/20")
+    assert [(type(v), v) for v in (params.N, params.k, params.l, params.span_bound)] == [
+        (int, 10**4), (int, 2), (int, 1), (int, 3)]
     assert params.theta == Fraction(9, 20)
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapsieve import primes
@@ -96,10 +96,22 @@ def _assert_window_is_oracle(lo, hi):
     assert np.array_equal(primes_in(lo, hi), lo + np.flatnonzero(expected))
 
 
+# windows for the odd-only core: starting at 2, at each wheel prime and at
+# 16, 17 and 18, with an even or an odd first number, one number long, and
+# ending just past the square of a base prime (17^2 = 289, 19^2 = 361,
+# 1009^2 = 1,018,081), where the block's last number is the first one that
+# prime strikes
+_CORE_WINDOWS = [
+    *((lo, lo + width) for lo in (2, 3, 5, 7, 11, 13, 16, 17, 18) for width in (1, 2, 3, 40, 1000)),
+    (4, 5), (9, 10), (289, 290), (10**6, 10**6 + 1), (10**6 + 3, 10**6 + 4), (1_018_081, 1_018_082),
+    (200, 290), (200, 291), (289, 362), (10**6, 1_018_082), (10**6 + 1, 1_018_083),
+]
+
+
 @pytest.mark.parametrize(
     "lo, hi",
     [
-        (primes.SEGMENT_FLAGS - 5, 3 * primes.SEGMENT_FLAGS + 7),  # unaligned, three boundaries
+        (primes.SEGMENT_FLAGS - 5, 3 * primes.SEGMENT_FLAGS + 7),  # unaligned block boundaries
         (2, 2 * primes.SEGMENT_FLAGS + 3),
         # below 13 the window holds wheel primes, which the presieve strikes
         (2, 14),
@@ -109,6 +121,10 @@ def _assert_window_is_oracle(lo, hi):
         (30_030 * 333 - 1, 30_030 * 336 + 2),
         (30_030 * 333 + 1, 30_030 * 333 + 500),
         (30_030 * 33_300 - 1, 30_030 * 33_300 + primes.SEGMENT_FLAGS + 1),
+        # more odd flags than one block holds, from an even and an odd lo
+        (10**7, 10**7 + 2 * primes.SEGMENT_FLAGS + 9),
+        (10**7 + 1, 10**7 + 2 * primes.SEGMENT_FLAGS + 10),
+        *_CORE_WINDOWS,
     ],
 )
 def test_sieve_blocks_match_plain_eratosthenes(lo, hi):
@@ -117,12 +133,24 @@ def test_sieve_blocks_match_plain_eratosthenes(lo, hi):
 
 @given(lo=st.integers(min_value=2, max_value=3000), width=st.integers(min_value=1, max_value=2000))
 @settings(max_examples=60, deadline=None)
+@example(lo=1_018_081 - 1000, width=1001)  # the last flag of a block is 1009^2
+@example(lo=1_018_081 - 999, width=1001)
+@example(lo=1_018_081 - 127, width=128)
 def test_small_sieve_blocks_match_plain_eratosthenes(lo, width):
+    _assert_small_blocks_are_oracle(lo, lo + width)
+
+
+@pytest.mark.parametrize("lo, hi", _CORE_WINDOWS)
+def test_small_sieve_blocks_match_plain_eratosthenes_on_core_windows(lo, hi):
+    _assert_small_blocks_are_oracle(lo, hi)
+
+
+def _assert_small_blocks_are_oracle(lo, hi):
     # blocks of 64 flags: many boundaries, and blocks below the square of
     # their base primes
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(primes, "SEGMENT_FLAGS", 64)
-        _assert_window_is_oracle(lo, lo + width)
+        _assert_window_is_oracle(lo, hi)
 
 
 def test_materialization_cap_refuses_before_allocating(monkeypatch):
@@ -142,8 +170,17 @@ def test_materialization_cap_refuses_before_allocating(monkeypatch):
 
 @pytest.mark.parametrize("dtype", [np.int64, np.uint32, np.int32])
 def test_primes_in_blocks_match_plain_eratosthenes_in_any_dtype(dtype):
-    # three block edges, none aligned with the window's ends
-    lo, hi = (1 << 20) - 5, 3 * (1 << 20) + 7
+    # block edges not aligned with the window's ends
+    _assert_primes_in_is_oracle((1 << 20) - 5, 3 * (1 << 20) + 7, dtype)
+
+
+@pytest.mark.parametrize("lo, hi", _CORE_WINDOWS)
+@pytest.mark.parametrize("dtype", [np.int64, np.uint32, np.int32])
+def test_primes_in_matches_plain_eratosthenes_on_core_windows_in_any_dtype(dtype, lo, hi):
+    _assert_primes_in_is_oracle(lo, hi, dtype)
+
+
+def _assert_primes_in_is_oracle(lo, hi, dtype):
     got = primes_in(lo, hi, dtype=dtype)
     assert got.dtype == dtype
     assert np.array_equal(got, lo + np.flatnonzero(_window_oracle(lo, hi)))
@@ -208,6 +245,17 @@ def _seed_cache(monkeypatch):
     seed.setflags(write=False)
     monkeypatch.setattr(primes, "_BASE_PRIMES", seed)
     monkeypatch.setattr(primes, "_BASE_LIMIT", 16)
+
+
+def test_primes_in_makes_no_public_sieve_call(monkeypatch):
+    # primes_in reads its primes from the core's odd flags, so the bench's
+    # flag count sees only the callers that read positions
+    def counted(lo, hi):
+        raise AssertionError(f"primes_in called sieve_segment({lo}, {hi})")
+
+    monkeypatch.setattr(primes, "sieve_segment", counted)
+    lo, hi = 10**6, 10**6 + 3 * primes.SEGMENT_FLAGS
+    assert np.array_equal(primes_in(lo, hi), lo + np.flatnonzero(_window_oracle(lo, hi)))
 
 
 def test_base_primes_growth_makes_no_public_sieve_call(monkeypatch):

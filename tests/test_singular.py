@@ -454,3 +454,9 @@ def test_gallagher_normalizes_past_the_float_range(monkeypatch, span_bound, k, s
     assert rep.tuple_sum == rep.tuple_count > 0
     exact = Fraction(math.factorial(k) * stride * rep.tuple_count, span_bound**k)
     assert rep.normalized == float(exact) > 0
+
+
+def test_gallagher_refuses_a_normalized_average_past_the_float_range():
+    # one sampled tuple, {1}, whose series is 1: normalized = 10^400 / 10
+    with pytest.raises(ValueError, match=f"^the normalized average at stride {10**400} leaves the float range$"):
+        gallagher_average(10, 1, stride=10**400)

@@ -63,6 +63,17 @@ def test_admissibility():
     assert is_admissible(TWIN)
 
 
+@pytest.mark.parametrize("span, k", [(20, 3), (12, 5)])
+def test_first_obstruction_is_the_smallest_fully_covered_prime(span, k):
+    # against trial division over every p <= k, on every k-subset of [1, span]
+    small = [p for p in range(2, k + 1) if all(p % d for d in range(2, p))]
+    for offs in combinations(range(1, span + 1), k):
+        covered = [p for p in small if len({-h % p for h in offs}) == p]
+        t = OffsetTuple(offs, span)
+        assert first_obstruction(t) == (covered[0] if covered else None)
+        assert is_admissible(t) == (not covered)
+
+
 @given(t=offset_tuples, p=st.sampled_from([2, 3, 5, 7, 11, 13]))
 @settings(max_examples=60, deadline=None)
 def test_member_count_over_period(t, p):
