@@ -22,7 +22,7 @@ from .moments import (
     threshold,
     twisted_moment,
 )
-from .primes import primes_in, sieve_segment
+from .primes import primes_in
 from .singular import SingularSeriesValue, gallagher_average, singular_series
 from .tuples import (
     SEPTUPLE_OFFSETS,
@@ -58,7 +58,6 @@ __all__ = [
     "lambda_block",
     "primes_in",
     "pure_moment",
-    "sieve_segment",
     "singular_series",
     "supported_theta",
     "threshold",

@@ -63,7 +63,7 @@ import numpy as np
 from .errors import BudgetError, RegimeError
 from .parallel import block_spans, ordered_imap
 from .primes import (SEGMENT_FLAGS, SUPPORTED_SIEVE_BOUND, LogSum, _repeated_fsum, log_parts,
-                     log_sum, primes_in, sieve_segment)
+                     log_sum, primes_in)
 from .serialize import OUTSIDE_DOC, Report
 from .singular import DEFAULT_TOL, singular_series
 from .tuples import OffsetTuple, extend, omega_residues
@@ -458,8 +458,10 @@ def twisted_moment(
     force: bool = False,
 ) -> MomentReport:
     """Empirical sum of varpi(n+h) W(n)^2 over (N, 2N] with the main term
-    picked by membership of h in the tuple.  An N whose chunks would sieve
-    past SUPPORTED_SIEVE_BOUND is refused before any chunk is formed."""
+    picked by membership of h, an exact integer, in the tuple.  An N whose
+    chunks would sieve past SUPPORTED_SIEVE_BOUND is refused before any
+    chunk is formed."""
+    h = operator.index(h)
     if t.k != params.k:
         raise ValueError(f"tuple size {t.k} does not match params.k = {params.k}")
     if not (1 <= h <= params.span_bound):
@@ -514,13 +516,18 @@ def _detector_chunk(args):
     a positive parenthesis.  The flagged n come back only when collect is
     set.  Witnesses are (n, first prime, second prime) rows for the first
     cap flagged n.
+
+    The primes of (lo, hi + span) come from primes_in, and flags, set at
+    their offsets pos from lo + 1, lets the sums read them by position.
     """
     t, wp, lo, hi, span, log3n, mode, cap, collect = args
     table = divisor_table(t, wp.R)
     size = hi - lo
-    flags = sieve_segment(lo + 1, hi + span)  # flags[j]: is lo + 1 + j prime
-    pos = np.flatnonzero(flags)
-    part_hi, part_lo = log_parts(lo + 1 + pos)
+    ps = primes_in(lo + 1, hi + span)
+    pos = ps - (lo + 1)
+    flags = np.zeros(size + span - 1, dtype=bool)  # flags[j]: is lo + 1 + j prime
+    flags[pos] = True
+    part_hi, part_lo = log_parts(ps)
     key = np.arange(size) if table.tail else table.signatures(lo, hi)
     keys = size if table.tail else table.signature_count
 
@@ -593,12 +600,13 @@ def two_primes_detector(
     parenthesis is positive is counted, and for the first witness_cap such n
     the two witnessing primes in (n, n + span_bound] are reported.  Refuses
     span_bound >= N (positivity is then no longer "two primes"), span_bound
-    >= MAX_DETECTOR_SPAN, a witness_cap below 0 or above MAX_WITNESSES, an N
-    whose chunks would sieve past SUPPORTED_SIEVE_BOUND, and in window mode a
-    span_bound^k past the float range.
+    >= MAX_DETECTOR_SPAN, a witness_cap that is no integer, below 0 or above
+    MAX_WITNESSES, an N whose chunks would sieve past SUPPORTED_SIEVE_BOUND,
+    and in window mode a span_bound^k past the float range.
     """
     if h_mode not in ("window", "tuple"):
         raise ValueError(f"unknown h_mode {h_mode!r}")
+    witness_cap = operator.index(witness_cap)
     if witness_cap < 0:
         raise ValueError(f"witness_cap must be >= 0, got {witness_cap}")
     if witness_cap > MAX_WITNESSES:

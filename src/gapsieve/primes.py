@@ -1,19 +1,17 @@
 """Segmented prime generation, exact sums of logs of primes and of repeated
 floats, and the package's one base-prime cache.
 
-One private core (_odd_blocks) sieves the odd numbers of a window by
+One private core (_block_primes) sieves the odd numbers of a window by
 Eratosthenes, one block of 2 * SEGMENT_FLAGS numbers, so SEGMENT_FLAGS flags,
 at a time: one flag per odd number, presieved by tiling the odd half of the
 30030-wheel of the primes 2..13 over the block, then marked by numpy strided
-slices for the primes from 17 on.  Callers that want the primes read them
-from each block's odd flags as first + 2 * index (_block_primes): primes_in,
-which casts each block's primes to the caller's integer dtype and joins them
-once, and base_primes, the base-prime cache, which starts at the wheel
-primes and grows over the new range only.  Callers that read positions (the
-detector's windows) take sieve_segment: one read-only flag per integer of the
-window, 2 included, each block's odd flags spread by one strided copy.  The
-small primes as a tuple of Python ints are memoised once (_prime_tuple) for
-the loops of tuples and singular.  The tiler (_tile_periodic) is private so
+slices for the primes from 17 on, and yields each block's primes, read from
+its odd flags as first + 2 * index.  Two callers read it: primes_in, the one
+public readout, which casts each block's primes to the caller's integer
+dtype and joins them once, and base_primes, the base-prime cache, which
+starts at the wheel primes and grows over the new range only.  The small
+primes as a tuple of Python ints are memoised once (_prime_tuple) for the
+loops of tuples and singular.  The tiler (_tile_periodic) is private so
 that its time counts toward its caller; it also builds the weights'
 small-prime signatures.
 
@@ -41,8 +39,8 @@ SEGMENT_FLAGS = 1 << 20
 # Largest hi accepted by the sieve (comfortably above 2e9).
 SUPPORTED_SIEVE_BOUND = 1 << 34
 
-# Largest window sieve_segment materializes as one flag array (memory guard);
-# larger ranges are sieved as several windows.
+# Largest window primes_in sieves in one call (memory guard); larger ranges
+# are sieved as several windows.
 MAX_MATERIALIZED_FLAGS = 1 << 28
 
 # the tiler repeats shorter periods up to this row length, so that numpy's
@@ -67,12 +65,11 @@ def base_primes(limit: int) -> np.ndarray:
     """Sorted primes <= limit as a read-only int64 view of the shared cache.
 
     The cache grows geometrically, so rising limits cost a constant number of
-    sieves per doubling.  Each growth sieves only the new range, reading its
-    primes from the odd flags of the private core behind sieve_segment, in
-    steps that end by the square of the first number past the cache, so the
-    marking needs only cached primes.  A step is sieved one block of the
-    core at a time and its primes joined to the cache once, so no flag array
-    spans the new range.
+    sieves per doubling.  Each growth sieves only the new range, by the
+    private core behind primes_in, in steps that end by the square of the
+    first number past the cache, so the marking needs only cached primes.  A
+    step is sieved one block of the core at a time and its primes joined to
+    the cache once, so no flag array spans the new range.
     """
     global _BASE_PRIMES, _BASE_LIMIT
     while limit > _BASE_LIMIT:
@@ -111,55 +108,22 @@ def _tile_periodic(pattern: np.ndarray, lo: int, out: np.ndarray, op) -> np.ndar
     return out
 
 
-def sieve_segment(lo: int, hi: int) -> np.ndarray:
-    """Read-only primality flags for [lo, hi) by segmented Eratosthenes:
-    flags[i] is True exactly when lo + i is prime.  The range, the sieve
-    bound and the materialization cap are checked before anything is
-    allocated.
+def _block_primes(lo: int, hi: int):
+    """The sieve's core, unchecked: the sorted int64 primes of [lo, hi), one
+    array per block of 2 * SEGMENT_FLAGS numbers; 2 comes first, on its own,
+    where the window holds it.
 
-    For callers that read positions (lo + i): each block's odd flags from
-    the private core are spread over the window by one strided copy, and 2
-    is set where the window holds it.  Callers that want the primes
-    themselves use primes_in, which reads them from the odd flags directly.
+    A block keeps one flag per odd number, flags[j] for first + 2j with first
+    its first odd number.  The flags are presieved by the odd half of the
+    wheel of the primes 2..13, which are then marked prime again where the
+    block holds them, and marked in place by the other base primes up to the
+    root of its last number: each p strides through odd index space from its
+    first odd multiple at or above max(p^2, first), so base primes inside
+    the block stay marked prime.  The block's primes are first + 2 * index
+    of its set flags.
     """
-    _check_window(lo, hi)
-    flags = np.zeros(hi - lo, dtype=bool)
-    for first, odd in _odd_blocks(lo, hi):
-        flags[first - lo : first - lo + 2 * len(odd) : 2] = odd
     if lo == 2:
-        flags[0] = True
-    flags.setflags(write=False)
-    return flags
-
-
-def _check_window(lo: int, hi: int) -> None:
-    """Refuse [lo, hi) unless 2 <= lo < hi <= SUPPORTED_SIEVE_BOUND and the
-    window is within MAX_MATERIALIZED_FLAGS."""
-    if not (2 <= lo < hi):
-        raise SieveRangeError(f"need 2 <= lo < hi, got [{lo}, {hi})")
-    if hi > SUPPORTED_SIEVE_BOUND:
-        raise SieveRangeError(f"hi={hi} exceeds supported sieve bound {SUPPORTED_SIEVE_BOUND}")
-    if hi - lo > MAX_MATERIALIZED_FLAGS:
-        raise SieveRangeError(
-            f"window of {hi - lo} flags exceeds materialization cap "
-            f"{MAX_MATERIALIZED_FLAGS}; sieve it as smaller windows"
-        )
-
-
-def _odd_blocks(lo: int, hi: int):
-    """The sieve's core, unchecked: for each block of [lo, hi) in turn, 2 *
-    SEGMENT_FLAGS numbers each, (first, flags) with first the block's first
-    odd number and the writable flags[j] True exactly when the odd number
-    first + 2j is prime.  Even numbers have no flag.
-
-    A block's flags are presieved by the odd half of the wheel of the primes
-    2..13, which are then marked prime again where the block holds them, and
-    marked in place by the other base primes up to the root of its last
-    number: each p strides through odd index space from its first odd
-    multiple at or above max(p^2, first), so base primes inside the block
-    stay marked prime.  Private, so that base_primes grows the cache without
-    counting as a public sieve call.
-    """
+        yield np.array([2], dtype=np.int64)
     for s in range(lo, hi, 2 * SEGMENT_FLAGS):
         e = min(s + 2 * SEGMENT_FLAGS, hi)
         first = s | 1
@@ -172,32 +136,29 @@ def _odd_blocks(lo: int, hi: int):
         start = np.maximum(ps * ps, ps * (((first - 1) // ps + 1) | 1))
         for i, p in zip(((start - first) >> 1).tolist(), ps.tolist()):
             flags[i::p] = False
-        yield first, flags
-
-
-def _block_primes(lo: int, hi: int):
-    """The sorted int64 primes of [lo, hi), one array per block of the core,
-    read from its odd flags as first + 2 * index; 2 comes first, on its own,
-    where the window holds it.  Unchecked."""
-    if lo == 2:
-        yield np.array([2], dtype=np.int64)
-    for first, odd in _odd_blocks(lo, hi):
-        ps = np.flatnonzero(odd)
-        ps *= 2
-        ps += first
-        yield ps
+        found = np.flatnonzero(flags)
+        found *= 2
+        found += first
+        yield found
 
 
 def primes_in(lo: int, hi: int, dtype=np.int64) -> np.ndarray:
     """Sorted primes in [lo, hi) in the integer dtype, which must hold hi - 1.
 
     The window is sieved one block of the private core at a time, each
-    block's primes read from its odd flags and cast to dtype, and the blocks
-    joined once: no flag array spans the window, and a narrow dtype keeps no
-    int64 copy of it.  Makes no sieve_segment call.  The window and the
-    dtype are checked before anything is allocated.
+    block's primes cast to dtype, and the blocks joined once: no flag array
+    spans the window, and a narrow dtype keeps no int64 copy of it.  The
+    window and the dtype are checked before anything is allocated.
     """
-    _check_window(lo, hi)
+    if not (2 <= lo < hi):
+        raise SieveRangeError(f"need 2 <= lo < hi, got [{lo}, {hi})")
+    if hi > SUPPORTED_SIEVE_BOUND:
+        raise SieveRangeError(f"hi={hi} exceeds supported sieve bound {SUPPORTED_SIEVE_BOUND}")
+    if hi - lo > MAX_MATERIALIZED_FLAGS:
+        raise SieveRangeError(
+            f"window of {hi - lo} flags exceeds materialization cap "
+            f"{MAX_MATERIALIZED_FLAGS}; sieve it as smaller windows"
+        )
     dtype = np.dtype(dtype)
     if dtype.kind not in "iu" or np.iinfo(dtype).max < hi - 1:
         raise SieveRangeError(f"dtype {dtype} cannot hold the primes below {hi}")

@@ -60,6 +60,7 @@ array outlives its call, and nothing is memoised by tuple or profile.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -215,12 +216,13 @@ def singular_series_extended(
 
 
 def _truncation_prime(span_bound: int, tol: float, truncation_prime: int | None) -> int:
-    """The truncation prime P0, after checking it and tol."""
+    """The truncation prime P0, after checking it and tol; a given P0 is
+    taken as an exact integer by operator.index."""
     if not tol > 0:  # NaN too, before any tail pass runs
         raise ValueError(f"tolerance must be positive, got {tol}")
     if tol < 1e-14:
         raise ToleranceError(f"tolerance {tol} below double-precision floor 1e-14")
-    p0 = truncation_prime if truncation_prime is not None else max(TRUNCATION_FLOOR, span_bound)
+    p0 = max(TRUNCATION_FLOOR, span_bound) if truncation_prime is None else operator.index(truncation_prime)
     if p0 < span_bound:
         raise ValueError(
             f"truncation prime {p0} below span bound {span_bound}: "

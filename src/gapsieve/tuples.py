@@ -11,6 +11,7 @@ never by forming that product.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
@@ -28,7 +29,7 @@ ENUMERATION_BUDGET = 2_000_000
 
 @dataclass(frozen=True)
 class OffsetTuple:
-    """Strictly increasing distinct offsets within [1, span_bound]."""
+    """Strictly increasing distinct integer offsets within [1, span_bound]."""
 
     offsets: tuple[int, ...]
     span_bound: int = 0  # 0 means "use the largest offset"
@@ -36,13 +37,13 @@ class OffsetTuple:
     def __post_init__(self) -> None:
         if not self.offsets:
             raise ValueError("offset tuple must be nonempty")
-        offs = tuple(int(h) for h in self.offsets)
+        offs = tuple(operator.index(h) for h in self.offsets)
         if len(set(offs)) != len(offs):
             raise ValueError(f"duplicate offsets in {offs}")
         offs = tuple(sorted(offs))
         if offs[0] < 1:
             raise ValueError(f"offsets must be >= 1, got {offs[0]}")
-        span = self.span_bound if self.span_bound else offs[-1]
+        span = operator.index(self.span_bound) or offs[-1]
         if offs[-1] > span:
             raise ValueError(f"offset {offs[-1]} exceeds span bound {span}")
         object.__setattr__(self, "offsets", offs)
@@ -156,11 +157,13 @@ def unrank_combination(span_bound: int, k: int, index: int) -> tuple[int, ...]:
 
 def enumeration_size(span_bound: int, k: int, stride: int = 1, phase: int = 0) -> int:
     """How many k-subsets of [1, span_bound] the stride sample at phase
-    holds; BudgetError above ENUMERATION_BUDGET.
+    holds; BudgetError above ENUMERATION_BUDGET.  All four are taken as
+    exact integers by operator.index.
 
     C(n, m) >= 2^m for m <= n/2, so a count far over budget is refused
     before the binomial is formed; any other is counted exactly.
     """
+    span_bound, k, stride, phase = map(operator.index, (span_bound, k, stride, phase))
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > span_bound:

@@ -1,10 +1,12 @@
 """Independent oracles the tests check the library against.
 
-Each computes its quantity the plain way: the dyadic progression sum by one
-fsum over the sieved primes, the weight of one d <= R from the primes that
-divide it, the block weights from the primes <= R that divide some n + h,
-and the bilinear form by direct double summation.  The primes come from the
-base-prime cache, each tested by direct divisibility; nothing is factored.
+Each computes its quantity the plain way: the primes of a window by the
+plain sieve of Eratosthenes, the dyadic progression sum by one fsum over the
+sieved primes, the weight of one d <= R from the primes that divide it, the
+block weights from the primes <= R that divide some n + h, and the bilinear
+form by direct double summation.  Apart from prime_flags, the primes come
+from the library's sieve, each tested by direct divisibility; nothing is
+factored.
 lambda_bruteforce shares weights._weight_value with lambda_block, so any
 disagreement isolates the divisor-finding logic rather than float noise.
 """
@@ -19,6 +21,23 @@ from gapsieve.moments import _divisor_pairs
 from gapsieve.primes import base_primes, primes_in
 from gapsieve.tuples import OffsetTuple, omega_size
 from gapsieve.weights import WeightParams, _weight_value
+
+
+def prime_flags(lo: int, hi: int) -> np.ndarray:
+    """flags[i] is True exactly when lo + i is prime, for 2 <= lo < hi.
+
+    The window alone is sieved: each prime up to the root of hi - 1, found
+    by this same function over [2, root], strikes its multiples from
+    max(p^2, its first multiple >= lo) in one strided pass over the whole
+    window.  No wheel, no blocks and no base_primes, so it shares none of
+    the library sieve's machinery.
+    """
+    flags = np.ones(hi - lo, dtype=bool)
+    root = math.isqrt(hi - 1)
+    if root >= 2:
+        for p in (2 + np.flatnonzero(prime_flags(2, root + 1))).tolist():
+            flags[max(p * p, -(-lo // p) * p) - lo :: p] = False
+    return flags
 
 
 def theta_star(y: int, a: int, q: int) -> float:

@@ -31,12 +31,11 @@ from gapsieve.moments import (
     threshold,
     twisted_moment,
 )
-from gapsieve.primes import sieve_segment
 from gapsieve.serialize import canonical_json
 from gapsieve.singular import gallagher_average, singular_series
 from gapsieve.tuples import SEPTUPLE_OFFSETS, TWIN_OFFSETS, OffsetTuple, enumerate_tuples, is_admissible
 from gapsieve.weights import WeightParams, lambda_block
-from oracles import lambda_bruteforce
+from oracles import lambda_bruteforce, prime_flags
 
 TWIN = OffsetTuple(TWIN_OFFSETS)
 SEPTUPLE = OffsetTuple(SEPTUPLE_OFFSETS)
@@ -323,7 +322,7 @@ def test_criterion_08_detector_semantics():
     rep = _c08_report(1)
     _doc("08", 1)
     N, span = 10**6, 100
-    flags = sieve_segment(N + 1, 2 * N + span + 1)
+    flags = prime_flags(N + 1, 2 * N + span + 1)
     counts = np.concatenate([[0], np.cumsum(flags.astype(np.int64))])
     # counts[j] = primes in [N+1, N+1+j); window (n, n+span] spans flag
     # indices [n-N, n+span-N)

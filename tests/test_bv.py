@@ -153,6 +153,19 @@ def test_grid_refusals(grid, message):
         bv_deviation(10**4, Fraction(1, 3), grid=grid)
 
 
+def test_grid_needs_four_points():
+    # x = 1000 by halves: 1000, 500, 250 down to 200, and 125 too down to 125
+    with pytest.raises(ValueError, match="^grid has 3 points, need >= 4; lower y_min$"):
+        bv_deviation(1000, Fraction(1, 2), GridSpec(2, 200))
+    assert bv_deviation(1000, Fraction(1, 2), GridSpec(2, 125)).y_grid == (1000, 500, 250, 125)
+
+
+def test_theta_denominator_up_to_10000():
+    assert [row.q for row in bv_deviation(1000, Fraction(1, 10_000)).rows] == [1]
+    with pytest.raises(ValueError, match="^theta = 1/10001: denominator above 10000$"):
+        bv_deviation(1000, Fraction(1, 10_001))
+
+
 def test_grid_takes_exact_integers():
     for change in ({"factor": 2.5}, {"y_min": 100.0}):
         with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):

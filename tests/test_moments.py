@@ -37,10 +37,10 @@ from gapsieve.moments import (
     twisted_moment,
 )
 from gapsieve.parallel import block_spans
-from gapsieve.primes import _repeated_fsum, log_sum, sieve_segment
+from gapsieve.primes import _repeated_fsum, log_sum
 from gapsieve.tuples import SEPTUPLE_OFFSETS, TWIN_OFFSETS, OffsetTuple, omega_residues
 from gapsieve.weights import WeightParams, divisor_table, lambda_block
-from oracles import double_sum_T, lambda_weight
+from oracles import double_sum_T, lambda_weight, prime_flags
 
 TWIN = OffsetTuple(TWIN_OFFSETS)
 
@@ -314,7 +314,7 @@ def test_detector_chunk_is_the_per_n_sum(mode, t, R):
     wp = WeightParams(R, t.k + 1)
     vals = lambda_block(t, wp, lo, hi).values
     n = np.arange(lo, hi)
-    flags = sieve_segment(lo + 1, hi + span)
+    flags = prime_flags(lo + 1, hi + span)
     w = np.full(hi - lo, -log3n)
     for h in range(1, span + 1) if mode == "window" else t.offsets:
         w += np.where(flags[h - 1 : h - 1 + hi - lo], np.log((n + h).astype(np.float64)), 0.0)
@@ -336,7 +336,7 @@ def test_detector_chunk_is_the_per_n_sum(mode, t, R):
 
 def _loop_witnesses(t, lo, hi, span, mode, cap):
     """The first cap flagged n with their first two primes, one n at a time."""
-    flags = sieve_segment(lo + 1, hi + span)
+    flags = prime_flags(lo + 1, hi + span)
     seen_by = range(1, span + 1) if mode == "window" else t.offsets
     out = []
     for i in range(hi - lo):
@@ -434,7 +434,7 @@ def test_detector_witnesses_are_real_primes():
                        collect_positives=True, witness_cap=200)
     assert det.positive_count > 0
     assert det.witnesses
-    flags = sieve_segment(N + 1, 2 * N + span + 1)
+    flags = prime_flags(N + 1, 2 * N + span + 1)
     for w in det.witnesses:
         n, p1, p2 = w["n"], w["p1"], w["p2"]
         assert n < p1 < p2 <= n + span
@@ -495,7 +495,7 @@ def test_twisted_chunk_is_bitwise_the_block_formula(t, R, h):
     wp = WeightParams(R, t.k + 1)
     table = divisor_table(t, R)
     lo, hi = 10**6 + 17, 10**6 + 17 + 300_000
-    flags = sieve_segment(lo + h, hi + h)
+    flags = prime_flags(lo + h, hi + h)
     logs = np.log((lo + h + np.flatnonzero(flags)).astype(np.float64))
     vals = lambda_block(t, wp, lo, hi).values[flags]
     got = moments._twisted_chunk((t, wp, lo, hi, h))
@@ -564,7 +564,7 @@ def _per_n_sums(t, params, h, span, log3n):
     lo, hi = params.N + 1, 2 * params.N + 1
     vals = lambda_block(t, wp, lo, hi).values
     n = np.arange(lo, hi)
-    flags = sieve_segment(lo + 1, hi + span)
+    flags = prime_flags(lo + 1, hi + span)
     seen = [(flags[g - 1 : g - 1 + hi - lo], np.log((n + g).astype(np.float64))) for g in range(1, span + 1)]
     twisted = math.fsum((vals * vals * seen[h - 1][1])[seen[h - 1][0]])
     w = np.full(hi - lo, -log3n)
@@ -831,6 +831,35 @@ def test_twisted_refuses_a_span_below_the_tuples():
     params = SieveParams(N=10**4, R=10.0, k=2, l=1, span_bound=5)
     with pytest.raises(ValueError, match="^params.span_bound 5 below tuple span 10$"):
         twisted_moment(OffsetTuple((1, 3), 10), 2, params)
+
+
+@pytest.mark.parametrize("run", [
+    lambda params: twisted_moment(TWIN, 3.0, params),
+    lambda params: two_primes_detector(params, [TWIN], witness_cap=2.5),
+], ids=["twisted-h", "detector-witness_cap"])
+def test_moment_entry_points_take_exact_integers(monkeypatch, run):
+    # a float is refused before any span or table forms, not inside a chunk,
+    # where with workers > 1 it would fail in a pool process
+    def no_work(*args, **kwargs):
+        raise AssertionError("spans or a table were built")
+
+    params = _params(10**4, span=10)
+    monkeypatch.setattr(moments, "block_spans", no_work)
+    monkeypatch.setattr(moments, "divisor_table", no_work)
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        run(params)
+
+
+def test_regime_caps_allow_one_part_in_1e12():
+    # R at the cap exactly is inside the regime, and 1e-10 past it is not
+    at_cap = SieveParams(N=10**6, R=1000.0, k=2, l=1, span_bound=3)
+    assert at_cap.pure_regime_violations() == []
+    past = SieveParams(N=10**6, R=1000 * (1 + 1e-10), k=2, l=1, span_bound=3)
+    assert past.pure_regime_violations() == ["R 1000.0000001 > N^(1/2) = 1000"]
+    at_cap = SieveParams(N=10**12, R=1000.0, k=2, l=1, span_bound=3)
+    assert at_cap.twisted_regime_violations() == []
+    past = SieveParams(N=10**12, R=1000 * (1 + 1e-10), k=2, l=1, span_bound=3)
+    assert past.twisted_regime_violations() == ["R 1000.0000001 > N^(theta/2) = 1000 at theta = 1/2"]
 
 
 def test_detector_refuses_an_unknown_h_mode():

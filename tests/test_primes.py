@@ -16,9 +16,8 @@ from gapsieve.primes import (
     log_parts,
     log_sum,
     primes_in,
-    sieve_segment,
 )
-from oracles import theta_star
+from oracles import prime_flags, theta_star
 
 
 def test_first_primes():
@@ -32,23 +31,16 @@ def test_known_decade():
 def test_million_window_against_trial_division(trial_division_is_prime):
     expected = [n for n in range(10**6, 10**6 + 10**3) if trial_division_is_prime(n)]
     assert list(primes_in(10**6, 10**6 + 10**3)) == expected
-    assert np.count_nonzero(sieve_segment(10**6, 10**6 + 10**3)) == 75
+    assert len(expected) == 75
 
 
 def test_range_errors():
     with pytest.raises(SieveRangeError):
-        sieve_segment(10, 10)
+        primes_in(10, 10)
     with pytest.raises(SieveRangeError):
-        sieve_segment(1, 5)
+        primes_in(1, 5)
     with pytest.raises(SieveRangeError):
-        sieve_segment(2, SUPPORTED_SIEVE_BOUND + 1)
-
-
-def test_segment_immutable():
-    flags = sieve_segment(2, 50)
-    assert flags.dtype == bool and len(flags) == 48
-    with pytest.raises(ValueError):
-        flags[0] = False
+        primes_in(2, SUPPORTED_SIEVE_BOUND + 1)
 
 
 @given(
@@ -60,40 +52,19 @@ def test_segment_immutable():
 def test_segment_concatenation(lo, width1, width2):
     mid = lo + width1
     hi = mid + width2
-    joined = np.concatenate([sieve_segment(lo, mid), sieve_segment(mid, hi)])
-    assert np.array_equal(joined, sieve_segment(lo, hi))
+    joined = np.concatenate([primes_in(lo, mid), primes_in(mid, hi)])
+    assert np.array_equal(joined, primes_in(lo, hi))
 
 
-def _eratosthenes(hi):
-    """Plain sieve of Eratosthenes over [0, hi): the oracle for the block sieve."""
-    flags = np.ones(hi, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(hi - 1) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return flags
-
-
-def _window_oracle(lo, hi):
-    """Flags for [lo, hi) alone: the primes up to the root of hi from the plain
-    sieve, each striking its multiples from max(p^2, first multiple >= lo) in
-    one strided pass over the whole window; no wheel, no blocks, no
-    base_primes, so it shares none of sieve_segment's machinery."""
-    flags = np.ones(hi - lo, dtype=bool)  # lo >= 2, as sieve_segment requires
-    for p in np.flatnonzero(_eratosthenes(math.isqrt(hi - 1) + 1)).tolist():
-        flags[max(p * p, -(-lo // p) * p) - lo :: p] = False
-    return flags
-
-
-def test_window_oracle_is_the_plain_sieve():
+def test_window_oracle_is_the_plain_sieve(trial_division_is_prime):
+    # prime_flags, the window oracle the sieve is checked against, against
+    # trial division
     for lo, hi in [(2, 3), (2, 1000), (5, 12), (90, 100), (961, 962), (1000, 5000)]:
-        assert np.array_equal(_window_oracle(lo, hi), _eratosthenes(hi)[lo:])
+        assert prime_flags(lo, hi).tolist() == [trial_division_is_prime(n) for n in range(lo, hi)]
 
 
 def _assert_window_is_oracle(lo, hi):
-    expected = _window_oracle(lo, hi)
-    assert np.array_equal(sieve_segment(lo, hi), expected)
-    assert np.array_equal(primes_in(lo, hi), lo + np.flatnonzero(expected))
+    assert np.array_equal(primes_in(lo, hi), lo + np.flatnonzero(prime_flags(lo, hi)))
 
 
 # windows for the odd-only core: starting at 2, at each wheel prime and at
@@ -159,13 +130,12 @@ def test_materialization_cap_refuses_before_allocating(monkeypatch):
 
     monkeypatch.setattr(primes, "MAX_MATERIALIZED_FLAGS", 100)
     monkeypatch.setattr(primes.np, "ones", no_allocation)
-    for fn in (sieve_segment, primes_in):
-        with pytest.raises(SieveRangeError, match="exceeds materialization cap 100") as err:
-            fn(10, 111)
-        assert "segments" not in str(err.value)
+    with pytest.raises(SieveRangeError, match="exceeds materialization cap 100") as err:
+        primes_in(10, 111)
+    assert "segments" not in str(err.value)
     # a window at the cap is accepted and reaches the allocation
     with pytest.raises(AssertionError, match="flag array allocated"):
-        sieve_segment(10, 110)
+        primes_in(10, 110)
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.uint32, np.int32])
@@ -183,7 +153,7 @@ def test_primes_in_matches_plain_eratosthenes_on_core_windows_in_any_dtype(dtype
 def _assert_primes_in_is_oracle(lo, hi, dtype):
     got = primes_in(lo, hi, dtype=dtype)
     assert got.dtype == dtype
-    assert np.array_equal(got, lo + np.flatnonzero(_window_oracle(lo, hi)))
+    assert np.array_equal(got, lo + np.flatnonzero(prime_flags(lo, hi)))
 
 
 def test_primes_in_refuses_before_allocating(monkeypatch):
@@ -247,33 +217,10 @@ def _seed_cache(monkeypatch):
     monkeypatch.setattr(primes, "_BASE_LIMIT", 16)
 
 
-def test_primes_in_makes_no_public_sieve_call(monkeypatch):
-    # primes_in reads its primes from the core's odd flags, so the bench's
-    # flag count sees only the callers that read positions
-    def counted(lo, hi):
-        raise AssertionError(f"primes_in called sieve_segment({lo}, {hi})")
-
-    monkeypatch.setattr(primes, "sieve_segment", counted)
-    lo, hi = 10**6, 10**6 + 3 * primes.SEGMENT_FLAGS
-    assert np.array_equal(primes_in(lo, hi), lo + np.flatnonzero(_window_oracle(lo, hi)))
-
-
-def test_base_primes_growth_makes_no_public_sieve_call(monkeypatch):
-    # the bench counts the flags of every public sieve_segment call, so a
-    # growing cache must not add to them
-    def counted(lo, hi):
-        raise AssertionError(f"base_primes called sieve_segment({lo}, {hi})")
-
-    _seed_cache(monkeypatch)
-    monkeypatch.setattr(primes, "sieve_segment", counted)
-    limit = 3 * 10**6
-    assert np.array_equal(base_primes(limit), np.flatnonzero(_eratosthenes(limit + 1)))
-
-
 def test_base_primes_growth_holds_no_range_wide_flags(monkeypatch):
     # growing from 1e6 to 1e7 marks one SEGMENT_FLAGS block at a time: what
     # is held is the new primes, their joined copy and one block's flags
-    plain = np.flatnonzero(_eratosthenes(10**7 + 1))
+    plain = 2 + np.flatnonzero(prime_flags(2, 10**7 + 1))
     seed = plain[: np.searchsorted(plain, 10**6, side="right")].copy()
     seed.setflags(write=False)
     monkeypatch.setattr(primes, "_BASE_PRIMES", seed)
@@ -291,7 +238,7 @@ def test_base_primes_growth_holds_no_range_wide_flags(monkeypatch):
 
 def test_base_primes_extension_across_doublings_is_the_plain_sieve(monkeypatch):
     _seed_cache(monkeypatch)
-    plain = np.flatnonzero(_eratosthenes(2 * 10**6 + 1))
+    plain = 2 + np.flatnonzero(prime_flags(2, 2 * 10**6 + 1))
     limits = []
     for limit in (16, 17, 288, 289, 1000, 2047, 5000, 70_001, 2 * 10**6):
         got = base_primes(limit)
@@ -301,7 +248,7 @@ def test_base_primes_extension_across_doublings_is_the_plain_sieve(monkeypatch):
     # the cache grew in several steps, each sieving only the new range
     assert len(set(limits)) >= 5
     cache = primes._BASE_PRIMES
-    assert np.array_equal(cache, np.flatnonzero(_eratosthenes(primes._BASE_LIMIT + 1)))
+    assert np.array_equal(cache, 2 + np.flatnonzero(prime_flags(2, primes._BASE_LIMIT + 1)))
 
 
 # ---------------------------------------------------------------------------

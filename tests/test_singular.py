@@ -211,10 +211,20 @@ def test_tolerance_errors():
      "truncation prime 3 must exceed 2k = 4"),
     (lambda: singular_series(TWIN, tol=1e-14, truncation_prime=10**6), ToleranceError,
      r"certified tail bound \d\.\d{3}e-14 does not reach tol 1\.000e-14 at truncation prime 1000000"),
+    # an exact integer: 1000.5 would otherwise be reported as the truncation prime
+    (lambda: singular_series(TWIN, truncation_prime=1000.5), TypeError,
+     "'float' object cannot be interpreted as an integer"),
 ])
 def test_series_refusals(run, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         run()
+
+
+def test_truncation_prime_cap_is_inclusive():
+    # the validator alone, so that no sieve to 1e8 runs
+    assert singular._truncation_prime(3, 1e-12, 10**8) == 10**8
+    with pytest.raises(ToleranceError, match="^truncation prime 100000001 exceeds cap 100000000$"):
+        singular._truncation_prime(3, 1e-12, 10**8 + 1)
 
 
 def test_tail_series_cap(monkeypatch):
@@ -281,6 +291,12 @@ def test_gallagher_validates_only_a_given_worker_count(monkeypatch):
     assert gallagher_average(20, 2) == gallagher_average(20, 2, workers=3)
     with pytest.raises(ValueError, match="worker count must be >= 1, got 0"):
         gallagher_average(20, 2, workers=0)
+
+
+def test_gallagher_takes_an_exact_stride():
+    # refused by enumeration_size, not by a float's missing bit_length
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        gallagher_average(20, 2, stride=2.0)
 
 
 def test_gallagher_k2_trend_small():

@@ -1,6 +1,7 @@
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -160,6 +161,31 @@ def test_enumeration_budget_is_checked_at_the_call(monkeypatch):
     assert enumeration_size(5, 2, stride=3, phase=1) == 3
     with pytest.raises(BudgetError, match="= 10 exceeds budget 4;"):
         enumerate_tuples(5, 2)
+
+
+def test_enumeration_bound_switches_to_the_power_of_two_past_2_to_the_21():
+    # C(42, 21) is counted exactly, as the budget's bit length is 21; C(44,
+    # 22) is refused by its 2^22 lower bound
+    with pytest.raises(BudgetError, match=r"^C\(42,21\)/1 = 538257874440 exceeds budget 2000000;"):
+        enumeration_size(42, 21)
+    with pytest.raises(BudgetError, match=r"^C\(44,22\)/1 >= 2\^22/1 exceeds budget 2000000;"):
+        enumeration_size(44, 22)
+
+
+@pytest.mark.parametrize("args", [(20.0, 2), (20, 2.0), (20, 2, 2.0), (20, 2, 2, 1.0)])
+def test_enumeration_size_takes_exact_integers(args):
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        enumeration_size(*args)
+
+
+def test_offset_tuple_takes_exact_integers():
+    # int() would truncate 1.5 and read "13" as the twin (1, 3)
+    for offsets, span in (((1.5, 3), 0), ("13", 0), ((1, 3), 3.5)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer$"):
+            OffsetTuple(offsets, span)
+    t = OffsetTuple((np.int64(3), np.uint8(1)), np.int32(5))
+    assert (t.offsets, t.span_bound) == ((1, 3), 5)
+    assert [type(v) for v in (*t.offsets, t.span_bound)] == [int, int, int]
 
 
 @pytest.mark.parametrize("run, message", [

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapsieve.errors import BudgetError, RegimeError
-from gapsieve.primes import sieve_segment
 from gapsieve.tuples import SEPTUPLE_OFFSETS, TWIN_OFFSETS, OffsetTuple, is_admissible
 from gapsieve import weights
 from gapsieve.weights import (
@@ -15,7 +14,7 @@ from gapsieve.weights import (
     divisor_table,
     lambda_block,
 )
-from oracles import lambda_bruteforce, lambda_weight
+from oracles import lambda_bruteforce, lambda_weight, prime_flags
 
 TWIN = OffsetTuple(TWIN_OFFSETS)
 SEPTUPLE = OffsetTuple(SEPTUPLE_OFFSETS)
@@ -104,7 +103,7 @@ def test_table_and_block_refusals():
 def test_prime_window_value_is_exact():
     wp = WeightParams(50.0, 2)
     blk = lambda_block(TWIN, wp, 10**4, 2 * 10**4)
-    flags = sieve_segment(10**4, 2 * 10**4 + 4)  # flags[i]: is 10^4 + i prime
+    flags = prime_flags(10**4, 2 * 10**4 + 4)  # flags[i]: is 10^4 + i prime
     expected = math.log(50.0) ** 2 / 2
     hits = 0
     for n in range(10**4, 2 * 10**4):
@@ -151,7 +150,7 @@ def test_membership_reduction_identity():
     wp = WeightParams(80.0, 3)
     with_h = lambda_block(TWIN, wp, 10**4, 10**4 + 2000)
     without_h = lambda_block(OffsetTuple((1,)), wp, 10**4, 10**4 + 2000)
-    flags = sieve_segment(10**4, 10**4 + 2004)  # flags[i]: is 10^4 + i prime
+    flags = prime_flags(10**4, 10**4 + 2004)  # flags[i]: is 10^4 + i prime
     checked = 0
     for n in range(10**4, 10**4 + 2000):
         if flags[n + 3 - 10**4]:
