@@ -39,9 +39,9 @@ SEGMENT_FLAGS = 1 << 20
 # Largest hi accepted by the sieve (comfortably above 2e9).
 SUPPORTED_SIEVE_BOUND = 1 << 34
 
-# Largest window primes_in sieves in one call (memory guard); larger ranges
-# are sieved as several windows.
-MAX_MATERIALIZED_FLAGS = 1 << 28
+# Longest window [lo, hi) primes_in sieves in one call: it bounds the work
+# and the primes one call returns; longer ranges are sieved as several windows.
+MAX_WINDOW_LENGTH = 1 << 28
 
 # the tiler repeats shorter periods up to this row length, so that numpy's
 # inner loops stay long
@@ -154,10 +154,10 @@ def primes_in(lo: int, hi: int, dtype=np.int64) -> np.ndarray:
         raise SieveRangeError(f"need 2 <= lo < hi, got [{lo}, {hi})")
     if hi > SUPPORTED_SIEVE_BOUND:
         raise SieveRangeError(f"hi={hi} exceeds supported sieve bound {SUPPORTED_SIEVE_BOUND}")
-    if hi - lo > MAX_MATERIALIZED_FLAGS:
+    if hi - lo > MAX_WINDOW_LENGTH:
         raise SieveRangeError(
-            f"window of {hi - lo} flags exceeds materialization cap "
-            f"{MAX_MATERIALIZED_FLAGS}; sieve it as smaller windows"
+            f"window of {hi - lo} numbers exceeds window-length cap "
+            f"{MAX_WINDOW_LENGTH}; sieve it as smaller windows"
         )
     dtype = np.dtype(dtype)
     if dtype.kind not in "iu" or np.iinfo(dtype).max < hi - 1:

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -247,27 +248,42 @@ def _old_grid_point_devs(y, phi):
 
 def _assert_kernel_is_oracle(y, q_max):
     phi, divisors = bv._modulus_sieve(q_max)
-    devs, best_a = bv._grid_point_devs((y, phi, divisors))
+    devs, best_a = bv._grid_point_devs((y, phi, divisors, bv._carrier_plan(q_max)))
     old_devs, old_best_a = _old_grid_point_devs(y, phi)
     assert devs.tobytes() == old_devs.tobytes()
     assert best_a.tobytes() == old_best_a.tobytes()
 
 
+@pytest.fixture(params=["default-cut", "cut-0"])
+def plan(request, monkeypatch):
+    """The kernel at its own cut, where a window of fewer than CARRIER_CUT
+    primes runs every modulus as its own carrier, and at a cut of 0, where
+    every window shares carriers, folds and recomputes."""
+    if request.param == "cut-0":
+        monkeypatch.setattr(bv, "CARRIER_CUT", 0)
+    return request.param
+
+
 # y at both sides of each dtype edge; small y has q > 2y, and primes dividing
 # q (3 | 6 at y = 2) land in struck classes
 _KERNEL_YS = [2, 3, 100, 127, 128, 255, 256, 32767, 32768, 40000, 10**6]
-_KERNEL_Q_MAXES = [100, 3000]
+# the moduli up to 5 are their own carriers, so their primes fit in uint8 while y < 128
+_KERNEL_Q_MAXES = [5, 100, 3000]
 
 
 @pytest.mark.parametrize("q_max", _KERNEL_Q_MAXES)
 @pytest.mark.parametrize("y", _KERNEL_YS)
-def test_grid_point_kernel_is_the_old_loop_bit_for_bit(y, q_max):
+def test_grid_point_kernel_is_the_old_loop_bit_for_bit(y, q_max, plan):
     _assert_kernel_is_oracle(y, q_max)
 
 
 def test_grid_point_kernel_grid_covers_every_narrow_dtype():
-    # the kernel's residue dtype is np.min_scalar_type(max(2y, q_max))
-    routes = {np.min_scalar_type(max(2 * y, q_max)) for y in _KERNEL_YS for q_max in _KERNEL_Q_MAXES}
+    # the kernel's residue dtype is np.min_scalar_type of 2y and its largest carrier
+    routes = {
+        np.min_scalar_type(max(2 * y, *(M for M, _ in bv._carrier_plan(q_max))))
+        for y in _KERNEL_YS
+        for q_max in _KERNEL_Q_MAXES
+    }
     assert routes == {np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.uint32)}
 
 
@@ -280,10 +296,13 @@ def _window_with(count, limit=1 << 14):
 
 @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["below", "at", "above"])
 @pytest.mark.parametrize("blocks", [1, 3])
-def test_grid_point_kernel_carries_class_sums_across_blocks(blocks, extra, monkeypatch):
+def test_grid_point_kernel_carries_class_sums_across_blocks(blocks, extra, plan, monkeypatch):
     # windows of a whole number of blocks, one prime short and one over; 200
-    # moduli span several groups
+    # moduli span several groups, and the recompute carries its sums across
+    # chunks of 16 odd numbers
     monkeypatch.setattr(bv, "PRIME_BLOCK", 16)
+    monkeypatch.setattr(bv, "GROUP_SLOTS", 1000)
+    monkeypatch.setattr(bv, "RECOMPUTE_FLAGS", 16)
     y = _window_with(16 * blocks + extra)
     assert len(primes_in(y + 1, 2 * y + 1)) == 16 * blocks + extra
     _assert_kernel_is_oracle(y, 200)
@@ -294,20 +313,29 @@ def test_grid_point_kernel_carries_class_sums_across_blocks(blocks, extra, monke
     y=st.integers(2, 3000),
     q_max=st.integers(2, 250),
     block=st.integers(1, 80),
-    group=st.integers(1, 70),
+    slots=st.integers(1, 3000),
+    cut=st.sampled_from([0, bv.CARRIER_CUT]),
+    limit=st.sampled_from([40, 500, bv.CARRIER_LIMIT]),
+    rider=st.sampled_from([2, bv.RIDER_MIN]),
+    flags=st.integers(1, 100),
 )
-def test_grid_point_kernel_is_the_old_loop_for_any_blocking(y, q_max, block, group):
+def test_grid_point_kernel_is_the_old_loop_for_any_blocking(y, q_max, block, slots, cut, limit, rider, flags):
     # small y leaves many classes empty, so the maxima mod q tie and the
-    # moduli 2q (q odd) must take the least odd lift among the tied classes
-    saved = bv.PRIME_BLOCK, bv.MODULUS_GROUP
-    bv.PRIME_BLOCK, bv.MODULUS_GROUP = block, group
+    # moduli 2q (q odd) must take the least odd lift among the tied classes;
+    # at a cut of 0 the tied classes are found by the recompute, and a
+    # RIDER_MIN of 2 folds even q = 2
+    names = ("PRIME_BLOCK", "GROUP_SLOTS", "CARRIER_CUT", "CARRIER_LIMIT", "RIDER_MIN", "RECOMPUTE_FLAGS")
+    saved = [getattr(bv, name) for name in names]
+    for name, value in zip(names, (block, slots, cut, limit, rider, flags)):
+        setattr(bv, name, value)
     try:
         _assert_kernel_is_oracle(y, q_max)
     finally:
-        bv.PRIME_BLOCK, bv.MODULUS_GROUP = saved
+        for name, value in zip(names, saved):
+            setattr(bv, name, value)
 
 
-def test_grid_point_kernel_uint64_route(monkeypatch):
+def test_grid_point_kernel_uint64_route(plan, monkeypatch):
     # synthetic odd "primes" just above 2^32: nothing is sieved, and 2y > 2^32
     # sends the residues through uint64.  Being odd, they also take the odd
     # lifts from q to 2q, as real primes above 2 do.
@@ -318,12 +346,114 @@ def test_grid_point_kernel_uint64_route(monkeypatch):
     _assert_kernel_is_oracle(y, 700)
 
 
+def _bucketed(q_max):
+    return [q for q in range(2, q_max + 1) if q % 4 != 2 or q == 2]
+
+
+@pytest.mark.parametrize("q_max, limit", [(1, 8192), (2, 8192), (5, 8192), (177, 8192), (1412, 8192), (300, 64)])
+def test_carrier_plan_holds_each_bucketed_modulus_once_on_a_multiple(q_max, limit, monkeypatch):
+    monkeypatch.setattr(bv, "CARRIER_LIMIT", limit)
+    plan = bv._carrier_plan(q_max)
+    assert sorted(q for _, qs in plan for q in qs) == _bucketed(q_max)
+    for M, qs in plan:
+        assert list(qs) == sorted(qs, reverse=True)
+        assert all(M % q == 0 for q in qs)
+        # a modulus past the limit is its own carrier; no other carrier passes it
+        assert M <= limit or qs == (M,)
+        # and so is a modulus below RIDER_MIN
+        assert min(qs) >= bv.RIDER_MIN or qs == (M,)
+
+
+def test_carrier_plan_shares_the_passes():
+    # at x = 1e7, theta = 9/20: 1,059 moduli in 462 residue passes, 797 of them folded
+    plan = bv._carrier_plan(1412)
+    assert sum(len(qs) for _, qs in plan) == 1059
+    assert len(plan) == 462
+    assert sum(q != M for M, qs in plan for q in qs) == 797
+
+
+def test_carrier_plan_is_cheap_at_the_modulus_budget():
+    # a pairwise lcm sweep over the 75,000 bucketed moduli would run for hours
+    start = time.perf_counter()
+    plan = bv._carrier_plan(bv.MODULUS_BUDGET)
+    assert time.perf_counter() - start < 5.0
+    assert sum(len(qs) for _, qs in plan) == len(_bucketed(bv.MODULUS_BUDGET))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    q=st.integers(2, 40),
+    k=st.integers(1, 40),
+    c=st.floats(0.0, 1e12),
+    data=st.data(),
+)
+def test_fold_error_bounds_folded_against_sequential_deviations(q, k, c, data):
+    # nonnegative values over many magnitudes, added in order into a carrier
+    # of k * q classes and into the q classes directly, as the kernel does
+    n = data.draw(st.integers(1, 400))
+    values = np.array(data.draw(st.lists(st.floats(0.0, 1e12), min_size=n, max_size=n)))
+    slots = np.array(data.draw(st.lists(st.integers(0, k * q - 1), min_size=n, max_size=n)))
+    carrier, sequential = np.zeros(k * q), np.zeros(q)
+    np.add.at(carrier, slots, values)
+    np.add.at(sequential, slots % q, values)
+    folded = np.abs(carrier.reshape(k, q).sum(axis=0) - c)
+    bound = bv._fold_error(n, k, folded.max(), c)
+    assert np.all(np.abs(folded - np.abs(sequential - c)) <= bound)
+
+
+def _recomputed(monkeypatch):
+    """The (q, classes) each _sequential_sums call of the kernel is asked for."""
+    seen = []
+    recompute = bv._sequential_sums
+
+    def spy(ps, wanted):
+        seen.extend((q, classes.tolist()) for q, classes in wanted)
+        return recompute(ps, wanted)
+
+    monkeypatch.setattr(bv, "_sequential_sums", spy)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "scale, want",
+    [(1.0, [13, 17]), (0.25, [17]), (100.0, [1, 3, 7, 9, 11, 13, 17, 19])],
+    ids=["within-2E", "beyond-2E", "every-coprime-class"],
+)
+def test_near_tie_recomputes_both_classes(scale, want, monkeypatch):
+    # mod 20 at y = 1000, the classes 17 and 13 deviate most, by 30.19 and
+    # 21.11, and the next, 3, by 9.04; a bound E of their gap puts 13 within
+    # 2E of the maximum, so both are summed again, and a quarter of it does
+    # not.  A bound past the maximum takes every coprime class, but never a
+    # struck one
+    y, q_max = 1000, 20
+    devs = {a: abs(theta_star(y, a, 20) - y / 8) for a in range(20) if math.gcd(a, 20) == 1}
+    gap = devs[17] - devs[13]
+    assert sorted(devs, key=devs.get)[-3:] == [3, 13, 17] and devs[3] < devs[17] - 2 * gap
+    monkeypatch.setattr(bv, "CARRIER_CUT", 0)
+    monkeypatch.setattr(bv, "_fold_error", lambda n, k, top, c: scale * gap)
+    seen = _recomputed(monkeypatch)
+    assert (1360, (20, 17, 16)) in bv._carrier_plan(q_max)
+    _assert_kernel_is_oracle(y, q_max)
+    assert dict(seen)[20] == want
+
+
+def test_folded_moduli_recompute_one_class_each(monkeypatch):
+    # at a window of 70,435 primes and 150 moduli, 125 of them folded, the
+    # bound leaves one class per folded modulus to sum again
+    y, q_max = 10**6, 200
+    seen = _recomputed(monkeypatch)
+    _assert_kernel_is_oracle(y, q_max)
+    assert len(seen) == sum(q != M for M, qs in bv._carrier_plan(q_max) for q in qs)
+    assert all(len(classes) == 1 for _, classes in seen)
+
+
 # unsorted, with gaps, 1 and 2 among them, and moduli above the prime count
 # of the small windows; every modulus fits in uint8
 _CLASS_MODULI = [250, 7, 1, 30, 2, 13, 97, 4, 3, 64, 211]
 
 
-@pytest.mark.parametrize("blocking", [None, (16, 3)], ids=["default-blocking", "block-16-group-3"])
+# slots 100 give 250 a group of its own, then 7 + 1 + 30 + 2 + 13, 97, 4 + 3 + 64 and 211
+@pytest.mark.parametrize("blocking", [None, (16, 100)], ids=["default-blocking", "block-16-slots-100"])
 @pytest.mark.parametrize(
     "lo, hi, dtype",
     [
@@ -339,7 +469,7 @@ _CLASS_MODULI = [250, 7, 1, 30, 2, 13, 97, 4, 3, 64, 211]
 def test_class_sums_are_one_whole_window_bincount_per_modulus(lo, hi, dtype, blocking, monkeypatch):
     if blocking is not None:
         monkeypatch.setattr(bv, "PRIME_BLOCK", blocking[0])
-        monkeypatch.setattr(bv, "MODULUS_GROUP", blocking[1])
+        monkeypatch.setattr(bv, "GROUP_SLOTS", blocking[1])
     ps = primes_in(lo, hi, dtype=dtype)
     logs = np.log(ps, dtype=np.float64)
     got = list(bv._class_sums(ps, _CLASS_MODULI))
@@ -361,7 +491,7 @@ def test_grid_point_holds_no_window_wide_array():
     n = len(primes_in(y + 1, 2 * y + 1))
     tracemalloc.start()
     try:
-        bv._grid_point_devs((y, phi, divisors))
+        bv._grid_point_devs((y, phi, divisors, bv._carrier_plan(q_max)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -372,8 +502,8 @@ def test_grid_point_holds_no_window_wide_array():
 def test_over_cap_x_is_refused_before_any_grid_point(workers, monkeypatch):
     # primes_in refuses a window (x, 2x] past the sieve's cap, so x past it
     # is refused up front, not after the grid points already in flight
-    monkeypatch.setattr(primes, "MAX_MATERIALIZED_FLAGS", 1 << 14)
-    monkeypatch.setattr(bv, "MAX_MATERIALIZED_FLAGS", 1 << 14)
+    monkeypatch.setattr(primes, "MAX_WINDOW_LENGTH", 1 << 14)
+    monkeypatch.setattr(bv, "MAX_WINDOW_LENGTH", 1 << 14)
     assert bv_deviation(1 << 14, Fraction(9, 20), workers=1).x == 1 << 14
 
     def no_sieve(lo, hi, dtype=np.int64):
@@ -386,13 +516,13 @@ def test_over_cap_x_is_refused_before_any_grid_point(workers, monkeypatch):
 
 def test_probe_sieves_its_moduli_once_whatever_the_grid(monkeypatch):
     calls = []
-    sieve = bv._modulus_sieve
 
-    def counting_sieve(q_max):
-        calls.append(q_max)
-        return sieve(q_max)
+    def counting(name):
+        build = getattr(bv, name)
+        monkeypatch.setattr(bv, name, lambda q_max: calls.append((name, q_max)) or build(q_max))
 
-    monkeypatch.setattr(bv, "_modulus_sieve", counting_sieve)
+    counting("_modulus_sieve")
+    counting("_carrier_plan")
     x = 10**5
     q_max = rational_power_floor(x, Fraction(9, 20))
     grid_lengths = set()
@@ -400,5 +530,5 @@ def test_probe_sieves_its_moduli_once_whatever_the_grid(monkeypatch):
         calls.clear()
         table = bv_deviation(x, Fraction(9, 20), GridSpec(y_min=y_min), workers=1)
         grid_lengths.add(len(table.y_grid))
-        assert calls == [q_max]
+        assert calls == [("_modulus_sieve", q_max), ("_carrier_plan", q_max)]
     assert len(grid_lengths) == 2

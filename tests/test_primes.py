@@ -124,20 +124,6 @@ def _assert_small_blocks_are_oracle(lo, hi):
         _assert_window_is_oracle(lo, hi)
 
 
-def test_materialization_cap_refuses_before_allocating(monkeypatch):
-    def no_allocation(*args, **kwargs):
-        raise AssertionError("flag array allocated")
-
-    monkeypatch.setattr(primes, "MAX_MATERIALIZED_FLAGS", 100)
-    monkeypatch.setattr(primes.np, "ones", no_allocation)
-    with pytest.raises(SieveRangeError, match="exceeds materialization cap 100") as err:
-        primes_in(10, 111)
-    assert "segments" not in str(err.value)
-    # a window at the cap is accepted and reaches the allocation
-    with pytest.raises(AssertionError, match="flag array allocated"):
-        primes_in(10, 110)
-
-
 @pytest.mark.parametrize("dtype", [np.int64, np.uint32, np.int32])
 def test_primes_in_blocks_match_plain_eratosthenes_in_any_dtype(dtype):
     # block edges not aligned with the window's ends
@@ -160,11 +146,15 @@ def test_primes_in_refuses_before_allocating(monkeypatch):
     def no_allocation(*args, **kwargs):
         raise AssertionError("array allocated")
 
-    monkeypatch.setattr(primes, "MAX_MATERIALIZED_FLAGS", 100)
+    monkeypatch.setattr(primes, "MAX_WINDOW_LENGTH", 100)
     monkeypatch.setattr(primes.np, "ones", no_allocation)
     monkeypatch.setattr(primes.np, "empty", no_allocation)
-    with pytest.raises(SieveRangeError, match="exceeds materialization cap 100"):
+    with pytest.raises(SieveRangeError, match="^window of 101 numbers exceeds window-length cap 100; ") as err:
         primes_in(10, 111, dtype=np.uint8)
+    assert "segments" not in str(err.value)
+    # a window at the cap is accepted and reaches the allocation
+    with pytest.raises(AssertionError, match="array allocated"):
+        primes_in(10, 110, dtype=np.uint8)
     # 256 > 255, the largest uint8; a float type holds no primes
     for dtype in (np.uint8, np.int8, np.float64):
         with pytest.raises(SieveRangeError, match=f"dtype {np.dtype(dtype)} cannot hold the primes below 257"):
