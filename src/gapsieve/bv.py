@@ -29,7 +29,7 @@ index order.  A q that is its own carrier has its sequential sums; a folded
 one has others, within a bound E of them (_fold_error), so only its classes
 within 2E of the folded maximum can hold the sequential one, and those are
 summed again in prime order (_sequential_sums) before the maximum, its ties
-and the odd lifts are read.  Windows of fewer than CARRIER_CUT primes run
+and the odd lifts are read.  A window (y, 2y] with y below CARRIER_CUT runs
 each modulus as its own carrier.
 
 The exact maximum over all y <= x is infeasible and the dyadic sums change
@@ -66,9 +66,13 @@ CARRIER_LIMIT = 8192
 # a modulus below this is its own carrier: summing a class of it again would
 # read more flags than one more residue pass costs
 RIDER_MIN = 16
-# a window of fewer primes runs each modulus as its own carrier: below it,
-# the fold and the recompute cost more than the shared passes save
-CARRIER_CUT = 1 << 14
+# a window (y, 2y] of y below this runs each modulus as its own carrier:
+# there the fold and the recompute cost more than the shared passes save.
+# On the grids of x = 1e5, 1e6, 1e7 at theta = 9/20 (2-core x86_64, one
+# process), sharing is slower at y = 125,000 and faster from 156,250, and
+# the 31 points below the cut take 0.28 s on their own carriers against
+# 0.46 s shared (medians of 10 alternating pairs, all 10 lower)
+CARRIER_CUT = 1 << 17
 # odd numbers flagged at a time when class sums are recomputed
 RECOMPUTE_FLAGS = 1 << 19
 # the exact floor of x^theta compares q^den with x^num, whose size grows with
@@ -271,6 +275,8 @@ def _grid_point_devs(args) -> tuple[np.ndarray, np.ndarray]:
     carrier plan."""
     y, phi, divisors, plan = args
     q_max = len(phi) - 1
+    if y < CARRIER_CUT:
+        plan = [(q, (q,)) for _, qs in plan for q in qs]  # each modulus its own carrier
     # the primes are sieved block by block straight into the narrowest
     # unsigned type holding every p and carrier, and each pass forms its
     # block's logs, so neither int64 primes nor the window's logs are held
@@ -295,8 +301,6 @@ def _grid_point_devs(args) -> tuple[np.ndarray, np.ndarray]:
             devs[2 * q] = cls[i]
             best_a[2 * q] = np.where(ties % 2, ties, ties + q).min()
 
-    if len(ps) < CARRIER_CUT:
-        plan = [(q, (q,)) for _, qs in plan for q in qs]  # each modulus its own carrier
     folded = []  # (q, y / phi(q), the classes near the folded maximum)
     for (M, qs), (_, sums) in zip(plan, _class_sums(ps, [M for M, _ in plan])):
         for q in qs:

@@ -256,9 +256,9 @@ def _assert_kernel_is_oracle(y, q_max):
 
 @pytest.fixture(params=["default-cut", "cut-0"])
 def plan(request, monkeypatch):
-    """The kernel at its own cut, where a window of fewer than CARRIER_CUT
-    primes runs every modulus as its own carrier, and at a cut of 0, where
-    every window shares carriers, folds and recomputes."""
+    """The kernel at its own cut, where a window (y, 2y] with y below
+    CARRIER_CUT runs every modulus as its own carrier, and at a cut of 0,
+    where every window shares carriers, folds and recomputes."""
     if request.param == "cut-0":
         monkeypatch.setattr(bv, "CARRIER_CUT", 0)
     return request.param
@@ -267,8 +267,7 @@ def plan(request, monkeypatch):
 # y at both sides of each dtype edge; small y has q > 2y, and primes dividing
 # q (3 | 6 at y = 2) land in struck classes
 _KERNEL_YS = [2, 3, 100, 127, 128, 255, 256, 32767, 32768, 40000, 10**6]
-# the moduli up to 5 are their own carriers, so their primes fit in uint8 while y < 128
-_KERNEL_Q_MAXES = [5, 100, 3000]
+_KERNEL_Q_MAXES = [100, 3000]
 
 
 @pytest.mark.parametrize("q_max", _KERNEL_Q_MAXES)
@@ -277,14 +276,28 @@ def test_grid_point_kernel_is_the_old_loop_bit_for_bit(y, q_max, plan):
     _assert_kernel_is_oracle(y, q_max)
 
 
-def test_grid_point_kernel_grid_covers_every_narrow_dtype():
-    # the kernel's residue dtype is np.min_scalar_type of 2y and its largest carrier
-    routes = {
-        np.min_scalar_type(max(2 * y, *(M for M, _ in bv._carrier_plan(q_max))))
-        for y in _KERNEL_YS
-        for q_max in _KERNEL_Q_MAXES
-    }
-    assert routes == {np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.uint32)}
+class _Sieved(Exception):
+    """Stops the kernel at its sieve, carrying the dtype it asked for."""
+
+
+def test_grid_point_kernel_grid_covers_every_narrow_dtype(monkeypatch):
+    # the kernel sieves into np.min_scalar_type of 2y and the largest carrier
+    # it runs; below the cut each modulus is its own carrier, so a window of
+    # y = 2 under q_max = 100 keeps uint8, though the plan's carriers pass 255
+    def sieve(lo, hi, dtype):
+        raise _Sieved(np.dtype(dtype))
+
+    monkeypatch.setattr(bv, "primes_in", sieve)
+    routes = {}
+    for q_max in _KERNEL_Q_MAXES:
+        phi, divisors = bv._modulus_sieve(q_max)
+        plan = bv._carrier_plan(q_max)
+        for y in _KERNEL_YS:
+            with pytest.raises(_Sieved) as stop:
+                bv._grid_point_devs((y, phi, divisors, plan))
+            routes[y, q_max] = stop.value.args[0]
+    assert set(routes.values()) == {np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.uint32)}
+    assert routes[2, 100] == np.uint8 and max(M for M, _ in bv._carrier_plan(100)) > 255
 
 
 def _window_with(count, limit=1 << 14):
