@@ -188,7 +188,8 @@ def _class_sums(ps: np.ndarray, moduli: list[int]) -> Iterator[tuple[int, np.nda
     the p = a (mod q) of the primes ps in the order of ps, the sum
     np.bincount(ps % q, weights=np.log(ps)) gives.  ps is unsigned, and its
     dtype holds every q.  The moduli run in groups of at most GROUP_SLOTS
-    class sums (one modulus at least)."""
+    class sums (one modulus at least), and a group's sums are let go before
+    the next group's are allocated, so one group is alive at a time."""
     m = min(PRIME_BLOCK, len(ps))
     quot, res, logs = np.empty(m, dtype=ps.dtype), np.empty(m, dtype=np.intp), np.empty(m)
     end = 0
@@ -212,6 +213,7 @@ def _class_sums(ps: np.ndarray, moduli: list[int]) -> Iterator[tuple[int, np.nda
                 np.subtract(block, qb, out=rb)
                 np.add.at(cls, rb, lb)
         yield from zip(group, sums)
+        sums = cls = None  # cls holds the last of them: both go before the next group's sums come
 
 
 def _fold_error(n: int, k: int, top: float, c: float) -> float:

@@ -170,6 +170,7 @@ def primes_in(lo: int, hi: int, dtype=np.int64) -> np.ndarray:
 LOG_PART_BITS = 26
 _PART_MASK = (1 << LOG_PART_BITS) - 1
 _FRAC_MASK = (1 << 2 * LOG_PART_BITS) - 1
+_PART_SCALE = float(1 << LOG_PART_BITS)
 
 
 def log_parts(ps) -> tuple[np.ndarray, np.ndarray]:
@@ -182,10 +183,13 @@ def log_parts(ps) -> tuple[np.ndarray, np.ndarray]:
     ps = np.asarray(ps, dtype=np.int64)
     if ps.size and (ps.min() < 3 or ps.max() > SUPPORTED_SIEVE_BOUND):
         raise ValueError(f"log parts need 3 <= p <= {SUPPORTED_SIEVE_BOUND}")
-    scaled = np.ldexp(np.log(ps.astype(np.float64)), LOG_PART_BITS)
+    # scaled in place by 2^26, a power of two, so every product is exact
+    scaled = np.log(ps, dtype=np.float64)
+    scaled *= _PART_SCALE
     hi = np.floor(scaled)
-    lo = np.ldexp(scaled - hi, LOG_PART_BITS)
-    return hi.astype(np.int64), lo.astype(np.int64)
+    scaled -= hi
+    scaled *= _PART_SCALE
+    return hi.astype(np.int64), scaled.astype(np.int64)
 
 
 class LogSum:

@@ -5,6 +5,16 @@ compact separators, floats at 17 significant digits (round-trip exact for
 doubles).  Identical documents therefore serialize to identical bytes, which
 is what the determinism guarantees and the manifest fingerprints rest on.
 
+The emitter dispatches on a value's exact type; an instance of a subclass
+(a numpy float64, a dict or list subclass) is emitted as the first of its
+base types float, str, int, dict, list, tuple and Fraction, exactly as an
+instance of that type.  Every string goes through the encoder json.dumps(s,
+ensure_ascii=False) uses.  A dict's sorted keys, each pre-encoded with its
+separator, come from a bounded cache keyed by the dict's keys in insertion
+order, so a layout that repeats (one per row of a table) is sorted and
+encoded once.  Non-finite floats (ValueError), non-string keys and values of
+any other type (TypeError) are refused.
+
 Report.doc is the one rule for a report's document: its fields, less those
 marked OUTSIDE_DOC, plus its class's `kind`; nested reports become documents,
 Fractions strings and tuples lists, and lists and dicts pass through uncopied.
@@ -17,6 +27,7 @@ import functools
 import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 
 def fmt_float(x: float) -> str:
@@ -25,52 +36,75 @@ def fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-# one encoder for every string: what json.dumps(s, ensure_ascii=False) gives
-_encode_str = json.JSONEncoder(ensure_ascii=False).encode
+# the exact types of JSON values; an instance of a subclass is emitted as its
+# base type (_base_type), so a numpy float64 as a float
+_EXACT_TYPES = frozenset((float, int, str, dict, list, tuple, bool, type(None), Fraction))
+# dict layouts whose sorted, pre-encoded keys are kept
+LAYOUT_CACHE = 256
 
 
 def canonical_json(obj) -> str:
     parts: list[str] = []
-    _emit(obj, parts)
+    _emit(obj, parts.append)
     return "".join(parts)
 
 
-def _emit(obj, parts: list[str]) -> None:
-    # the commonest types first; bool before int, of which it is a subclass
-    if isinstance(obj, float):
-        parts.append(fmt_float(obj))
-    elif isinstance(obj, str):
-        parts.append(_encode_str(obj))
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise TypeError(f"canonical JSON keys must be strings, got {key!r}")
-            if i:
-                parts.append(",")
-            parts.append(_encode_str(key))
-            parts.append(":")
-            _emit(obj[key], parts)
-        parts.append("}")
-    elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                parts.append(",")
-            _emit(item, parts)
-        parts.append("]")
+def _emit(obj, put) -> None:
+    # the commonest types first; type(True) is bool, so no bool takes the
+    # int branch
+    cls = type(obj)
+    if cls not in _EXACT_TYPES:
+        cls = _base_type(obj)
+    if cls is float:
+        put(format(obj, ".17g") if math.isfinite(obj) else fmt_float(obj))
+    elif cls is int:
+        put(str(obj))
+    elif cls is str:
+        put(encode_basestring(obj))
+    elif cls is dict:
+        if obj:
+            for prefix, key in _layout(tuple(obj)):
+                put(prefix)
+                _emit(obj[key], put)
+            put("}")
+        else:
+            put("{}")
+    elif cls is list or cls is tuple:
+        sep = "["
+        for item in obj:
+            put(sep)
+            sep = ","
+            _emit(item, put)
+        put("]" if sep == "," else "[]")
+    elif cls is bool:
+        put("true" if obj else "false")
     elif obj is None:
-        parts.append("null")
-    elif isinstance(obj, Fraction):
-        parts.append(json.dumps(str(obj)))
+        put("null")
     else:
-        raise TypeError(f"no canonical JSON form for {type(obj).__name__}")
+        put(json.dumps(str(obj)))  # a Fraction
+
+
+def _base_type(obj) -> type:
+    """The JSON type an instance of a subclass is emitted as: the first of
+    float, str, int, dict, list, tuple and Fraction it is an instance of;
+    TypeError when none."""
+    for base in (float, str, int, dict, list, tuple, Fraction):
+        if isinstance(obj, base):
+            return base
+    raise TypeError(f"no canonical JSON form for {type(obj).__name__}")
+
+
+@functools.lru_cache(maxsize=LAYOUT_CACHE)
+def _layout(keys: tuple) -> tuple[tuple[str, str], ...]:
+    """A dict's keys, in insertion order, as (prefix, key) in sorted key order,
+    the prefix '{"key":' or ',"key":' pre-encoded.  Keys that are not
+    strings are refused, the first in sorted order named, and no layout is
+    kept for them."""
+    ordered = sorted(keys)
+    for key in ordered:
+        if not isinstance(key, str):
+            raise TypeError(f"canonical JSON keys must be strings, got {key!r}")
+    return tuple((("," if i else "{") + encode_basestring(key) + ":", key) for i, key in enumerate(ordered))
 
 
 def fingerprint(doc) -> str:

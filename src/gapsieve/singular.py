@@ -73,7 +73,7 @@ from .errors import ToleranceError
 from .parallel import resolve_workers
 from .primes import _prime_tuple, _repeated_fsum, base_primes
 from .serialize import Report
-from .tuples import OffsetTuple, enumerate_tuples, enumeration_size, extended_omega_size, omega_size
+from .tuples import OffsetTuple, enumerate_tuples, enumeration_size, extended_omega_size, omega_profile
 
 DEFAULT_TOL = 1e-12
 TRUNCATION_FLOOR = 1000
@@ -194,8 +194,7 @@ def singular_series(
 ) -> SingularSeriesValue:
     """Density constant of the tuple with a certified tail bound < tol."""
     p0 = _truncation_prime(t.span_bound, tol, truncation_prime)
-    profile = (omega_size(t, p) for p in _prime_tuple(t.span_bound))
-    return _profile_series(profile, t.k, t.span_bound, p0, tol)
+    return _profile_series(omega_profile(t, _prime_tuple(t.span_bound)), t.k, t.span_bound, p0, tol)
 
 
 def singular_series_extended(

@@ -6,6 +6,13 @@ An offset tuple is a set of distinct positive integers h_1 < ... < h_k inside
 squarefree d the covered classes extend multiplicatively: n is covered mod d
 iff d divides (n + h_1) * ... * (n + h_k), which is always decided per prime,
 never by forming that product.
+
+The number of classes covered mod p, w(p), has one implementation,
+omega_profile: one loop over a tuple's primes, ending at the first fully
+covered one.  The admissibility test and the singular series read it.
+OffsetTuple checks what a caller passes in; enumerate_tuples builds its
+tuples without that check, as each subset it yields is already strictly
+increasing inside [1, span_bound].
 """
 
 from __future__ import annotations
@@ -37,10 +44,12 @@ class OffsetTuple:
     def __post_init__(self) -> None:
         if not self.offsets:
             raise ValueError("offset tuple must be nonempty")
-        offs = tuple(operator.index(h) for h in self.offsets)
-        if len(set(offs)) != len(offs):
+        # each offset taken as an exact integer and sorted in one pass; a
+        # duplicate then sits next to its twin, and the ends are the least
+        # and the largest offset
+        offs = tuple(sorted(map(operator.index, self.offsets)))
+        if any(map(operator.eq, offs, offs[1:])):
             raise ValueError(f"duplicate offsets in {offs}")
-        offs = tuple(sorted(offs))
         if offs[0] < 1:
             raise ValueError(f"offsets must be >= 1, got {offs[0]}")
         span = operator.index(self.span_bound) or offs[-1]
@@ -48,6 +57,15 @@ class OffsetTuple:
             raise ValueError(f"offset {offs[-1]} exceeds span bound {span}")
         object.__setattr__(self, "offsets", offs)
         object.__setattr__(self, "span_bound", span)
+
+    @classmethod
+    def _checked(cls, offsets: tuple[int, ...], span_bound: int) -> OffsetTuple:
+        """The tuple of offsets the caller has already checked: Python ints,
+        strictly increasing, inside [1, span_bound]; built without running
+        __post_init__ again."""
+        t = object.__new__(cls)
+        t.__dict__.update(offsets=offsets, span_bound=span_bound)
+        return t
 
     @property
     def k(self) -> int:
@@ -78,10 +96,24 @@ def omega_residues(t: OffsetTuple, p: int) -> tuple[int, ...]:
     return tuple(sorted({(-h) % p for h in t.offsets}))
 
 
-def omega_size(t: OffsetTuple, p: int) -> int:
-    if p > t.span_bound:
-        return t.k
-    return len({(-h) % p for h in t.offsets})
+def omega_profile(t: OffsetTuple, primes) -> list[int]:
+    """w(p), the number of classes -h mod p the tuple covers, for each of the
+    ascending primes in turn, through the first fully covered one (w(p) = p),
+    where admissibility fails and the density constant vanishes.
+
+    The one implementation of w(p): the number of distinct h mod p, as
+    negation permutes the classes, and k for every p past the tuple's spread
+    h_k - h_1, where no two offsets agree mod p.
+    """
+    offsets = t.offsets
+    k, spread = len(offsets), offsets[-1] - offsets[0]
+    profile = []
+    for p in primes:
+        w = len({h % p for h in offsets}) if p <= spread else k
+        profile.append(w)
+        if w == p:
+            break
+    return profile
 
 
 def is_admissible(t: OffsetTuple) -> bool:
@@ -95,9 +127,11 @@ def is_admissible(t: OffsetTuple) -> bool:
 
 def first_obstruction(t: OffsetTuple) -> int | None:
     """Smallest prime with every class covered, or None when admissible."""
-    for p in _prime_tuple(t.k):
-        if omega_size(t, p) == p:
-            return p
+    primes = _prime_tuple(len(t.offsets))
+    profile = omega_profile(t, primes)
+    # the profile ends at the first fully covered prime, if any
+    if profile and profile[-1] == primes[len(profile) - 1]:
+        return profile[-1]
     return None
 
 
@@ -200,11 +234,12 @@ def enumerate_tuples(
     yielded.
     """
     enumeration_size(span_bound, k, stride, phase)
-    phase %= stride
+    span_bound, phase = operator.index(span_bound), phase % stride
     if stride == 1:
         source = combinations(range(1, span_bound + 1), k)
     else:
         source = (unrank_combination(span_bound, k, i)
                   for i in range(phase, math.comb(span_bound, k), stride))
-    tuples = (OffsetTuple(offs, span_bound) for offs in source)
+    # each subset is already strictly increasing inside [1, span_bound]
+    tuples = (OffsetTuple._checked(offs, span_bound) for offs in source)
     return (t for t in tuples if is_admissible(t)) if admissible_only else tuples

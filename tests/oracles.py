@@ -7,19 +7,24 @@ block weights from the primes <= R that divide some n + h, and the bilinear
 form by direct double summation.  Apart from prime_flags, the primes come
 from the library's sieve, each tested by direct divisibility; nothing is
 factored.
+canonical_json_oracle is the emitter as a plain isinstance chain, every key
+sorted per dict, and log_parts_ldexp the integer log parts by two np.ldexp
+passes.
 lambda_bruteforce shares weights._weight_value with lambda_block, so any
 disagreement isolates the divisor-finding logic rather than float noise.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from gapsieve.moments import _divisor_pairs
 from gapsieve.primes import base_primes, primes_in
-from gapsieve.tuples import OffsetTuple, omega_size
+from gapsieve.tuples import OffsetTuple, omega_profile
 from gapsieve.weights import WeightParams, _weight_value
 
 
@@ -107,7 +112,8 @@ def double_sum_T(t: OffsetTuple, params: WeightParams) -> float:
     by direct double summation; feasible for R up to a few thousand.  Only R
     and the weight exponent are read, so SieveParams work too."""
     # every prime <= R is itself a table entry, so this covers every lcm
-    omega_of = {int(p): omega_size(t, int(p)) for p in base_primes(int(params.R))}
+    primes = base_primes(int(params.R)).tolist()
+    omega_of = dict(zip(primes, omega_profile(t, primes)))
     terms = []
     for weight, union in _divisor_pairs(t, params):
         lcm = 1
@@ -117,3 +123,66 @@ def double_sum_T(t: OffsetTuple, params: WeightParams) -> float:
             omega *= omega_of[p]
         terms.append(weight * omega / lcm)
     return math.fsum(terms)
+
+
+def log_parts_ldexp(ps) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) with log p = hi * 2^-26 + lo * 2^-52, for int64 primes >= 3:
+    the scaled log by np.ldexp, its floor, and the scaled remainder."""
+    scaled = np.ldexp(np.log(np.asarray(ps, dtype=np.int64).astype(np.float64)), 26)
+    hi = np.floor(scaled)
+    lo = np.ldexp(scaled - hi, 26)
+    return hi.astype(np.int64), lo.astype(np.int64)
+
+
+# every string as json.dumps(s, ensure_ascii=False) writes it
+_encode_str = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def canonical_json_oracle(obj) -> str:
+    """Canonical JSON by one isinstance chain, float and str first: keys
+    sorted per dict, floats at 17 significant digits, tuples as lists,
+    Fractions as strings; non-finite floats (ValueError), non-string keys and
+    other types (TypeError) refused."""
+    parts: list[str] = []
+    _emit(obj, parts)
+    return "".join(parts)
+
+
+def _emit(obj, parts: list[str]) -> None:
+    # bool before int, of which it is a subclass
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite float {obj} has no canonical form")
+        parts.append(format(obj, ".17g"))
+    elif isinstance(obj, str):
+        parts.append(_encode_str(obj))
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, int):
+        parts.append(str(obj))
+    elif isinstance(obj, dict):
+        parts.append("{")
+        for i, key in enumerate(sorted(obj)):
+            if not isinstance(key, str):
+                raise TypeError(f"canonical JSON keys must be strings, got {key!r}")
+            if i:
+                parts.append(",")
+            parts.append(_encode_str(key))
+            parts.append(":")
+            _emit(obj[key], parts)
+        parts.append("}")
+    elif isinstance(obj, (list, tuple)):
+        parts.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                parts.append(",")
+            _emit(item, parts)
+        parts.append("]")
+    elif obj is None:
+        parts.append("null")
+    elif isinstance(obj, Fraction):
+        parts.append(json.dumps(str(obj)))
+    else:
+        raise TypeError(f"no canonical JSON form for {type(obj).__name__}")

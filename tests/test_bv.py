@@ -493,6 +493,29 @@ def test_class_sums_are_one_whole_window_bincount_per_modulus(lo, hi, dtype, blo
         assert [v.hex() for v in cls.tolist()] == [v.hex() for v in want.tolist()]
 
 
+@pytest.mark.parametrize("moduli, largest", [
+    (list(range(2, 700)), bv.GROUP_SLOTS),  # four groups, each near the cap
+    ([40_000, 40_001, 40_002], 40_002),  # each modulus a group of its own
+])
+def test_class_sums_hold_one_group_at_a_time(moduli, largest):
+    # a group's sums, the last of them included, are let go before the next
+    # group's are allocated, so the peak is the largest group, not the two
+    # alive at a change
+    groups, slots = 0, bv.GROUP_SLOTS
+    for q in moduli:  # a modulus that does not fit starts a group
+        groups, slots = (groups + 1, q) if slots + q > bv.GROUP_SLOTS else (groups, slots + q)
+    assert groups >= 3
+    ps = primes_in(10**4, 2 * 10**4, dtype=np.uint32)
+    tracemalloc.start()
+    try:
+        for q, sums in bv._class_sums(ps, moduli):
+            del sums  # so that only _class_sums holds a group's sums
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 8 * largest * 0.9 < peak < 8 * largest * 1.5
+
+
 def test_grid_point_holds_no_window_wide_array():
     # the top point of a probe at x = 2^24: the primes of (y, 2y] are sieved
     # block by block into uint32, and each pass forms its own logs, so what

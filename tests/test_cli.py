@@ -567,6 +567,17 @@ def test_trend_directions(ratios, direction):
     assert emit_trend([{"kind": "pure", "ratio": r} for r in ratios])["direction"] == direction
 
 
+def test_a_trend_needs_two_reports(capsys, tmp_path):
+    for docs in ([], [{"kind": "pure", "ratio": 0.9}]):
+        with pytest.raises(TrendError, match=f"^need >= 2 reports, got {len(docs)}$"):
+            emit_trend(docs)
+    path = tmp_path / "one.json"
+    path.write_text('{"kind":"pure","ratio":0.9}', encoding="utf-8")
+    code, _, err = run_cli(capsys, "trend", str(path))
+    assert code == EXIT_ERROR
+    assert err == "error: need >= 2 reports, got 1\n"
+
+
 def test_a_report_without_a_ratio_has_no_trend(capsys, tmp_path):
     with pytest.raises(TrendError, match=r"^pure report has no ratio \(vanishing main term\)$"):
         emit_trend([{"kind": "pure", "ratio": None}, {"kind": "pure", "ratio": 1.0}])

@@ -145,7 +145,7 @@ def test_bilinear_identity_exact_counts():
 def test_double_sum_density_times_n_matches_exact_counts():
     # N * T differs from the exact-count form only by per-pair boundary
     # effects, each at most the class count of the lcm
-    from gapsieve.tuples import omega_size
+    from gapsieve.tuples import omega_profile
 
     wp = WeightParams(30.0, 3)
     lo, hi = 10**4, 2 * 10**4
@@ -153,7 +153,7 @@ def test_double_sum_density_times_n_matches_exact_counts():
     density = N * double_sum_T(TWIN, wp)
     exact = double_sum_exact_counts(TWIN, wp, lo, hi)
     entries = [(set(e.primes), lambda_weight(e.d, wp)) for e in divisor_table(TWIN, wp.R)]
-    omega_of = {p: omega_size(TWIN, p) for primes, _ in entries for p in primes}
+    omega_of = {p: omega_profile(TWIN, (p,))[0] for primes, _ in entries for p in primes}
     bound = 0.0
     for primes1, w1 in entries:
         for primes2, w2 in entries:

@@ -17,7 +17,7 @@ from gapsieve.primes import (
     log_sum,
     primes_in,
 )
-from oracles import prime_flags, theta_star
+from oracles import log_parts_ldexp, prime_flags, theta_star
 
 
 def test_first_primes():
@@ -278,6 +278,18 @@ def test_log_sum_ignores_order_and_grouping(seed, groups):
     sums = log_sum(group_hi, group_lo)
     for g in range(groups):
         assert float(sums[g]).hex() == math.fsum(logs[label == g]).hex()
+
+
+@settings(max_examples=60, deadline=None)
+@example(lo=3, width=1)
+@example(lo=SUPPORTED_SIEVE_BOUND - 3000, width=3000)
+@given(lo=st.integers(3, SUPPORTED_SIEVE_BOUND - 1), width=st.integers(1, 3000))
+def test_log_parts_are_the_ldexp_parts(lo, width):
+    # the parts scaled by exact multiplies by 2^26 against two np.ldexp
+    # passes, over the primes of a window anywhere in [3, the sieve bound]
+    ps = primes_in(lo, min(lo + width, SUPPORTED_SIEVE_BOUND))
+    got, want = log_parts(ps), log_parts_ldexp(ps)
+    assert all(g.dtype == np.int64 and np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_log_parts_and_sum_refusals():

@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import asdict, fields
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,57 +12,22 @@ from hypothesis import strategies as st
 from gapsieve import bv, moments, singular
 from gapsieve.serialize import OUTSIDE_DOC, Report, canonical_json
 from gapsieve.tuples import TWIN_OFFSETS, OffsetTuple
-
-
-def _oracle(obj) -> str:
-    """canonical_json as it was before its chain put float and str first:
-    None, bool, str, int, float, Fraction, dict, list; every string through
-    json.dumps."""
-    parts: list[str] = []
-
-    def emit(obj):
-        if obj is None:
-            parts.append("null")
-        elif obj is True:
-            parts.append("true")
-        elif obj is False:
-            parts.append("false")
-        elif isinstance(obj, str):
-            parts.append(json.dumps(obj, ensure_ascii=False))
-        elif isinstance(obj, int):
-            parts.append(str(obj))
-        elif isinstance(obj, float):
-            if math.isnan(obj) or math.isinf(obj):
-                raise ValueError(f"non-finite float {obj} has no canonical form")
-            parts.append(format(obj, ".17g"))
-        elif isinstance(obj, Fraction):
-            parts.append(json.dumps(str(obj)))
-        elif isinstance(obj, dict):
-            parts.append("{")
-            for i, key in enumerate(sorted(obj)):
-                if not isinstance(key, str):
-                    raise TypeError(f"canonical JSON keys must be strings, got {key!r}")
-                if i:
-                    parts.append(",")
-                parts.append(json.dumps(key, ensure_ascii=False))
-                parts.append(":")
-                emit(obj[key])
-            parts.append("}")
-        elif isinstance(obj, (list, tuple)):
-            parts.append("[")
-            for i, item in enumerate(obj):
-                if i:
-                    parts.append(",")
-                emit(item)
-            parts.append("]")
-        else:
-            raise TypeError(f"no canonical JSON form for {type(obj).__name__}")
-
-    emit(obj)
-    return "".join(parts)
+from oracles import canonical_json_oracle
 
 
 class _Text(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Tuple(tuple):
     pass
 
 
@@ -70,10 +36,13 @@ leaves = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(),
+    st.integers(min_value=2**63 - 4, max_value=2**80) | st.integers(min_value=-(2**80), max_value=-(2**63) + 4),
     finite,
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1e308, -1.7976931348623157e308]),
     finite.map(np.float64),
     st.fractions(),
     st.text(),
+    st.text(alphabet=st.characters(max_codepoint=0x9F) | st.sampled_from('"\\\u2028\U0001f600')),
     st.text().map(_Text),
 )
 documents = st.recursive(
@@ -81,19 +50,33 @@ documents = st.recursive(
     lambda children: st.one_of(
         st.lists(children, max_size=5),
         st.lists(children, max_size=5).map(tuple),
+        st.lists(children, max_size=5).map(_List),
+        st.lists(children, max_size=5).map(_Tuple),
         st.dictionaries(st.text(), children, max_size=5),
+        st.dictionaries(st.text(), children, max_size=5).map(_Dict),
+        # one layout, shared by every row, as a table's rows share one
+        st.lists(st.tuples(children, children), max_size=4).map(lambda rows: [{"b": b, "a": a} for a, b in rows]),
     ),
     max_leaves=40,
 )
 
 
-@settings(max_examples=120, deadline=None)
-@example(doc={"é": ["ünï", " ", "\x00", '"\\'], "a": (1, True, 0, False, None)})
+@settings(max_examples=150, deadline=None)
+@example(doc={"é": ["ünï", " ", "\x00", '"\\'], "a": (1, True, 0, False, None)})
 @example(doc=[(), [], {}, ((),), [[[]]], {"": {}}])
 @example(doc=(np.float64(0.1), 0.1, -0.0, 1e300, 5e-324, Fraction(-3, 7), 2**70, True, 1))
+@example(doc=[{"x": 1, "y": 2}, {"y": 3, "x": 4}, _Dict(y=5, x=6), {"x": _List([7]), "z": _Tuple((8,))}])
 @given(doc=documents)
 def test_canonical_json_is_the_isinstance_emitter_byte_for_byte(doc):
-    assert canonical_json(doc) == _oracle(doc)
+    assert canonical_json(doc) == canonical_json_oracle(doc)
+
+
+def test_canonical_json_is_the_isinstance_emitter_on_every_reference_document():
+    reference = json.loads((Path(__file__).parents[1] / "bench" / "reference" / "seed0.json").read_text())
+    docs = [entry["doc"] for entries in reference.values() for entry in entries]
+    assert len(docs) == 15
+    for doc in docs:
+        assert canonical_json(doc) == canonical_json_oracle(doc)
 
 
 @pytest.mark.parametrize(
@@ -102,17 +85,23 @@ def test_canonical_json_is_the_isinstance_emitter_byte_for_byte(doc):
         (math.nan, ValueError),
         ([1.0, -math.inf], ValueError),
         ({"x": np.float64(math.inf)}, ValueError),
+        ({"x": 1.0, "y": [np.float64(-math.nan)]}, ValueError),
         ({1: "a"}, TypeError),
         ({"a": {2: 0}}, TypeError),
+        ({2: 0, 1: 0}, TypeError),
+        ({"a": 0, 1: 0}, TypeError),  # keys that do not sort
+        (_Dict({None: 0}), TypeError),
         (np.int64(3), TypeError),
         ({"a": {1, 2}}, TypeError),
+        ([b"bytes"], TypeError),
     ],
 )
 def test_canonical_json_refuses_what_the_isinstance_emitter_refuses(doc, error):
-    with pytest.raises(error):
-        _oracle(doc)
-    with pytest.raises(error):
+    with pytest.raises(error) as oracle:
+        canonical_json_oracle(doc)
+    with pytest.raises(error) as emitter:
         canonical_json(doc)
+    assert (type(emitter.value), str(emitter.value)) == (type(oracle.value), str(oracle.value))
 
 
 # every report class and its document's keys; the detector's positives stay out

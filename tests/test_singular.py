@@ -24,7 +24,7 @@ from gapsieve.tuples import (
     enumerate_tuples,
     extend,
     is_admissible,
-    omega_size,
+    omega_profile,
 )
 
 TWIN = OffsetTuple(TWIN_OFFSETS)
@@ -264,14 +264,10 @@ def test_septuple_value_against_direct_product():
     # any tail machinery.  The raw product itself misses the tail, whose log
     # is negative and of size at most (k^2 - k)/2 * sum_{p > 10^6} p^-2, so
     # the corrected value must sit just below it within that window.
-    from gapsieve.primes import base_primes
-    from gapsieve.tuples import omega_size
-
     t = OffsetTuple(SEPTUPLE_OFFSETS)
+    primes = base_primes(10**6).tolist()
     logs = 0.0
-    for p in base_primes(10**6):
-        p = int(p)
-        w = omega_size(t, p)
+    for p, w in zip(primes, omega_profile(t, primes), strict=True):
         logs += math.log1p(-w / p) - t.k * math.log1p(-1.0 / p)
     raw = math.exp(logs)
     v = singular_series(t)
@@ -422,9 +418,7 @@ def test_block_profiles_are_the_omega_sizes(span_bound, data):
     want = []
     for t in tuples_:
         # every w(p) up to and including the first fully covered prime
-        sizes = [omega_size(t, p) for p in primes]
-        ends = [i + 1 for i, (w, p) in enumerate(zip(sizes, primes)) if w == p]
-        want.append(tuple(sizes[: min(ends, default=len(primes))]))
+        want.append(tuple(omega_profile(t, primes)))
     assert got == want
 
 

@@ -19,7 +19,7 @@ from gapsieve.tuples import (
     first_obstruction,
     is_admissible,
     normalize_offsets,
-    omega_size,
+    omega_profile,
     unrank_combination,
 )
 
@@ -45,6 +45,19 @@ def test_construction_rules():
         OffsetTuple(())
 
 
+@pytest.mark.parametrize("offsets, span, message", [
+    ((), 0, "offset tuple must be nonempty"),
+    ((5, 1, 5), 0, r"duplicate offsets in \(1, 5, 5\)"),
+    ((0, 0), 0, r"duplicate offsets in \(0, 0\)"),  # duplicates are named first
+    ((4, -2), 0, "offsets must be >= 1, got -2"),
+    ((1, 9), 6, "offset 9 exceeds span bound 6"),
+    ((2, 7), -1, "offset 7 exceeds span bound -1"),
+])
+def test_construction_refusals(offsets, span, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        OffsetTuple(offsets, span)
+
+
 def test_normalize_pattern():
     offs, shift = normalize_offsets([0, 2, 6, 8, 12, 18, 20])
     assert shift == 1
@@ -52,9 +65,9 @@ def test_normalize_pattern():
 
 
 def test_omega_examples():
-    assert omega_size(TWIN, 2) == 1  # -1 and -3 are both odd
-    assert omega_size(SEPTUPLE, 7) == 6  # one class escapes
-    assert omega_size(OffsetTuple((1, 3, 5)), 3) == 3  # all classes covered
+    assert omega_profile(TWIN, (2,)) == [1]  # -1 and -3 are both odd
+    assert omega_profile(SEPTUPLE, (7,)) == [6]  # one class escapes
+    assert omega_profile(OffsetTuple((1, 3, 5)), (3,)) == [3]  # all classes covered
 
 
 def test_admissibility():
@@ -75,11 +88,18 @@ def test_first_obstruction_is_the_smallest_fully_covered_prime(span, k):
         assert is_admissible(t) == (not covered)
 
 
-@given(t=offset_tuples, p=st.sampled_from([2, 3, 5, 7, 11, 13]))
-@settings(max_examples=60, deadline=None)
-def test_member_count_over_period(t, p):
-    hits = sum(any((n + h) % p == 0 for h in t.offsets) for n in range(p))
-    assert hits == omega_size(t, p)
+@given(t=offset_tuples, primes=st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 59, 61, 67]), max_size=9))
+@settings(max_examples=80, deadline=None)
+def test_member_count_over_period(t, primes):
+    # w(p) is the number of n mod p that make some n + h divisible by p; the
+    # profile runs through the first fully covered prime
+    primes = sorted(set(primes))
+    want = []
+    for p in primes:
+        want.append(sum(any((n + h) % p == 0 for h in t.offsets) for n in range(p)))
+        if want[-1] == p:
+            break
+    assert omega_profile(t, primes) == want
 
 
 @given(t=offset_tuples, c=st.integers(min_value=0, max_value=50))
@@ -104,11 +124,11 @@ def test_extend():
 def test_extended_omega_growth(t, h, p):
     h = min(h, t.span_bound)
     grown = extended_omega_size(t, h, p)
-    base = omega_size(t, p)
+    (base,) = omega_profile(t, (p,))
     assert grown in (base, base + 1)
     if h not in t.offsets:
         ext = extend(t, h)
-        assert omega_size(ext, p) == grown
+        assert omega_profile(ext, (p,)) == [grown]
         if p > t.span_bound:
             assert grown == t.k + 1
 
@@ -118,6 +138,19 @@ def test_enumeration():
     assert got == [(1, 2), (1, 3), (2, 3)]
     assert enumeration_size(20, 3) == 1140
     assert sum(1 for _ in enumerate_tuples(20, 3)) == 1140
+
+
+@pytest.mark.parametrize("span, k, stride, phase", [
+    (9, 3, 1, 0), (9, 3, 4, 2), (6, 6, 1, 0), (7, 1, 3, 5), (np.int64(8), 2, 1, 0), (np.int32(8), 3, 5, 1),
+])
+def test_enumerated_tuples_are_what_the_checked_constructor_builds(span, k, stride, phase):
+    got = list(enumerate_tuples(span, k, stride=stride, phase=phase))
+    assert [t.offsets for t in got] == list(combinations(range(1, int(span) + 1), k))[phase % stride :: stride]
+    for t in got:
+        assert t == OffsetTuple(t.offsets, int(span))
+        assert hash(t) == hash(OffsetTuple(t.offsets, int(span)))
+        assert [type(v) for v in (*t.offsets, t.span_bound)] == [int] * (k + 1)
+        assert t.k == k and t.span_bound == span
 
 
 def test_enumeration_admissible_filter_matches_bruteforce():
