@@ -30,7 +30,9 @@ one has others, within a bound E of them (_fold_error), so only its classes
 within 2E of the folded maximum can hold the sequential one, and those are
 summed again in prime order (_sequential_sums) before the maximum, its ties
 and the odd lifts are read.  A window (y, 2y] with y below CARRIER_CUT runs
-each modulus as its own carrier.
+each modulus as its own carrier.  The q = 1 row reads the window's correctly
+rounded total from a LogSum of each block's log_parts sums.  Of the package,
+the probe imports only primes, parallel, serialize and errors.
 
 The exact maximum over all y <= x is infeasible and the dyadic sums change
 slowly, so the grid {x, x/2, x/4, ...} (integer halving, down to y_min)
@@ -44,16 +46,14 @@ import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import ClassVar
 
 import numpy as np
 
 from .errors import BudgetError, SieveRangeError, TrendError
-from .moments import _as_fraction
 from .parallel import ordered_map
-from .primes import MAX_WINDOW_LENGTH, primes_in
-from .serialize import Report
+from .primes import MAX_WINDOW_LENGTH, LogSum, log_parts, primes_in
+from .serialize import Report, _as_fraction
 
 MODULUS_BUDGET = 100_000
 # primes per block of a grid point's class sums: a block's primes, logs and
@@ -283,12 +283,13 @@ def _grid_point_devs(args) -> tuple[np.ndarray, np.ndarray]:
     # unsigned type holding every p and carrier, and each pass forms its
     # block's logs, so neither int64 primes nor the window's logs are held
     ps = primes_in(y + 1, 2 * y + 1, dtype=np.min_scalar_type(max([2 * y, *(M for M, _ in plan)])))
-    logs = (memoryview(np.log(ps[s : s + PRIME_BLOCK], dtype=np.float64)) for s in range(0, len(ps), PRIME_BLOCK))
-    total = math.fsum(chain.from_iterable(logs))
+    total = LogSum()
+    for s in range(0, len(ps), PRIME_BLOCK):
+        total.add(*(part.sum() for part in log_parts(ps[s : s + PRIME_BLOCK])))
 
     devs = np.zeros(q_max + 1)
     best_a = np.zeros(q_max + 1, dtype=np.int64)
-    devs[1] = abs(total - y)  # q = 1: single class, exactly the fsum total
+    devs[1] = abs(total.value() - y)  # q = 1: single class, the correctly rounded total
 
     def settle(q: int, classes: np.ndarray, cls: np.ndarray) -> None:
         # cls: the deviations of the ascending classes, which hold every

@@ -5,7 +5,9 @@ twisted-moment, detector, threshold, bv, trend, replay.  Each command's output
 (its text or CSV lines, or with --json the canonical machine document,
 byte-stable across runs and worker counts) goes to the --out file when one is
 given, else to stdout.  --manifest records the run; replay re-executes a
-manifest and verifies the fingerprint.
+manifest and verifies the fingerprint.  The parser is the one registry of
+subcommands: each subparser but replay's carries its runner as the default
+`run`.
 """
 
 from __future__ import annotations
@@ -79,8 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="gapsieve", allow_abbrev=False)
     subs = p.add_subparsers(dest="command", required=True)
 
-    def command(name: str, summary: str, workers=False, force=False) -> argparse.ArgumentParser:
+    def command(name: str, summary: str, run, workers=False, force=False) -> argparse.ArgumentParser:
         s = subs.add_parser(name, help=summary, allow_abbrev=False)
+        s.set_defaults(run=run)
         s.add_argument("--json", action="store_true", help="emit the canonical JSON document")
         s.add_argument("--out", type=str, default=None, help="write the output here instead of to stdout")
         s.add_argument("--manifest", type=str, default=None, help="write a run manifest to this path")
@@ -91,35 +94,35 @@ def build_parser() -> argparse.ArgumentParser:
             s.add_argument("--force", action="store_true", help="run despite regime violations")
         return s
 
-    s = command("primes", "emit primes in a range, one per line")
+    s = command("primes", "emit primes in a range, one per line", _run_primes)
     s.add_argument("--from", dest="lo", type=_int_arg, required=True)
     s.add_argument("--to", dest="hi", type=_int_arg, required=True)
 
-    s = command("tuple", "tuple utilities")
+    s = command("tuple", "tuple utilities", _run_tuple)
     s.add_argument("action", choices=["check"])
     s.add_argument("offsets", type=str, help="comma-separated offsets, e.g. 1,3")
 
-    s = command("singular-series", "tuple density constant")
+    s = command("singular-series", "tuple density constant", _run_singular)
     s.add_argument("--tuple", dest="offsets", type=str, required=True)
     s.add_argument("--tol", type=float, default=1e-12)
     s.add_argument("--truncation-prime", type=_int_arg, default=None)
 
-    s = command("gallagher", "normalized tuple-density average")
+    s = command("gallagher", "normalized tuple-density average", _run_gallagher)
     s.add_argument("--span", type=_int_arg, required=True)
     s.add_argument("--k", type=_int_arg, required=True)
     s.add_argument("--stride", type=_int_arg, default=1)
     s.add_argument("--seed", type=_int_arg, default=0, help="phase offset for stride sampling (no other RNG)")
 
-    s = command("weights", "divisor-sum weights over a block", force=True)
+    s = command("weights", "divisor-sum weights over a block", _run_weights, force=True)
     s.add_argument("--tuple", dest="offsets", type=str, required=True)
     s.add_argument("--R", type=float, required=True)
     s.add_argument("--a", type=_int_arg, required=True)
     s.add_argument("--from", dest="lo", type=_int_arg, required=True)
     s.add_argument("--to", dest="hi", type=_int_arg, required=True)
 
-    def moment(name: str, summary: str) -> argparse.ArgumentParser:
+    def moment(name: str, summary: str, run) -> argparse.ArgumentParser:
         """The flags every sum over (N, 2N] reads."""
-        s = command(name, summary, workers=True, force=True)
+        s = command(name, summary, run, workers=True, force=True)
         s.add_argument("--N", type=_int_arg, required=True)
         r = s.add_mutually_exclusive_group(required=True)
         r.add_argument("--R", type=float)
@@ -128,15 +131,15 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--span", type=_int_arg, default=None)
         return s
 
-    s = moment("pure-moment", "sum of W(n)^2")
+    s = moment("pure-moment", "sum of W(n)^2", _run_pure)
     s.add_argument("--tuple", dest="offsets", type=str, required=True)
 
-    s = moment("twisted-moment", "sum of varpi(n+h) W(n)^2")
+    s = moment("twisted-moment", "sum of varpi(n+h) W(n)^2", _run_twisted)
     s.add_argument("--tuple", dest="offsets", type=str, required=True)
     s.add_argument("--h", type=_int_arg, required=True)
     s.add_argument("--theta", type=_fraction_arg, default=Fraction(1, 2))
 
-    s = moment("detector", "two-primes detector over explicit or enumerated tuples")
+    s = moment("detector", "two-primes detector over explicit or enumerated tuples", _run_detector)
     s.add_argument("--theta", type=_fraction_arg, default=Fraction(1, 2))
     source = s.add_mutually_exclusive_group(required=True)
     source.add_argument("--tuple", dest="offsets", type=str, action="append",
@@ -149,20 +152,20 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--h-mode", choices=["window", "tuple"], default="window")
     s.add_argument("--witness-cap", type=_int_arg, default=1000)
 
-    s = command("threshold", "exact-rational threshold algebra")
+    s = command("threshold", "exact-rational threshold algebra", _run_threshold)
     s.add_argument("--k", type=_int_arg, required=True)
     s.add_argument("--l", type=_int_arg, required=True)
     s.add_argument("--theta", type=_fraction_arg, required=True)
     s.add_argument("--eps", type=_fraction_arg, default=Fraction(0))
 
-    s = command("bv", "level-of-distribution deviation table", workers=True)
+    s = command("bv", "level-of-distribution deviation table", _run_bv, workers=True)
     s.add_argument("--x", type=_int_arg, required=True)
     s.add_argument("--theta", type=_fraction_arg, required=True)
     s.add_argument("--A", type=float, default=1.0)
     s.add_argument("--y-min", type=_int_arg, default=100)
     s.add_argument("--grid-factor", type=_int_arg, default=2)
 
-    s = command("trend", "direction of a metric across saved reports")
+    s = command("trend", "direction of a metric across saved reports", _run_trend)
     s.add_argument("paths", nargs="+")
 
     s = subs.add_parser("replay", help="re-run a manifest and verify its fingerprint", allow_abbrev=False)
@@ -369,33 +372,18 @@ def _run_trend(args):
     return doc, lines, [], {}
 
 
-_RUNNERS = {
-    "primes": _run_primes,
-    "tuple": _run_tuple,
-    "singular-series": _run_singular,
-    "gallagher": _run_gallagher,
-    "weights": _run_weights,
-    "pure-moment": _run_pure,
-    "twisted-moment": _run_twisted,
-    "detector": _run_detector,
-    "threshold": _run_threshold,
-    "bv": _run_bv,
-    "trend": _run_trend,
-}
-
-
 def _parse(argv: list[str]) -> argparse.Namespace:
     """One parse, with the --config file's flags before argv's: the file may
     give required flags.  A flag on argv replaces the file's entries for it
     and for the other flags of its mutually exclusive groups."""
     parser = build_parser()
-    if argv and argv[0] in _RUNNERS:
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub = subs.choices.get(argv[0]) if argv else None
+    if sub is not None and sub.get_default("run"):
         pre = argparse.ArgumentParser(prog=f"gapsieve {argv[0]}", add_help=False, allow_abbrev=False)
         pre.add_argument("--config")
         config = pre.parse_known_args(argv[1:])[0].config
         if config:
-            subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-            sub = subs.choices[argv[0]]
             action_of = sub._option_string_actions.get
             given = {action_of(tok.split("=", 1)[0]) for tok in argv[1:] if tok.startswith("--")} - {None}
             for group in sub._mutually_exclusive_groups:
@@ -414,8 +402,8 @@ def run_argv(argv: list[str], args: argparse.Namespace | None = None,
     when manifest is false (its fingerprint serializes the whole doc once
     more); writes nothing."""
     args = args if args is not None else _parse(argv)
-    if args.command not in _RUNNERS:
-        # only a hand-written manifest can store a replay
+    if getattr(args, "run", None) is None:
+        # replay has no runner, and only a hand-written manifest can store it
         raise ValueError(f"a manifest cannot replay {args.command!r}")
     for dest, flag in _FINITE_FLAGS.items():
         value = getattr(args, dest, None)
@@ -424,7 +412,7 @@ def run_argv(argv: list[str], args: argparse.Namespace | None = None,
     if hasattr(args, "workers"):
         args.workers = resolve_workers(args.workers)
     t0 = time.perf_counter()
-    doc, lines, notes, sampling = _RUNNERS[args.command](args)
+    doc, lines, notes, sampling = args.run(args)
     wall = time.perf_counter() - t0
     text = canonical_json(doc) + "\n" if args.json else "\n".join(lines) + "\n"
     record = manifest_mod.build_manifest(

@@ -12,8 +12,8 @@ chunk pipeline that builds a tuple's divisor table and its signature state
 once, in the calling process, before any pool starts, and folds each chunk's
 result as it arrives, in chunk order.  A task carries no table: chunks read
 it from divisor_table's per-process memo, which forked workers inherit.  The
-exact-count double sum (small R) reads each divisor's primes from that same
-table and counts each distinct lcm once.
+exact-count double sum (small R) walks the ordered pairs of that same table
+itself and counts each distinct lcm once.
 
 When R < 59, W(n) depends only on n's small-prime signature (see weights),
 so a chunk returns exact integers per signature s instead of a rounded sum:
@@ -60,11 +60,11 @@ from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, RegimeError
+from .errors import BudgetError, RegimeError, SieveRangeError
 from .parallel import block_spans, ordered_imap
 from .primes import (SEGMENT_FLAGS, SUPPORTED_SIEVE_BOUND, LogSum, _repeated_fsum, log_parts,
                      log_sum, primes_in)
-from .serialize import OUTSIDE_DOC, Report
+from .serialize import OUTSIDE_DOC, Report, _as_fraction
 from .singular import DEFAULT_TOL, singular_series
 from .tuples import OffsetTuple, extend, omega_residues
 from .weights import WeightParams, _crt_merge, _weight_value, divisor_table, lambda_block
@@ -169,8 +169,8 @@ def _check_sieve_reach(params: SieveParams, reach: int) -> None:
     the chunks of (N, 2N] sieve up to 2N + 1 + reach."""
     top = 2 * params.N + 1 + reach
     if top > SUPPORTED_SIEVE_BOUND:
-        raise ValueError(f"N = {params.N} sieves up to {top}, "
-                         f"past the supported sieve bound {SUPPORTED_SIEVE_BOUND}")
+        raise SieveRangeError(f"N = {params.N} sieves up to {top}, "
+                              f"past the supported sieve bound {SUPPORTED_SIEVE_BOUND}")
 
 
 def _enforce_regime(violations: list[str], force: bool) -> list[str]:
@@ -221,12 +221,6 @@ class ThresholdReport(Report):
     theta_term: Fraction         # coefficient * theta / 2
     log_n_coefficient: Fraction  # 1 + eps - theta_term
     bracket_coefficient: Fraction  # theta_term - 1: detector bracket sign at R = N^(theta/2)
-
-
-def _as_fraction(x, name: str) -> Fraction:
-    if isinstance(x, float):
-        raise TypeError(f"{name} must be an exact rational (Fraction, int, or string), not float")
-    return Fraction(x)
 
 
 def threshold(k: int, l: int, theta, eps=0) -> ThresholdReport:
@@ -371,18 +365,6 @@ def pure_moment(
 # exact double sums (small R)
 # ---------------------------------------------------------------------------
 
-def _divisor_pairs(t: OffsetTuple, params: "SieveParams | WeightParams"):
-    """Yield (w(d1) w(d2), primes of [d1, d2]) over all ordered pairs of
-    squarefree d1, d2 <= R, both from the one divisor table."""
-    wp = WeightParams(params.R, params.a)
-    table = [
-        (_weight_value(e.mu, e.d, wp.R, wp.a), frozenset(e.primes)) for e in divisor_table(t, wp.R)
-    ]
-    for w1, primes1 in table:
-        for w2, primes2 in table:
-            yield w1 * w2, primes1 | primes2
-
-
 def double_sum_exact_counts(
     t: OffsetTuple,
     params: "SieveParams | WeightParams",
@@ -391,32 +373,37 @@ def double_sum_exact_counts(
 ) -> float:
     """sum_{d1,d2} w(d1) w(d2) * #{n in [lo, hi): [d1,d2] divides P(n)}.
 
-    Membership counts are exact integers (per residue class of the lcm, one
-    count per distinct lcm), so this equals the blockwise sum of W(n)^2 up to
-    float summation only.  The lcm's classes come from its own CRT over
-    omega_residues, not from the table's residues, so the comparison with
-    lambda_block stays independent.
+    d1 and d2 run over the divisor table's squarefree d <= R, in pairs walked
+    here.  Membership counts are exact integers (per residue class of the
+    lcm, one count per distinct lcm), so this equals the blockwise sum of
+    W(n)^2 up to float summation only.  The lcm's classes come from its own
+    CRT over omega_residues, not from the table's residues, so the comparison
+    with lambda_block stays independent.
     """
     if params.R > EXACT_COUNT_R_BUDGET:
         raise BudgetError(f"R = {params.R} exceeds exact-count budget {EXACT_COUNT_R_BUDGET}")
+    wp = WeightParams(params.R, params.a)
+    table = [(_weight_value(e.mu, e.d, wp.R, wp.a), e.d, e.primes) for e in divisor_table(t, wp.R)]
 
-    # each lcm is counted once, keyed by its prime set; a pair adds weight * count
-    counts: dict[frozenset, int] = {}
+    # each lcm is counted once, keyed by its value; a pair adds weight * count
+    counts: dict[int, int] = {}
     terms = []
-    for weight, union in _divisor_pairs(t, params):
-        if union not in counts:
-            m = 1
-            res: tuple[int, ...] = (0,)
-            for p in sorted(union):
-                res = _crt_merge(m, res, p, omega_residues(t, p))
-                m *= p
-            count = 0
-            for r in res:
-                first = lo + ((r - lo) % m)
-                if first < hi:
-                    count += (hi - 1 - first) // m + 1
-            counts[union] = count
-        terms.append(weight * counts[union])
+    for w1, d1, primes1 in table:
+        for w2, d2, primes2 in table:
+            m = d1 * d2 // math.gcd(d1, d2)
+            if m not in counts:
+                step = 1
+                res: tuple[int, ...] = (0,)
+                for p in sorted({*primes1, *primes2}):
+                    res = _crt_merge(step, res, p, omega_residues(t, p))
+                    step *= p
+                count = 0
+                for r in res:
+                    first = lo + ((r - lo) % m)
+                    if first < hi:
+                        count += (hi - 1 - first) // m + 1
+                counts[m] = count
+            terms.append(w1 * w2 * counts[m])
     return math.fsum(terms)
 
 

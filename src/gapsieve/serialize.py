@@ -18,6 +18,8 @@ any other type (TypeError) are refused.
 Report.doc is the one rule for a report's document: its fields, less those
 marked OUTSIDE_DOC, plus its class's `kind`; nested reports become documents,
 Fractions strings and tuples lists, and lists and dicts pass through uncopied.
+_as_fraction is the one coercion of a rational parameter to an exact
+Fraction; a float is refused.
 """
 
 from __future__ import annotations
@@ -28,6 +30,13 @@ import json
 import math
 from fractions import Fraction
 from json.encoder import encode_basestring
+
+
+def _as_fraction(x, name: str) -> Fraction:
+    """x as an exact Fraction; a float is seldom the rational meant, so it is refused."""
+    if isinstance(x, float):
+        raise TypeError(f"{name} must be an exact rational (Fraction, int, or string), not float")
+    return Fraction(x)
 
 
 def fmt_float(x: float) -> str:

@@ -7,11 +7,15 @@ block weights from the primes <= R that divide some n + h, and the bilinear
 form by direct double summation.  Apart from prime_flags, the primes come
 from the library's sieve, each tested by direct divisibility; nothing is
 factored.
+squarefree_divisors builds the squarefree d <= R from the primes that may
+divide them, for lambda_bruteforce and for the pairs of the bilinear form,
+so neither reads the library's divisor table.
 canonical_json_oracle is the emitter as a plain isinstance chain, every key
 sorted per dict, and log_parts_ldexp the integer log parts by two np.ldexp
 passes.
-lambda_bruteforce shares weights._weight_value with lambda_block, so any
-disagreement isolates the divisor-finding logic rather than float noise.
+lambda_bruteforce and divisor_pairs share weights._weight_value with the
+library, so any disagreement isolates the divisor-finding logic rather than
+float noise.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from gapsieve.moments import _divisor_pairs
 from gapsieve.primes import base_primes, primes_in
 from gapsieve.tuples import OffsetTuple, omega_profile
 from gapsieve.weights import WeightParams, _weight_value
@@ -83,19 +86,7 @@ def lambda_bruteforce(t: OffsetTuple, params: WeightParams, n: int) -> float:
     product = math.prod(n + h for h in t.offsets)
     candidates = base_primes(int(min(params.R, n + t.offsets[-1]))).tolist()
     primes = [p for p in candidates if product % p == 0]
-
-    divisors = [(1, 1)]
-
-    def grow(start: int, d: int, mu: int) -> None:
-        for i in range(start, len(primes)):
-            nd = d * primes[i]
-            if nd > params.R:
-                break
-            divisors.append((nd, -mu))
-            grow(i + 1, nd, -mu)
-
-    grow(0, 1, 1)
-    divisors.sort()
+    divisors = sorted((d, mu) for d, mu, _ in squarefree_divisors(primes, params.R))
     total = 0.0
     comp = 0.0
     for d, mu in divisors:
@@ -107,15 +98,42 @@ def lambda_bruteforce(t: OffsetTuple, params: WeightParams, n: int) -> float:
     return total
 
 
+def squarefree_divisors(primes: list[int], R: float) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(d, mu(d), primes of d) for every squarefree d <= R whose primes are
+    among the ascending primes, d = 1 first, by growing products."""
+    divisors = [(1, 1, ())]
+
+    def grow(start: int, d: int, mu: int, factors: tuple[int, ...]) -> None:
+        for i in range(start, len(primes)):
+            nd = d * primes[i]
+            if nd > R:
+                break
+            divisors.append((nd, -mu, factors + (primes[i],)))
+            grow(i + 1, nd, -mu, factors + (primes[i],))
+
+    grow(0, 1, 1, ())
+    return divisors
+
+
+def divisor_pairs(params: WeightParams):
+    """(w(d1) w(d2), primes of [d1, d2]) over the ordered pairs of squarefree
+    d1, d2 <= R, each d from squarefree_divisors over the primes <= R."""
+    weighted = [(_weight_value(mu, d, params.R, params.a), frozenset(ps))
+                for d, mu, ps in squarefree_divisors(base_primes(int(params.R)).tolist(), params.R)]
+    for w1, primes1 in weighted:
+        for w2, primes2 in weighted:
+            yield w1 * w2, primes1 | primes2
+
+
 def double_sum_T(t: OffsetTuple, params: WeightParams) -> float:
     """The exact bilinear form sum_{d1,d2} w(d1) w(d2) |Omega([d1,d2])| / [d1,d2]
     by direct double summation; feasible for R up to a few thousand.  Only R
     and the weight exponent are read, so SieveParams work too."""
-    # every prime <= R is itself a table entry, so this covers every lcm
+    # every prime <= R is itself a divisor, so this covers every lcm
     primes = base_primes(int(params.R)).tolist()
     omega_of = dict(zip(primes, omega_profile(t, primes)))
     terms = []
-    for weight, union in _divisor_pairs(t, params):
+    for weight, union in divisor_pairs(params):
         lcm = 1
         omega = 1
         for p in union:

@@ -103,6 +103,18 @@ def test_q1_matches_prime_engine_exactly():
     assert row1.deviation == pytest.approx(expected, abs=1e-9)
 
 
+# below: whether a grid point lies below CARRIER_CUT, over the grid; at
+# x = 1e6 the top window's primes fill more than one PRIME_BLOCK
+@pytest.mark.parametrize("x, below", [(4000, {True}), (10**6, {True, False})])
+def test_q1_row_is_the_oracle_total_bit_for_bit(x, below):
+    table = bv_deviation(x, Fraction(1, 8), grid=GridSpec(y_min=400))
+    assert {y < bv.CARRIER_CUT for y in table.y_grid} == below
+    assert (len(primes_in(x + 1, 2 * x + 1)) > bv.PRIME_BLOCK) == (x > 4000)
+    expected = max(abs(theta_star(y, 0, 1) - y) for y in table.y_grid)
+    assert table.rows[0].q == 1
+    assert table.rows[0].deviation.hex() == expected.hex()
+
+
 def test_class_partition_additivity():
     # buckets over coprime classes + primes dividing q = everything
     y, q = 2000, 12

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapsieve import moments, primes, weights
-from gapsieve.errors import BudgetError, RegimeError
+from gapsieve.errors import BudgetError, RegimeError, SieveRangeError
 from gapsieve.moments import (
     CHUNK,
     MAX_DETECTOR_SPAN,
@@ -40,7 +40,7 @@ from gapsieve.parallel import block_spans
 from gapsieve.primes import _repeated_fsum, log_sum
 from gapsieve.tuples import SEPTUPLE_OFFSETS, TWIN_OFFSETS, OffsetTuple, omega_residues
 from gapsieve.weights import WeightParams, divisor_table, lambda_block
-from oracles import double_sum_T, lambda_weight, prime_flags
+from oracles import divisor_pairs, double_sum_T, lambda_weight, prime_flags
 
 TWIN = OffsetTuple(TWIN_OFFSETS)
 
@@ -165,11 +165,11 @@ def test_double_sum_density_times_n_matches_exact_counts():
 
 def _exact_counts_per_pair(t, params, lo, hi):
     """double_sum_exact_counts as it was before it counted each lcm once: the
-    per-pair count loop over cached lcm residues.  The oracle for .hex()
-    equality."""
+    per-pair count loop over cached lcm residues, over the oracle's own
+    squarefree pairs.  The oracle for .hex() equality."""
     lcm_cache = {}
     terms = []
-    for weight, union in moments._divisor_pairs(t, params):
+    for weight, union in divisor_pairs(params):
         if union not in lcm_cache:
             m = 1
             res = (0,)
@@ -202,7 +202,7 @@ def _exact_counts_per_pair(t, params, lo, hi):
 def test_exact_counts_one_count_per_lcm_is_the_per_pair_loop(offsets, R, l, lo, long_window, extra):
     t = OffsetTuple(offsets)
     wp = WeightParams(R, t.k + l)
-    largest_lcm = max(math.prod(union) for _, union in moments._divisor_pairs(t, wp))
+    largest_lcm = max(math.prod(union) for _, union in divisor_pairs(wp))
     width = largest_lcm + 1 + extra if long_window else 1 + extra % largest_lcm
     got = double_sum_exact_counts(t, wp, lo, lo + width)
     assert got.hex() == _exact_counts_per_pair(t, wp, lo, lo + width).hex()
@@ -744,7 +744,7 @@ def test_runs_past_the_sieve_bound_are_refused_before_any_chunk(monkeypatch):
         m.setattr(moments, "block_spans", no_work)
         m.setattr(moments, "divisor_table", no_work)
         for run in (lambda: twisted_moment(TWIN, 5, params), lambda: two_primes_detector(params, [TWIN])):
-            with pytest.raises(ValueError, match="past the supported sieve bound"):
+            with pytest.raises(SieveRangeError, match="past the supported sieve bound"):
                 run()
     # the refusal sits exactly where the last chunk's sieve would fail
     small = _params(10**4, span=10)
@@ -756,7 +756,7 @@ def test_runs_past_the_sieve_bound_are_refused_before_any_chunk(monkeypatch):
             if ok:
                 run()
             else:
-                with pytest.raises(ValueError, match="past the supported sieve bound"):
+                with pytest.raises(SieveRangeError, match="past the supported sieve bound"):
                     run()
 
 
@@ -825,6 +825,8 @@ def test_threshold_refusals(args, message):
 def test_exact_counts_refuse_r_past_their_budget():
     with pytest.raises(BudgetError, match=r"^R = 501\.0 exceeds exact-count budget 500$"):
         double_sum_exact_counts(TWIN, WeightParams(501.0, 3), 1000, 2000)
+    # the budget itself is inside it
+    assert double_sum_exact_counts(TWIN, WeightParams(500.0, 3), 1000, 2000) > 0
 
 
 def test_twisted_refuses_a_span_below_the_tuples():

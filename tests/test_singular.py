@@ -45,6 +45,25 @@ def test_twin_constant():
     assert v.tail_bound < 1e-12
 
 
+def test_tail_bound_is_its_derivation(monkeypatch):
+    """tail_bound = tail_neglect + 4 eps (|small part| + |corr| + |log total|
+    + 1) + the generic part's allowance: the Kahan small part and the
+    three-term combination each round within a few eps of their magnitudes.
+    With the generic part fixed at known nonzero floats, every term shows."""
+    log_generic, generic_slack, corr, tail_neglect = 0.25, 3e-16, -0.125, 1e-15
+    monkeypatch.setattr(singular, "_generic_part", lambda *args: (log_generic, generic_slack, corr, tail_neglect))
+    eps = 2.0**-52
+    # twin at span bound 3: w(2) = 1 and w(3) = 2, and the compensated sum of
+    # two terms is their rounded sum
+    t2 = math.log1p(-1 / 2) - 2 * math.log1p(-1 / 2)
+    t3 = math.log1p(-2 / 3) - 2 * math.log1p(-1 / 3)
+    log_total = (t2 + t3) + log_generic + corr
+    v = singular_series(TWIN)
+    fp_slack = 4 * eps * (abs(t2) + abs(t3) + abs(corr) + abs(log_total) + 1) + generic_slack
+    assert v.tail_bound == tail_neglect + fp_slack
+    assert v.value == math.exp(log_total)
+
+
 def test_vanishing_tuple_is_exact_zero():
     v = singular_series(OffsetTuple((1, 3, 5)))
     assert v == SingularSeriesValue(0.0, v.truncation_prime, 0.0)

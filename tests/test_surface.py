@@ -90,3 +90,39 @@ def test_grouped_sums_accumulate_in_place():
                     and (len(node.args) > 1 or any(kw.arg in ("weights", None) for kw in node.keywords))):
                 weighted.append(f"{path.name}:{node.lineno}")
     assert weighted == []
+
+
+def _import_graph() -> dict[str, set[str]]:
+    """Each src/gapsieve module's imports from the package, by module name;
+    `from . import x` names the module x where there is one, else the
+    package's __init__."""
+    package = ROOT / "src" / "gapsieve"
+    modules = {path.stem for path in package.glob("*.py")}
+    graph = {}
+    for name in modules:
+        edges = set()
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    edges.add(node.module.split(".")[0])
+                else:
+                    edges.update(a.name if a.name in modules else "__init__" for a in node.names)
+        graph[name] = edges
+    return graph
+
+
+def test_the_package_imports_form_no_cycle():
+    """Modules that import nothing left are peeled off until none is left; a
+    cycle would stay."""
+    left = _import_graph()
+    while leaves := [name for name, edges in left.items() if not edges & left.keys()]:
+        for name in leaves:
+            del left[name]
+    assert left == {}
+
+
+def test_the_probe_depends_only_on_the_sieve():
+    """bv reads its primes from primes and its rationals from serialize, so a
+    later import of bv from moments, weights, singular or tuples makes no
+    cycle."""
+    assert _import_graph()["bv"] & {"moments", "weights", "singular", "tuples"} == set()
